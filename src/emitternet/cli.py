@@ -34,7 +34,6 @@ from .lineio import (
 )
 from .overlap import (
     birthday_threshold,
-    bootstrap_std_error,
     fit_slope_through_origin,
     histogram,
     monte_carlo_threshold,
@@ -318,13 +317,12 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     if windows is None:
         windows = [gamma * f for f in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)]
     resamples = cfg.data["overlap"]["bootstrap_resamples"]
-    curve = overlap_curve(emitters, windows, combos)
-    errors = [bootstrap_std_error(emitters, w, combos, resamples, seed) for w in windows]
+    curve = overlap_curve(emitters, windows, combos, bootstrap_resamples=resamples, seed=seed)
     slope = fit_slope_through_origin(curve, gamma)
     write_table(
         out_dir / "overlap_curve.csv",
         ["window_mhz", "probability", "std_error"],
-        list(zip(curve.windows_mhz, curve.probabilities, errors)),
+        list(zip(curve.windows_mhz, curve.probabilities, curve.std_errors)),
         comments=_csv_comments(cfg, seed),
     )
     results = {
@@ -334,7 +332,7 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "combos": sorted(c.label for c in combos),
         "windows_mhz": list(curve.windows_mhz),
         "probabilities": list(curve.probabilities),
-        "std_errors": errors,
+        "std_errors": list(curve.std_errors),
         "gamma_mhz": gamma,
         "slope_per_gamma": slope,
         "bootstrap_resamples": resamples,

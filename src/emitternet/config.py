@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from .errors import ConfigError
 from .seeding import SeedSpec
-from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, NormalCenters, UniformCenters
+from .spectral import EnsembleModel, LineCombo, NormalCenters, UniformCenters
 
 
 def ensemble_to_mapping(model: EnsembleModel) -> dict[str, Any]:
@@ -127,8 +127,9 @@ def _check_leaf(field: _Field, value: Any, path: str) -> Any:
             raise ConfigError(f"{path}: expected an array of numbers, got {value!r}")
         return [float(v) for v in value]
     if field.kind == "string_array":
-        if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-            raise ConfigError(f"{path}: expected an array of strings, got {value!r}")
+        # combos, the only string array, names a set that must not be empty
+        if not value or not isinstance(value, list) or any(not isinstance(v, str) for v in value):
+            raise ConfigError(f"{path}: expected a non-empty array of strings, got {value!r}")
         return list(value)
     raise AssertionError(f"unknown schema kind {field.kind}")
 
@@ -243,7 +244,4 @@ class RunConfig:
         )
 
     def combos(self) -> frozenset[LineCombo]:
-        names = self.data["combos"]
-        if not names:
-            return ALL_COMBOS
-        return frozenset(LineCombo.parse(name) for name in names)
+        return frozenset(LineCombo.parse(name) for name in self.data["combos"])

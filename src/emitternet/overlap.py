@@ -45,21 +45,126 @@ class OverlapCurve:
             raise DomainError("probabilities must be non-decreasing in the window")
 
 
-def _separation_matrix_mhz(a1: np.ndarray, a2: np.ndarray, combos: frozenset[LineCombo]) -> np.ndarray:
-    """All-pairs minimum line separation (MHz), ordered (row emitter, column emitter)."""
+# Most candidate line pairs the sweep in :func:`_candidate_pairs` may build.
+# Each costs about 60 bytes at peak, so the limit stands for a few GB; a
+# request above it is refused before any pair array is allocated.
+MAX_CANDIDATE_PAIRS = 100_000_000
+
+
+def _closed_combos(combos: Iterable[LineCombo]) -> frozenset[LineCombo]:
+    """The combo set, checked to be non-empty and closed under swapping emitters.
+
+    An open set (a1a2 without a2a1, or the reverse) makes the separation of
+    an unordered pair depend on which emitter is listed first.
+    """
+    combos = frozenset(combos)
+    if not combos:
+        raise DomainError("combos must be non-empty")
+    for combo in combos:
+        partner = LineCombo(combo.value[::-1])
+        if partner not in combos:
+            raise DomainError(
+                f"combos must be closed under swapping the two emitters: "
+                f"{combo.label} needs its partner {partner.label}"
+            )
+    return combos
+
+
+def _candidate_pairs(
+    a1: np.ndarray, a2: np.ndarray, reach_ghz: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct emitter pairs (i < j) having some line pair within ``reach_ghz``.
+
+    A sorted sweep over all 2n lines: ``searchsorted`` gives, for each line,
+    how many lines follow it within reach, so the candidates are counted
+    (and refused above :data:`MAX_CANDIDATE_PAIRS`) before any is built.
+    """
+    n = len(a1)
+    x = np.concatenate([a1, a2])
+    order = np.argsort(x, kind="stable")
+    xs, owner = x[order], order % n
+    ahead = np.searchsorted(xs, xs + reach_ghz, side="right") - np.arange(2 * n) - 1
+    total = int(ahead.sum())
+    if total > MAX_CANDIDATE_PAIRS:
+        raise DomainError(
+            f"overlap search needs {total} candidate line pairs, above the limit of "
+            f"{MAX_CANDIDATE_PAIRS}; use fewer emitters or narrower windows"
+        )
+    i = np.repeat(np.arange(2 * n), ahead)
+    j = i + 1 + np.arange(total) - np.repeat(np.cumsum(ahead) - ahead, ahead)
+    i, j = owner[i], owner[j]
+    distinct = i != j
+    keys = np.minimum(i, j)[distinct] * n + np.maximum(i, j)[distinct]
+    # One emitter pair can be reached through up to four line pairs. Sort and
+    # drop repeats; np.unique does the same but far slower on numpy 2.x.
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.divmod(keys[first], n)
+
+
+def _close_pairs(
+    a1: np.ndarray, a2: np.ndarray, combos: frozenset[LineCombo], max_window_mhz: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unordered emitter pairs (i < j) closer than ``max_window_mhz``, with separations.
+
+    The separation of each candidate pair is taken exactly as the minimum
+    over ``combos`` of ``|line - line|`` in GHz, times 1e3. The sweep's reach
+    is widened by a relative and an absolute rounding margin, so no pair
+    that passes this exact strict test is lost before it.
+    """
+    reach_ghz = float(max_window_mhz) * 1e-3
+    scale = max(np.abs(a1).max(), np.abs(a2).max()) + reach_ghz
+    i, j = _candidate_pairs(a1, a2, reach_ghz * (1 + 1e-9) + 8 * np.spacing(scale))
     lines = (a1, a2)
     sep = None
-    for i, j in (c.value for c in combos):
-        d = np.abs(lines[i][:, None] - lines[j][None, :])
+    for ci, cj in (c.value for c in combos):
+        d = np.abs(lines[ci][i] - lines[cj][j])
         sep = d if sep is None else np.minimum(sep, d)
-    return sep * 1e3
+    sep = sep * 1e3
+    close = sep < max_window_mhz
+    return i[close], j[close], sep[close]
 
 
-def _pair_separations_mhz(emitters: Sequence, combos: frozenset[LineCombo]) -> np.ndarray:
-    a1, a2 = line_arrays(emitters)
-    sep = _separation_matrix_mhz(a1, a2, combos)
-    iu = np.triu_indices(len(emitters), k=1)
-    return sep[iu]
+def _bootstrap_std_errors(
+    n: int,
+    i: np.ndarray,
+    j: np.ndarray,
+    pair_counts: np.ndarray,
+    resamples: int,
+    seed: SeedSpec | int,
+) -> list[float]:
+    """Bootstrap standard errors for every window from one set of index draws.
+
+    ``i, j`` are the close pairs ordered by window bucket and
+    ``pair_counts[w]`` is how many of them are closer than window w. A
+    resample with emitter multiplicities c has (n^2 - sum c^2) / 2 valid
+    position pairs, and the pair (i, j) appears in c_i * c_j of them;
+    prefix sums over the ordered pairs give the hits of every window at
+    once. The counts are the same integers an explicit position-pair
+    enumeration gives, so the errors match it exactly.
+    """
+    # Subkey 2 keeps index draws independent of the ensemble-sampling stream.
+    rng = as_seed(seed).rng(2)
+    values = np.empty((len(pair_counts), resamples))
+    # The draws keep their original chunking: numpy does not promise that a
+    # bounded-integer stream is independent of how it is split into calls.
+    chunk = max(1, min(resamples, 2_000_000 // (n * n)))
+    done = 0
+    while done < resamples:
+        m = min(chunk, resamples - done)
+        idx = rng.integers(0, n, size=(m, n))
+        rows = idx + n * np.arange(m)[:, None]
+        counts = np.bincount(rows.ravel(), minlength=m * n).reshape(m, n)
+        n_valid = (n * n - (counts * counts).sum(axis=1)) // 2
+        prefix = np.zeros((m, len(i) + 1), dtype=np.int64)
+        np.cumsum(counts[:, i] * counts[:, j], axis=1, out=prefix[:, 1:])
+        n_hit = prefix[:, pair_counts]
+        with np.errstate(invalid="ignore"):
+            p = np.where(n_valid[:, None] > 0, n_hit / np.maximum(n_valid, 1)[:, None], 0.0)
+        values[:, done : done + m] = p.T
+        done += m
+    return [float(row.std(ddof=1)) for row in values]
 
 
 def overlap_curve(
@@ -71,32 +176,41 @@ def overlap_curve(
 ) -> OverlapCurve:
     """Fraction of unordered emitter pairs closer than each window.
 
-    ``windows_mhz`` must be positive and ascending. When
-    ``bootstrap_resamples`` is given, per-window standard errors are filled
-    from emitter-level bootstrap resampling; otherwise they are zero.
+    ``windows_mhz`` must be positive, finite and ascending; ``combos`` must
+    be closed under swapping the two emitters. When ``bootstrap_resamples``
+    is given, per-window standard errors come from one emitter-level
+    bootstrap shared by all windows (see :func:`bootstrap_std_error`);
+    otherwise they are zero.
     """
-    combos = frozenset(combos)
-    if not combos:
-        raise DomainError("combos must be non-empty")
+    combos = _closed_combos(combos)
     n = len(emitters)
     if n < 2:
         raise DomainError(f"need at least 2 emitters, got {n}")
     windows = [float(w) for w in windows_mhz]
     if not windows:
         raise DomainError("at least one window is required")
-    if any(w <= 0 for w in windows):
-        raise DomainError("windows must be positive")
+    if not all(0 < w < math.inf for w in windows):
+        raise DomainError("windows must be positive and finite")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise DomainError("windows must be strictly ascending")
+    if bootstrap_resamples is not None and bootstrap_resamples < 100:
+        raise DomainError(f"need at least 100 resamples, got {bootstrap_resamples}")
 
-    seps = _pair_separations_mhz(emitters, combos)
-    n_pairs = len(seps)
-    probs = tuple(float(np.count_nonzero(seps < w)) / n_pairs for w in windows)
+    a1, a2 = line_arrays(emitters)
+    i, j, sep = _close_pairs(a1, a2, combos, windows[-1])
+    # Each pair goes to the bucket of the first window it satisfies; the
+    # smallest integer type lets the bucket sort below run as a radix sort.
+    bucket = np.searchsorted(windows, sep, side="right")
+    bucket = bucket.astype(np.min_scalar_type(len(windows)))
+    pair_counts = np.cumsum(np.bincount(bucket, minlength=len(windows)))
+    n_pairs = n * (n - 1) // 2
+    probs = tuple(float(k) / n_pairs for k in pair_counts)
     if bootstrap_resamples is None:
         errors = tuple(0.0 for _ in windows)
     else:
+        order = np.argsort(bucket, kind="stable")
         errors = tuple(
-            bootstrap_std_error(emitters, w, combos, bootstrap_resamples, seed) for w in windows
+            _bootstrap_std_errors(n, i[order], j[order], pair_counts, bootstrap_resamples, seed)
         )
     return OverlapCurve(
         windows_mhz=tuple(windows),
@@ -114,40 +228,16 @@ def bootstrap_std_error(
     resamples: int = 1000,
     seed: SeedSpec | int = 0,
 ) -> float:
-    """Bootstrap standard error of the pair-overlap probability.
+    """Bootstrap standard error of the pair-overlap probability at one window.
 
     Emitters are the resampling unit (drawn with replacement). Within a
     resample, position pairs that duplicate one source emitter are
     excluded from both counts; a resample with no valid pair contributes
-    probability 0.
+    probability 0. Every window of one seed sees the same draws, so this
+    equals the matching entry of ``overlap_curve(...).std_errors``.
     """
-    n = len(emitters)
-    if n < 2:
-        raise DomainError(f"need at least 2 emitters, got {n}")
-    if resamples < 100:
-        raise DomainError(f"need at least 100 resamples, got {resamples}")
-    combos = frozenset(combos)
-    a1, a2 = line_arrays(emitters)
-    overlap = _separation_matrix_mhz(a1, a2, combos) < float(window_mhz)
-
-    # Subkey 2 keeps index draws independent of the ensemble-sampling stream.
-    rng = as_seed(seed).rng(2)
-    iu = np.triu_indices(n, k=1)
-    values = np.empty(resamples)
-    chunk = max(1, min(resamples, 2_000_000 // (n * n)))
-    done = 0
-    while done < resamples:
-        m = min(chunk, resamples - done)
-        idx = rng.integers(0, n, size=(m, n))
-        hits = overlap[idx[:, :, None], idx[:, None, :]][:, iu[0], iu[1]]
-        valid = (idx[:, :, None] != idx[:, None, :])[:, iu[0], iu[1]]
-        n_valid = valid.sum(axis=1)
-        n_hit = (hits & valid).sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            p = np.where(n_valid > 0, n_hit / np.maximum(n_valid, 1), 0.0)
-        values[done : done + m] = p
-        done += m
-    return float(values.std(ddof=1))
+    curve = overlap_curve(emitters, [window_mhz], combos, resamples, seed)
+    return curve.std_errors[0]
 
 
 def fit_slope_through_origin(curve: OverlapCurve, gamma_mhz: float) -> float:

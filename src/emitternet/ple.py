@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from .errors import ClassificationError, DomainError, PeakDetectionError
 from .seeding import SeedSpec, as_seed
@@ -122,6 +120,10 @@ def initial_guess(spectrum: PleSpectrum, k: int) -> list[LorentzianPeak]:
     fewer than k candidates exist. Widths are seeded from the ensemble
     default FWHM mean.
     """
+    # scipy is imported here, not at module level: it costs about a second
+    # of start-up that every other command would pay for nothing.
+    from scipy.signal import find_peaks
+
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if len(spectrum.counts) < 5 * k:
@@ -189,6 +191,8 @@ def fit_multi_lorentzian(
     :func:`initial_guess`, so an undetectable k raises
     :class:`PeakDetectionError`.
     """
+    from scipy.optimize import least_squares
+
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if guess is None:

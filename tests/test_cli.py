@@ -122,6 +122,23 @@ class TestOverlapCommand:
         assert results["source"] == "sampled"
         assert len(results["probabilities"]) == len(results["windows_mhz"])
 
+    @pytest.mark.parametrize("combos, missing", [(["a1a2"], "a2a1"), (["a1a1", "a2a1"], "a1a2")])
+    def test_combos_not_closed_under_swap(self, tmp_path, capsys, combos, missing):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"combos": combos}))
+        code = main(["overlap", "--n", "20", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError"
+        assert missing in err["error"]
+
+    def test_empty_combos_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"combos": []}))
+        code = main(["overlap", "--n", "20", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["type"] == "ConfigError"
+
     def test_invalid_line_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("emitter_id,f_a1_ghz,f_a2_ghz,fwhm_a1_mhz,fwhm_a2_mhz\nx,2.0,1.0,300,300\n")

@@ -157,6 +157,11 @@ class TestRunConfig:
         cfg = RunConfig.from_mapping({"combos": ["a1a2", "a2a1"]})
         assert cfg.combos() == frozenset({LineCombo.A1_A2, LineCombo.A2_A1})
 
+    def test_empty_combos_rejected(self):
+        # [] used to fall back silently to all four pairings
+        with pytest.raises(ConfigError, match="combos"):
+            RunConfig.from_mapping({"combos": []})
+
     def test_overrides_merge(self):
         cfg = RunConfig.from_mapping({"birthday": {"target": 0.6}})
         merged = cfg.with_overrides({"birthday": {"q": 0.01}})

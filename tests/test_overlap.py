@@ -6,6 +6,7 @@ import pytest
 from emitternet import (
     DomainError,
     EnsembleModel,
+    LineCombo,
     NormalCenters,
     OverlapCurve,
     analytic_homogeneous_slope,
@@ -17,6 +18,7 @@ from emitternet import (
     min_pair_separation,
     monte_carlo_threshold,
     overlap_curve,
+    sample_ensemble,
 )
 from emitternet.spectral import sample_line_positions
 from emitternet.seeding import as_seed
@@ -91,6 +93,54 @@ class TestOverlapCurve:
         assert curve.std_errors[0] == bootstrap_std_error(
             fixture_50_12, 29.0, resamples=300, seed=4
         )
+
+
+class TestComboClosure:
+    """Pair statistics need a combo set closed under swapping the two emitters.
+
+    With only a1a2 (or only a2a1) the separation of a pair depends on which
+    emitter comes first, so the curve changed when the rows were reversed.
+    """
+
+    @pytest.mark.parametrize(
+        "combos, missing",
+        [
+            ({LineCombo.A1_A2}, "a2a1"),
+            ({LineCombo.A2_A1}, "a1a2"),
+            ({LineCombo.A1_A1, LineCombo.A2_A2, LineCombo.A2_A1}, "a1a2"),
+        ],
+    )
+    def test_open_sets_are_refused(self, fixture_50_12, combos, missing):
+        with pytest.raises(DomainError, match=missing):
+            overlap_curve(fixture_50_12, [29.0], combos)
+        with pytest.raises(DomainError, match=missing):
+            overlap_curve(fixture_50_12, [29.0], combos, bootstrap_resamples=100)
+        with pytest.raises(DomainError, match=missing):
+            bootstrap_std_error(fixture_50_12, 29.0, combos, resamples=100)
+
+    def test_empty_set_is_refused(self, fixture_50_12):
+        with pytest.raises(DomainError):
+            overlap_curve(fixture_50_12, [29.0], ())
+        with pytest.raises(DomainError):
+            bootstrap_std_error(fixture_50_12, 29.0, (), resamples=100)
+
+    @pytest.mark.parametrize(
+        "combos",
+        [
+            {LineCombo.A1_A1},
+            {LineCombo.A2_A2},
+            {LineCombo.A1_A2, LineCombo.A2_A1},
+            {LineCombo.A1_A1, LineCombo.A1_A2, LineCombo.A2_A1},
+        ],
+    )
+    def test_closed_sets_do_not_depend_on_row_order(self, combos):
+        model = EnsembleModel()
+        emitters = sample_ensemble(model, 250, 1)
+        windows = [model.gamma_mhz * f for f in (1.0, 10.0, 50.0)]
+        forward = overlap_curve(emitters, windows, combos)
+        backward = overlap_curve(emitters[::-1], windows, combos)
+        assert forward.probabilities == backward.probabilities
+        assert forward.probabilities[-1] > 0
 
 
 class TestBootstrapStdError:
