@@ -28,6 +28,7 @@ from .spectral import (
     EnsembleModel,
     EnsembleSummary,
     LineCombo,
+    LineTable,
     NormalCenters,
     UniformCenters,
     lifetime_limited_linewidth,
@@ -96,11 +97,9 @@ from .spatial import (
     spot_volume,
 )
 from .lineio import (
-    LineListRecord,
     parse_line_list,
     read_line_list,
     read_spectrum,
-    records_to_emitters,
     serialize_line_list,
     write_line_list,
     write_spectrum,

@@ -27,7 +27,6 @@ from .errors import ConfigError, EmitterNetError, LineListError, UsageError
 from .lineio import (
     read_line_list,
     read_spectrum,
-    records_to_emitters,
     write_line_list,
     write_spectrum,
     write_table,
@@ -70,54 +69,66 @@ def _utc_now() -> str:
 
 
 def _build_parser() -> _Parser:
+    # A flag that sets a config value stores it under that value's dotted
+    # config path (its ``dest``); see _load_config.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="path to a JSON run configuration")
-    common.add_argument("--out", type=Path, help="output directory")
+    common.add_argument("--out", dest="output_dir", type=Path, help="output directory")
     common.add_argument("--seed", type=int, help="base seed (overrides config and environment)")
     common.add_argument("--stream-index", type=int, help="seed stream index")
-    common.add_argument("--threads", type=int, help="cap on worker threads")
 
     parser = _Parser(prog="emitternet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"emitternet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", parents=[common], help="sample an emitter ensemble to CSV")
-    p.add_argument("--n", type=int, help="number of emitters")
+    p.add_argument("--n", dest="sample.n_emitters", type=int, help="number of emitters")
 
     p = sub.add_parser("overlap", parents=[common], help="pair-overlap probability curve")
     p.add_argument("--input", type=Path, help="line-list CSV (default: sample from the model)")
-    p.add_argument("--n", type=int, help="emitters to sample when no input file is given")
+    p.add_argument("--n", dest="sample.n_emitters", type=int, help="emitters to sample if no input")
     p.add_argument(
-        "--window-mhz", type=float, action="append", help="overlap window (repeatable)"
+        "--window-mhz", dest="windows_mhz", type=float, action="append",
+        help="overlap window (repeatable)",
     )
-    p.add_argument("--bootstrap", type=int, help="bootstrap resamples for error bars")
+    p.add_argument("--bootstrap", dest="overlap.bootstrap_resamples", type=int,
+                   help="bootstrap resamples for error bars")
 
     p = sub.add_parser("birthday", parents=[common], help="collision threshold analysis")
-    p.add_argument("--q", type=float, help="pairwise overlap probability")
-    p.add_argument("--target", type=float, help="target collision probability")
-    p.add_argument("--mc", action="store_true", help="add a sequential Monte Carlo cross-check")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials")
-    p.add_argument("--window-mhz", type=float, help="overlap window for the Monte Carlo run")
+    p.add_argument("--q", dest="birthday.q", type=float, help="pairwise overlap probability")
+    p.add_argument("--target", dest="birthday.target", type=float,
+                   help="target collision probability")
+    p.add_argument("--mc", dest="birthday.monte_carlo", action="store_true",
+                   help="add a sequential Monte Carlo cross-check")
+    p.add_argument("--trials", dest="birthday.trials", type=int, help="Monte Carlo trials")
+    p.add_argument("--window-mhz", dest="birthday.window_mhz", type=float,
+                   help="overlap window for the Monte Carlo run")
 
     p = sub.add_parser("fit-ple", parents=[common], help="multi-Lorentzian spectrum fit")
     p.add_argument("--input", type=Path, help="spectrum CSV (frequency_ghz,counts)")
     p.add_argument("--synthetic", action="store_true", help="fit a synthesized demo spectrum")
-    p.add_argument("--k", type=int, help="number of peaks")
-    p.add_argument("--classify", action="store_true", help="classify a 3-peak pair spectrum")
+    p.add_argument("--k", dest="fit_ple.n_peaks", type=int, help="number of peaks")
+    p.add_argument("--classify", dest="fit_ple.classify", action="store_true",
+                   help="classify a 3-peak pair spectrum")
     p.add_argument("--max-iterations", type=int, default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("protocol", parents=[common], help="heralded GHZ chain simulation")
-    p.add_argument("--n", type=int, help="number of spin qubits")
-    p.add_argument("--eta", type=float, help="photon detection efficiency")
+    p.add_argument("--n", dest="protocol.n_qubits", type=int, help="number of spin qubits")
+    p.add_argument("--eta", dest="protocol.eta", type=float, help="photon detection efficiency")
     p.add_argument("--sweep", action="store_true", help="also sweep fidelity over eta")
 
     p = sub.add_parser("spatial", parents=[common], help="confocal spot occupancy statistics")
-    p.add_argument("--density", type=float, help="emitter density per cubic micron")
-    p.add_argument("--lateral-fwhm-um", type=float, help="lateral PSF FWHM (required)")
-    p.add_argument("--axial-fwhm-um", type=float, help="axial PSF FWHM")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials")
-    p.add_argument("--chain-k", type=int, help="spectral chain length to evaluate")
-    p.add_argument("--chain-window-mhz", type=float, help="chain overlap window")
+    p.add_argument("--density", dest="spatial.density_per_um3", type=float,
+                   help="emitter density per cubic micron")
+    p.add_argument("--lateral-fwhm-um", dest="spatial.lateral_fwhm_um", type=float,
+                   help="lateral PSF FWHM (required)")
+    p.add_argument("--axial-fwhm-um", dest="spatial.axial_fwhm_um", type=float,
+                   help="axial PSF FWHM")
+    p.add_argument("--trials", dest="spatial.trials", type=int, help="Monte Carlo trials")
+    p.add_argument("--chain-k", dest="spatial.chain_length", type=int,
+                   help="spectral chain length to evaluate")
+    p.add_argument("--chain-window-mhz", dest="spatial.chain_window_mhz", type=float,
+                   help="chain overlap window")
     p.add_argument("--export-scene", action="store_true", help="also export a sampled 3D scene")
 
     sub.add_parser("report", parents=[common], help="aggregate summaries in the output directory")
@@ -133,76 +144,17 @@ def _load_config(args) -> RunConfig:
         cfg = RunConfig.from_json(text)
     else:
         cfg = RunConfig.from_mapping({})
+    # Flags that set a config value are stored under its dotted path; an
+    # unset flag (None, or False for a switch) overrides nothing.
     overrides: dict[str, Any] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "stream_index", None) is not None:
-        overrides["stream_index"] = args.stream_index
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["output_dir"] = str(args.out)
-
-    command_overrides: dict[str, Any] = {}
-    if args.command == "sample" and args.n is not None:
-        command_overrides = {"sample": {"n_emitters": args.n}}
-    elif args.command == "overlap":
-        section: dict[str, Any] = {}
-        if args.bootstrap is not None:
-            section["bootstrap_resamples"] = args.bootstrap
-        if section:
-            command_overrides["overlap"] = section
-        if args.n is not None:
-            command_overrides["sample"] = {"n_emitters": args.n}
-        if args.window_mhz:
-            overrides["windows_mhz"] = [float(w) for w in args.window_mhz]
-    elif args.command == "birthday":
-        section = {}
-        if args.q is not None:
-            section["q"] = args.q
-        if args.target is not None:
-            section["target"] = args.target
-        if args.mc:
-            section["monte_carlo"] = True
-        if args.trials is not None:
-            section["trials"] = args.trials
-        if args.window_mhz is not None:
-            section["window_mhz"] = args.window_mhz
-        if section:
-            command_overrides["birthday"] = section
-    elif args.command == "fit-ple":
-        section = {}
-        if args.k is not None:
-            section["n_peaks"] = args.k
-        if args.classify:
-            section["classify"] = True
-        if section:
-            command_overrides["fit_ple"] = section
-    elif args.command == "protocol":
-        section = {}
-        if args.n is not None:
-            section["n_qubits"] = args.n
-        if args.eta is not None:
-            section["eta"] = args.eta
-        if section:
-            command_overrides["protocol"] = section
-    elif args.command == "spatial":
-        section = {}
-        if args.density is not None:
-            section["density_per_um3"] = args.density
-        if args.lateral_fwhm_um is not None:
-            section["lateral_fwhm_um"] = args.lateral_fwhm_um
-        if args.axial_fwhm_um is not None:
-            section["axial_fwhm_um"] = args.axial_fwhm_um
-        if args.trials is not None:
-            section["trials"] = args.trials
-        if args.chain_k is not None:
-            section["chain_length"] = args.chain_k
-        if args.chain_window_mhz is not None:
-            section["chain_window_mhz"] = args.chain_window_mhz
-        if section:
-            command_overrides["spatial"] = section
-    overrides.update(command_overrides)
+    for dest, value in vars(args).items():
+        if value is None or value is False or ("." not in dest and dest not in cfg.data):
+            continue
+        *path, key = dest.split(".")
+        section = overrides
+        for name in path:
+            section = section.setdefault(name, {})
+        section[key] = str(value) if isinstance(value, Path) else value
     return cfg.with_overrides(overrides)
 
 
@@ -239,7 +191,6 @@ def _write_summary(
         "config_hash": cfg.config_hash(),
         "config": cfg.data,
         "seed": {"seed": seed.seed, "stream_index": seed.stream_index},
-        "threads": cfg.data["threads"] if cfg.data["threads"] is not None else os.cpu_count(),
         "generated_at": _utc_now(),
         "results": results,
     }
@@ -256,7 +207,7 @@ def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
     ]
 
 
-def _cmd_sample(cfg: RunConfig, seed: SeedSpec, out_dir: Path) -> int:
+def _cmd_sample(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     model = cfg.ensemble_model()
     n = cfg.data["sample"]["n_emitters"]
     emitters = sample_ensemble(model, n, seed)
@@ -265,20 +216,13 @@ def _cmd_sample(cfg: RunConfig, seed: SeedSpec, out_dir: Path) -> int:
 
     def _write_histogram(name: str, values, bin_width: float) -> str:
         hist = histogram(values, bin_width)
-        rows = [
-            [hist.bin_edges[i], hist.bin_edges[i + 1], count]
-            for i, count in enumerate(hist.counts)
-        ]
-        write_table(
-            out_dir / name,
-            ["bin_low", "bin_high", "count"],
-            rows,
-            comments=_csv_comments(cfg, seed),
-        )
+        rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
+        header = ["bin_low", "bin_high", "count"]
+        write_table(out_dir / name, header, rows, _csv_comments(cfg, seed))
         return name
 
-    zfs_csv = _write_histogram("zfs_histogram.csv", [e.zfs_ghz for e in emitters], 0.025)
-    line_values = [e.a1_ghz for e in emitters] + [e.a2_ghz for e in emitters]
+    zfs_csv = _write_histogram("zfs_histogram.csv", emitters.zfs_ghz, 0.025)
+    line_values = np.concatenate([emitters.a1_ghz, emitters.a2_ghz])
     lines_csv = _write_histogram("line_histogram.csv", line_values, 1.0)
     results = {
         "n_emitters": n,
@@ -301,13 +245,7 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     model = cfg.ensemble_model()
     combos = cfg.combos()
     if args.input is not None:
-        records = read_line_list(args.input)
-        fill = cfg.data["overlap"]["fill_fwhm_mhz"]
-        emitters: Sequence = (
-            records_to_emitters(records, fill_fwhm_mhz=fill)
-            if fill is not None
-            else records
-        )
+        emitters = read_line_list(args.input)
         source = str(args.input)
     else:
         emitters = sample_ensemble(model, cfg.data["sample"]["n_emitters"], seed)
@@ -343,7 +281,7 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     return 0
 
 
-def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, out_dir: Path) -> int:
+def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     section = cfg.data["birthday"]
     target = section["target"]
     results: dict[str, Any] = {"target_probability": target}
@@ -561,7 +499,7 @@ def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     return 0
 
 
-def _cmd_report(cfg: RunConfig, out_dir: Path) -> int:
+def _cmd_report(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     summaries = sorted(
         p for p in out_dir.glob("*_summary.json") if p.name != "report_summary.json"
     )
@@ -606,6 +544,17 @@ def _cmd_report(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+_COMMANDS = {
+    "sample": _cmd_sample,
+    "overlap": _cmd_overlap,
+    "birthday": _cmd_birthday,
+    "fit-ple": _cmd_fit_ple,
+    "protocol": _cmd_protocol,
+    "spatial": _cmd_spatial,
+    "report": _cmd_report,
+}
+
+
 def _print_error(exc: BaseException, code: int) -> None:
     payload = {"error": str(exc), "type": type(exc).__name__, "exit_code": code}
     print(json.dumps(payload), file=sys.stderr)
@@ -622,21 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _load_config(args)
         seed = _resolve_seed(cfg)
         out_dir = _out_dir(cfg)
-        if args.command == "sample":
-            return _cmd_sample(cfg, seed, out_dir)
-        if args.command == "overlap":
-            return _cmd_overlap(cfg, seed, out_dir, args)
-        if args.command == "birthday":
-            return _cmd_birthday(cfg, seed, out_dir)
-        if args.command == "fit-ple":
-            return _cmd_fit_ple(cfg, seed, out_dir, args)
-        if args.command == "protocol":
-            return _cmd_protocol(cfg, seed, out_dir, args)
-        if args.command == "spatial":
-            return _cmd_spatial(cfg, seed, out_dir, args)
-        if args.command == "report":
-            return _cmd_report(cfg, out_dir)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, seed, out_dir, args)
     except UsageError as exc:
         _print_error(exc, 1)
         return 1

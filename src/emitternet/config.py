@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -60,13 +61,11 @@ _SCHEMA: dict[str, Any] = {
     "windows_mhz": _Field("number_array", None, nullable=True),
     "output_dir": _Field("string", None, nullable=True),
     "combos": _Field("string_array", ["a1a1", "a2a2", "a1a2", "a2a1"]),
-    "threads": _Field("integer", None, nullable=True),
     "sample": {
         "n_emitters": _Field("integer", 50),
     },
     "overlap": {
         "bootstrap_resamples": _Field("integer", 1000),
-        "fill_fwhm_mhz": _Field("number", None, nullable=True),
     },
     "birthday": {
         "q": _Field("number", None, nullable=True),
@@ -107,6 +106,8 @@ def _check_leaf(field: _Field, value: Any, path: str) -> Any:
     if field.kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if field.kind == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -121,11 +122,10 @@ def _check_leaf(field: _Field, value: Any, path: str) -> Any:
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
     if field.kind == "number_array":
-        if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-        ):
+        if not isinstance(value, list):
             raise ConfigError(f"{path}: expected an array of numbers, got {value!r}")
-        return [float(v) for v in value]
+        number = _Field("number", None)
+        return [_check_leaf(number, v, f"{path}[{i}]") for i, v in enumerate(value)]
     if field.kind == "string_array":
         # combos, the only string array, names a set that must not be empty
         if not value or not isinstance(value, list) or any(not isinstance(v, str) for v in value):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .seeding import SeedSpec, as_seed
-from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, line_arrays, sample_line_positions
+from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, LineTable, sample_line_positions
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _bootstrap_std_errors(
 
 
 def overlap_curve(
-    emitters: Sequence,
+    emitters: LineTable,
     windows_mhz: Sequence[float],
     combos: Iterable[LineCombo] = ALL_COMBOS,
     bootstrap_resamples: int | None = None,
@@ -196,8 +196,7 @@ def overlap_curve(
     if bootstrap_resamples is not None and bootstrap_resamples < 100:
         raise DomainError(f"need at least 100 resamples, got {bootstrap_resamples}")
 
-    a1, a2 = line_arrays(emitters)
-    i, j, sep = _close_pairs(a1, a2, combos, windows[-1])
+    i, j, sep = _close_pairs(emitters.a1_ghz, emitters.a2_ghz, combos, windows[-1])
     # Each pair goes to the bucket of the first window it satisfies; the
     # smallest integer type lets the bucket sort below run as a radix sort.
     bucket = np.searchsorted(windows, sep, side="right")
@@ -222,7 +221,7 @@ def overlap_curve(
 
 
 def bootstrap_std_error(
-    emitters: Sequence,
+    emitters: LineTable,
     window_mhz: float,
     combos: Iterable[LineCombo] = ALL_COMBOS,
     resamples: int = 1000,
@@ -364,6 +363,8 @@ def monte_carlo_threshold(
     Each trial uses its own sub-stream (subkeys ``(0, trial)``) so trials
     are order-independent; the pairwise rate ``pairwise_q`` is estimated
     from an independent block of sampled pairs (subkey ``(1,)``).
+    ``combos`` must be closed under swapping the two emitters, as for
+    :func:`overlap_curve`.
     """
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
@@ -371,9 +372,7 @@ def monte_carlo_threshold(
         raise DomainError(f"window must be positive, got {window_mhz}")
     if not (0.0 < target < 1.0):
         raise DomainError(f"target must lie in (0, 1), got {target}")
-    combos = frozenset(combos)
-    if not combos:
-        raise DomainError("combos must be non-empty")
+    combos = _closed_combos(combos)
     spec = as_seed(seed)
     window_ghz = float(window_mhz) * 1e-3
     pairs_idx = [c.value for c in combos]
@@ -466,7 +465,7 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
     """Histogram with half-open bins; edge values go to the upper bin."""
     if not bin_width > 0:
         raise DomainError(f"bin width must be positive, got {bin_width}")
-    vals = np.asarray(list(values), dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         return HistogramResult(bin_edges=(), counts=())
     if not np.all(np.isfinite(vals)):

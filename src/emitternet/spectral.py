@@ -1,4 +1,4 @@
-"""Emitter spectral records and the parametric ensemble they are drawn from.
+"""Emitter line tables and the parametric ensemble they are drawn from.
 
 Frequencies are detunings in GHz relative to one absolute reference
 frequency (:data:`REFERENCE_FREQUENCY_THZ`); linewidths are in MHz. Each
@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,25 +40,24 @@ class EmitterLines:
     """One emitter's two absorption lines.
 
     ``a1_ghz`` and ``a2_ghz`` are detunings of the A1 (spin-1/2) and A2
-    (spin-3/2) transitions; the two FWHM values are per-line widths in MHz.
+    (spin-3/2) transitions; the two FWHM values are per-line widths in MHz,
+    or None where not given. An ensemble is held as a :class:`LineTable`,
+    whose rows are these values.
     """
 
     id: str
     a1_ghz: float
     a2_ghz: float
-    fwhm_a1_mhz: float
-    fwhm_a2_mhz: float
+    fwhm_a1_mhz: float | None = None
+    fwhm_a2_mhz: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("a1_ghz", "a2_ghz", "fwhm_a1_mhz", "fwhm_a2_mhz"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"emitter {self.id!r}: {name} must be finite")
-        if not self.a2_ghz > self.a1_ghz:
-            raise DomainError(
-                f"emitter {self.id!r}: a2 ({self.a2_ghz} GHz) must lie above a1 ({self.a1_ghz} GHz)"
-            )
-        if not (self.fwhm_a1_mhz > 0 and self.fwhm_a2_mhz > 0):
-            raise DomainError(f"emitter {self.id!r}: linewidths must be positive")
+        # The row is checked as a one-row table, where NaN means "not given".
+        for name in ("fwhm_a1_mhz", "fwhm_a2_mhz"):
+            width = getattr(self, name)
+            if width is not None and math.isnan(width):
+                raise DomainError(f"emitter {self.id!r}: {name} must be finite or None")
+        LineTable.from_rows([self])
 
     @property
     def zfs_ghz(self) -> float:
@@ -67,6 +66,95 @@ class EmitterLines:
     @property
     def center_ghz(self) -> float:
         return 0.5 * (self.a1_ghz + self.a2_ghz)
+
+
+def _first_failure(masks: Sequence[np.ndarray]) -> tuple[int, int] | None:
+    """(row, check) of the earliest row failing any of the equal-length
+    ``masks``, with the first mask that row fails; None if no row fails."""
+    bad = np.logical_or.reduce(masks)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, next(k for k, mask in enumerate(masks) if mask[row])
+
+
+_LINE_COLUMNS = ("a1_ghz", "a2_ghz", "fwhm_a1_mhz", "fwhm_a2_mhz")
+
+
+@dataclass(frozen=True, eq=False)
+class LineTable:
+    """An emitter ensemble as one struct of arrays, one row per emitter.
+
+    ``ids`` holds the emitter ids and the float columns hold what
+    :class:`EmitterLines` holds, with NaN for a linewidth not given
+    (omitted widths are all NaN). The rows obey the rules of
+    :class:`EmitterLines`, checked column-wise. ``len(table)`` counts the
+    emitters, ``table[i]`` is row i as an :class:`EmitterLines`, and a slice
+    or an index array selects a new table.
+    """
+
+    ids: np.ndarray
+    a1_ghz: np.ndarray
+    a2_ghz: np.ndarray
+    fwhm_a1_mhz: np.ndarray | None = None
+    fwhm_a2_mhz: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        ids = np.asarray(self.ids, dtype=object)
+        a1, a2, w1, w2 = columns = [
+            np.full(ids.shape, np.nan) if value is None else np.asarray(value, dtype=float)
+            for value in (getattr(self, name) for name in _LINE_COLUMNS)
+        ]
+        if ids.ndim != 1 or any(column.shape != ids.shape for column in columns):
+            raise DomainError("line table columns must be 1-D and of equal length")
+        for name, column in zip(("ids", *_LINE_COLUMNS), (ids, *columns)):
+            object.__setattr__(self, name, column)
+        not_finite = [~np.isfinite(a1), ~np.isfinite(a2), np.isinf(w1), np.isinf(w2)]
+        failure = _first_failure([*not_finite, ~(a2 > a1), (w1 <= 0) | (w2 <= 0)])
+        if failure is None:
+            return
+        row, check = failure
+        who = f"emitter {ids[row]!r}"
+        if check < 4:
+            raise DomainError(f"{who}: {_LINE_COLUMNS[check]} must be finite")
+        if check == 4:
+            raise DomainError(
+                f"{who}: a2 ({float(a2[row])} GHz) must lie above a1 ({float(a1[row])} GHz)"
+            )
+        raise DomainError(f"{who}: linewidths must be positive")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[EmitterLines]) -> "LineTable":
+        """A table of the given emitters, in order."""
+        rows = list(rows)
+        # numpy reads a width of None as NaN
+        columns = ([getattr(r, name) for r in rows] for name in _LINE_COLUMNS)
+        return cls([r.id for r in rows], *columns)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            a1, a2, *widths = (float(getattr(self, name)[key]) for name in _LINE_COLUMNS)
+            widths = (None if math.isnan(w) else w for w in widths)
+            return EmitterLines(self.ids[key], a1, a2, *widths)
+        return LineTable(self.ids[key], *(getattr(self, name)[key] for name in _LINE_COLUMNS))
+
+    def __iter__(self) -> Iterator[EmitterLines]:
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LineTable):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids) and all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in _LINE_COLUMNS
+        )
+
+    @property
+    def zfs_ghz(self) -> np.ndarray:
+        return self.a2_ghz - self.a1_ghz
 
 
 @dataclass(frozen=True)
@@ -158,28 +246,20 @@ def sample_line_positions(
     return centers - 0.5 * zfs, centers + 0.5 * zfs
 
 
-def sample_ensemble(model: EnsembleModel, n: int, seed: SeedSpec | int) -> list[EmitterLines]:
+def sample_ensemble(model: EnsembleModel, n: int, seed: SeedSpec | int) -> LineTable:
     """Sample n emitters; deterministic for a given (seed, stream_index).
 
     Per emitter: center ~ ``model.centers``, ZFS ~ truncated normal,
-    lines at center -+ ZFS/2, and one FWHM draw per line.
+    lines at center -+ ZFS/2, and one FWHM draw per line. Ids are
+    ``e000``, ``e001``, ..., zero-padded to the widest index.
     """
     if n < 1:
         raise DomainError(f"ensemble size must be >= 1, got {n}")
     rng = as_seed(seed).rng()
     a1, a2 = sample_line_positions(model, n, rng)
     fwhm = _truncated_normal(rng, model.fwhm_mean_mhz, model.fwhm_sigma_mhz, 2 * n).reshape(n, 2)
-    width = len(str(max(n - 1, 1)))
-    return [
-        EmitterLines(
-            id=f"e{i:0{max(width, 3)}d}",
-            a1_ghz=float(a1[i]),
-            a2_ghz=float(a2[i]),
-            fwhm_a1_mhz=float(fwhm[i, 0]),
-            fwhm_a2_mhz=float(fwhm[i, 1]),
-        )
-        for i in range(n)
-    ]
+    digits = np.char.zfill(np.arange(n).astype(str), max(len(str(n - 1)), 3))
+    return LineTable(np.char.add("e", digits), a1, a2, fwhm[:, 0], fwhm[:, 1])
 
 
 class LineCombo(enum.Enum):
@@ -206,22 +286,8 @@ class LineCombo(enum.Enum):
 ALL_COMBOS: frozenset[LineCombo] = frozenset(LineCombo)
 
 
-def _lines_of(emitter) -> tuple[float, float]:
-    # Accepts EmitterLines and line-list records alike.
-    if hasattr(emitter, "a1_ghz"):
-        return float(emitter.a1_ghz), float(emitter.a2_ghz)
-    return float(emitter.f_a1_ghz), float(emitter.f_a2_ghz)
-
-
-def line_arrays(emitters: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """(a1, a2) detuning arrays in GHz for any line-record sequence."""
-    pairs = [_lines_of(e) for e in emitters]
-    arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    return arr[:, 0], arr[:, 1]
-
-
 def min_pair_separation(
-    e1, e2, combos: Iterable[LineCombo] = ALL_COMBOS
+    e1: EmitterLines, e2: EmitterLines, combos: Iterable[LineCombo] = ALL_COMBOS
 ) -> float:
     """Smallest |line - line| frequency gap between two emitters, in MHz.
 
@@ -232,8 +298,8 @@ def min_pair_separation(
     combos = frozenset(combos)
     if not combos:
         raise DomainError("combos must be a non-empty subset of the four line pairings")
-    l1 = _lines_of(e1)
-    l2 = _lines_of(e2)
+    l1 = (e1.a1_ghz, e1.a2_ghz)
+    l2 = (e2.a1_ghz, e2.a2_ghz)
     sep_ghz = min(abs(l1[i] - l2[j]) for (i, j) in (c.value for c in combos))
     return sep_ghz * 1e3
 
@@ -267,18 +333,17 @@ def _field_stats(values: np.ndarray) -> FieldStats:
     )
 
 
-def summarize_ensemble(emitters: Sequence[EmitterLines]) -> EnsembleSummary:
+def summarize_ensemble(emitters: LineTable) -> EnsembleSummary:
     """Means, unbiased standard deviations, and ranges for an ensemble."""
     if len(emitters) < 2:
         raise DomainError(f"need at least 2 emitters to summarize, got {len(emitters)}")
-    a1, a2 = line_arrays(emitters)
-    zfs = a2 - a1
-    centers = 0.5 * (a1 + a2)
-    fwhm = np.array([[e.fwhm_a1_mhz, e.fwhm_a2_mhz] for e in emitters], dtype=float).ravel()
+    a1, a2 = emitters.a1_ghz, emitters.a2_ghz
+    # Widths interleaved per emitter (a1, a2, a1, ...), the order they are drawn in.
+    fwhm = np.column_stack([emitters.fwhm_a1_mhz, emitters.fwhm_a2_mhz]).ravel()
     return EnsembleSummary(
         n_emitters=len(emitters),
-        zfs_ghz=_field_stats(zfs),
-        center_ghz=_field_stats(centers),
+        zfs_ghz=_field_stats(emitters.zfs_ghz),
+        center_ghz=_field_stats(0.5 * (a1 + a2)),
         fwhm_mhz=_field_stats(fwhm),
         detuning_min_ghz=float(a1.min()),
         detuning_max_ghz=float(a2.max()),

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from emitternet import EmitterLines
+from emitternet import EmitterLines, LineTable
 
 ZFS_GHZ = 1.027
 
@@ -16,8 +17,22 @@ def make_emitter(i: int, center_ghz: float, zfs_ghz: float = ZFS_GHZ,
     )
 
 
+def make_table(centers_ghz, zfs_ghz=ZFS_GHZ) -> LineTable:
+    """One row per center, equal to ``make_emitter(i, centers_ghz[i], zfs_ghz[i])``."""
+    centers = np.asarray(centers_ghz, dtype=float)
+    zfs = np.broadcast_to(np.asarray(zfs_ghz, dtype=float), centers.shape)
+    n = len(centers)
+    return LineTable(
+        [f"m{i:03d}" for i in range(n)],
+        centers - zfs / 2.0,
+        centers + zfs / 2.0,
+        np.full(n, 316.0),
+        np.full(n, 310.0),
+    )
+
+
 @pytest.fixture(scope="session")
-def fixture_50_12() -> list[EmitterLines]:
+def fixture_50_12() -> LineTable:
     """50 emitters with exactly 12 pairs separated by less than 29 MHz.
 
     Base centers sit 5 GHz apart (no accidental overlaps, same ZFS for
@@ -28,4 +43,4 @@ def fixture_50_12() -> list[EmitterLines]:
     centers = [5.0 * i for i in range(50)]
     for j in range(12):
         centers[2 * j + 1] = centers[2 * j] + (5 + j) * 1e-3
-    return [make_emitter(i, c) for i, c in enumerate(centers)]
+    return make_table(centers)

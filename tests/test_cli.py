@@ -51,6 +51,18 @@ class TestBirthdayCommand:
         assert 0.0 < mc["pairwise_q"] < 0.1
         assert (tmp_path / "birthday_mc_curve.csv").exists()
 
+    def test_monte_carlo_refuses_open_combos(self, tmp_path, capsys):
+        # The MC upper triangle compared only the earlier emitter's A1 with
+        # the later one's A2 for this set, and exited 0; overlap exits 2.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"combos": ["a1a2"]}))
+        code = main(["birthday", "--mc", "--trials", "1000", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError"
+        assert "a2a1" in err["error"]
+
     def test_missing_q_is_config_error(self, tmp_path, capsys):
         code = main(["birthday", "--out", str(tmp_path)])
         assert code == 2
@@ -202,6 +214,16 @@ class TestFitPleCommand:
         assignment = results["pair_assignment"]
         assert assignment["shared_peak"] == 1
         assert assignment["zfs1_ghz"] == pytest.approx(1.027, abs=0.03)
+
+    def test_sidecar_without_dwell_time_exit_2(self, tmp_path, capsys):
+        spectrum = tmp_path / "spec.csv"
+        spectrum.write_text("frequency_ghz,counts\n0.0,1.0\n0.1,2.0\n0.2,1.0\n")
+        (tmp_path / "spec.csv.meta.json").write_text("{}")
+        code = main(["fit-ple", "--input", str(spectrum), "--k", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "LineListError"
+        assert "dwell_time_s" in err["error"]
 
     def test_undetectable_peaks_exit_2(self, tmp_path, capsys):
         import numpy as np
@@ -379,13 +401,33 @@ class TestUsageAndConfig:
         assert main(["sample", "--n", "5", "--out", str(tmp_path)]) == 0
         assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 12345
 
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        # --threads did nothing, accepted -3, and put os.cpu_count() in summaries
+        assert main(["birthday", "--q", "0.01", "--threads", "-3", "--out", str(tmp_path)]) == 1
+        assert "threads" in json.loads(capsys.readouterr().err.strip())["error"]
+        assert main(["birthday", "--q", "0.01", "--out", str(tmp_path)]) == 0
+        doc = _read_summary(tmp_path, "birthday")
+        assert "threads" not in doc and "threads" not in doc["config"]
+
+    @pytest.mark.parametrize(
+        "config, command, key",
+        [
+            ({"spatial": {"density_per_um3": math.nan}}, ["spatial", "--lateral-fwhm-um", "0.5"],
+             "spatial.density_per_um3"),
+            ({"ensemble": {"zfs_sigma_ghz": math.inf}}, ["sample", "--n", "5"],
+             "ensemble.zfs_sigma_ghz"),
+        ],
+    )
+    def test_non_finite_config_number_exit_2(self, tmp_path, capsys, config, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))  # writes NaN / Infinity
+        code = main([*command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "ConfigError"
+        assert key in err["error"] and "emitter" not in err["error"]
+
     def test_flag_beats_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMITTERNET_SEED", "12345")
         assert main(["sample", "--n", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
         assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 1
-
-    def test_threads_flag_recorded(self, tmp_path):
-        assert main(
-            ["birthday", "--q", "0.01", "--threads", "2", "--out", str(tmp_path)]
-        ) == 0
-        assert _read_summary(tmp_path, "birthday")["threads"] == 2

@@ -1,21 +1,23 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from emitternet import (
     ConfigError,
+    EmitterLines,
     EnsembleModel,
     LineCombo,
     LineListError,
-    LineListRecord,
+    LineTable,
     NormalCenters,
     PleSpectrum,
     RunConfig,
     UniformCenters,
     default_config,
+    overlap_curve,
     parse_line_list,
-    records_to_emitters,
     sample_ensemble,
     schema_description,
     serialize_line_list,
@@ -27,15 +29,17 @@ HEADER = "emitter_id,f_a1_ghz,f_a2_ghz,fwhm_a1_mhz,fwhm_a2_mhz"
 
 class TestParseLineList:
     def test_header_only(self):
-        assert parse_line_list(HEADER + "\n") == []
+        table = parse_line_list(HEADER + "\n")
+        assert len(table) == 0
+        assert table == LineTable([], [], [])
 
     def test_single_row(self):
         records = parse_line_list(f"{HEADER}\ne1,0.0,1.027,300,310\n")
-        assert records == [
-            LineListRecord(
-                emitter_id="e1", f_a1_ghz=0.0, f_a2_ghz=1.027, fwhm_a1_mhz=300.0, fwhm_a2_mhz=310.0
-            )
-        ]
+        row = EmitterLines(
+            id="e1", a1_ghz=0.0, a2_ghz=1.027, fwhm_a1_mhz=300.0, fwhm_a2_mhz=310.0
+        )
+        assert records == LineTable.from_rows([row])
+        assert list(records) == [row]
 
     def test_optional_widths(self):
         records = parse_line_list(f"{HEADER}\ne1,0.0,1.027,,\n")
@@ -74,20 +78,24 @@ class TestParseLineList:
     def test_round_trip(self):
         emitters = sample_ensemble(EnsembleModel(), 25, 3)
         text = serialize_line_list(emitters, comments=["config_hash=test"])
-        records = parse_line_list(text)
-        back = records_to_emitters(records)
-        assert back == emitters
+        assert parse_line_list(text) == emitters
 
     def test_record_round_trip_with_missing_widths(self):
-        records = [LineListRecord("a", 0.0, 1.0), LineListRecord("b", 2.0, 3.5, 100.0, 200.0)]
+        records = LineTable.from_rows(
+            [EmitterLines("a", 0.0, 1.0), EmitterLines("b", 2.0, 3.5, 100.0, 200.0)]
+        )
         assert parse_line_list(serialize_line_list(records)) == records
 
     def test_records_without_widths_need_fill(self):
-        records = [LineListRecord("a", 0.0, 1.0)]
-        with pytest.raises(LineListError):
-            records_to_emitters(records)
-        emitters = records_to_emitters(records, fill_fwhm_mhz=316.0)
-        assert emitters[0].fwhm_a1_mhz == 316.0
+        # Rows without widths once had to be filled before the overlap
+        # statistics. They now stay NaN in the table (None in a row), and the
+        # statistics read line positions only, so a fill would change nothing.
+        records = parse_line_list(f"{HEADER}\na,0.0,1.0\nb,0.01,1.02,,\n")
+        assert np.isnan(records.fwhm_a1_mhz).all() and np.isnan(records.fwhm_a2_mhz).all()
+        assert records[0].fwhm_a1_mhz is None
+        filled = LineTable(records.ids, records.a1_ghz, records.a2_ghz, [316.0] * 2, [316.0] * 2)
+        assert overlap_curve(records, [29.0]) == overlap_curve(filled, [29.0])
+        assert overlap_curve(records, [29.0]).probabilities == (1.0,)
 
 
 class TestSpectrumIo:
@@ -102,6 +110,33 @@ class TestSpectrumIo:
         assert read_spectrum(path) == spectrum
         sidecar = json.loads((tmp_path / "spec.csv.meta.json").read_text())
         assert sidecar == {"dwell_time_s": 0.05}
+
+    def test_error_rows_are_file_rows(self, tmp_path):
+        # two comment lines, the header on row 3, the bad value on row 5;
+        # rows were once counted without the comments ("row 3")
+        path = tmp_path / "spec.csv"
+        path.write_text("# a\n# b\nfrequency_ghz,counts\n0.0,1.0\n0.1,many\n")
+        with pytest.raises(LineListError) as err:
+            read_spectrum(path)
+        assert err.value.row == 5
+        assert err.value.column == "counts"
+        assert str(err.value).startswith("row 5,")
+
+    def test_field_count_row_is_file_row(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("# a\nfrequency_ghz,counts\n\n0.0,1.0,2.0\n")
+        with pytest.raises(LineListError) as err:
+            read_spectrum(path)
+        assert err.value.row == 4
+        assert "row 4: expected 2 fields" in str(err.value)
+
+    @pytest.mark.parametrize("sidecar", ['{"dwell": 0.05}', "[0.05]", '{"dwell_time_s": "x"}', "{"])
+    def test_sidecar_without_dwell_time(self, tmp_path, sidecar):
+        path = tmp_path / "spec.csv"
+        path.write_text("frequency_ghz,counts\n0.0,1.0\n0.1,2.0\n")
+        (tmp_path / "spec.csv.meta.json").write_text(sidecar)
+        with pytest.raises(LineListError, match="dwell_time_s"):
+            read_spectrum(path)
 
 
 class TestRunConfig:
@@ -156,6 +191,26 @@ class TestRunConfig:
     def test_combos_parsing(self):
         cfg = RunConfig.from_mapping({"combos": ["a1a2", "a2a1"]})
         assert cfg.combos() == frozenset({LineCombo.A1_A2, LineCombo.A2_A1})
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"spatial": {"density_per_um3": NaN}}', "spatial.density_per_um3"),
+            ('{"ensemble": {"zfs_sigma_ghz": Infinity}}', "ensemble.zfs_sigma_ghz"),
+            ('{"birthday": {"q": -Infinity}}', "birthday.q"),
+            ('{"windows_mhz": [29.0, NaN]}', "windows_mhz"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, text, path):
+        # JSON's NaN and Infinity used to pass the schema and fail later,
+        # as a numpy traceback or as an error blamed on emitter 'e000'
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[\d\])?: expected .*finite"):
+            RunConfig.from_json(text)
+
+    def test_removed_keys_rejected(self):
+        for mapping in ({"threads": 2}, {"overlap": {"fill_fwhm_mhz": 316.0}}):
+            with pytest.raises(ConfigError, match="unknown key"):
+                RunConfig.from_mapping(mapping)
 
     def test_empty_combos_rejected(self):
         # [] used to fall back silently to all four pairings

@@ -22,14 +22,13 @@ from emitternet import (
 )
 from emitternet.spectral import sample_line_positions
 from emitternet.seeding import as_seed
-from conftest import make_emitter
+from conftest import make_table
 
 
 class TestOverlapCurve:
     def test_identical_pair_always_overlaps(self):
-        e = make_emitter(0, 1.0)
-        twin = make_emitter(1, 1.0)
-        curve = overlap_curve([e, twin], [1e-6, 29.0, 1000.0])
+        e_and_twin = make_table([1.0, 1.0])
+        curve = overlap_curve(e_and_twin, [1e-6, 29.0, 1000.0])
         assert curve.probabilities == (1.0, 1.0, 1.0)
 
     def test_measured_like_fixture(self, fixture_50_12):
@@ -39,7 +38,7 @@ class TestOverlapCurve:
 
     def test_three_emitter_enumeration(self):
         # same-ZFS emitters 10, 50 and 60 MHz apart: one pair under 29 MHz
-        emitters = [make_emitter(0, 0.0), make_emitter(1, 0.010), make_emitter(2, 0.060)]
+        emitters = make_table([0.0, 0.010, 0.060])
         seps = sorted(
             min_pair_separation(a, b) for a, b in itertools.combinations(emitters, 2)
         )
@@ -51,12 +50,7 @@ class TestOverlapCurve:
         # four-emitter toy sets against a scalar brute-force oracle
         rng = np.random.default_rng(7)
         for _ in range(25):
-            emitters = [
-                make_emitter(i, c, z)
-                for i, (c, z) in enumerate(
-                    zip(rng.uniform(-2, 2, 4), rng.uniform(0.9, 1.15, 4))
-                )
-            ]
+            emitters = make_table(rng.uniform(-2, 2, 4), rng.uniform(0.9, 1.15, 4))
             for window in (10.0, 100.0, 600.0, 1100.0):
                 expected = sum(
                     min_pair_separation(a, b) < window
@@ -69,9 +63,9 @@ class TestOverlapCurve:
         windows = [5.0, 10.0, 20.0, 50.0, 300.0, 1050.0]
         curve = overlap_curve(fixture_50_12, windows)
         assert all(a <= b for a, b in zip(curve.probabilities, curve.probabilities[1:]))
-        shuffled = list(fixture_50_12)
-        np.random.default_rng(3).shuffle(shuffled)
-        assert overlap_curve(shuffled, windows).probabilities == curve.probabilities
+        order = np.arange(len(fixture_50_12))
+        np.random.default_rng(3).shuffle(order)
+        assert overlap_curve(fixture_50_12[order], windows).probabilities == curve.probabilities
 
     def test_preconditions(self, fixture_50_12):
         with pytest.raises(DomainError):
@@ -118,6 +112,13 @@ class TestComboClosure:
         with pytest.raises(DomainError, match=missing):
             bootstrap_std_error(fixture_50_12, 29.0, combos, resamples=100)
 
+    @pytest.mark.parametrize("combos", [{LineCombo.A1_A2}, {LineCombo.A2_A1}, ()])
+    def test_monte_carlo_refuses_open_sets(self, combos):
+        # its dense upper triangle compared only the earlier emitter's A1
+        # with the later emitter's A2 for {a1a2}
+        with pytest.raises(DomainError):
+            monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 1000, 1, combos)
+
     def test_empty_set_is_refused(self, fixture_50_12):
         with pytest.raises(DomainError):
             overlap_curve(fixture_50_12, [29.0], ())
@@ -145,7 +146,7 @@ class TestComboClosure:
 
 class TestBootstrapStdError:
     def test_identical_emitters_have_no_variability(self):
-        emitters = [make_emitter(i, 2.0) for i in range(12)]
+        emitters = make_table([2.0] * 12)
         assert bootstrap_std_error(emitters, 29.0, resamples=500, seed=1) == 0.0
 
     def test_two_emitter_enumeration(self):
@@ -158,7 +159,7 @@ class TestBootstrapStdError:
             outcomes.append(1.0 if idx[0] != idx[1] else 0.0)
         oracle = float(np.std(outcomes))
         assert oracle == 0.5
-        emitters = [make_emitter(0, 0.0), make_emitter(1, 0.010)]
+        emitters = make_table([0.0, 0.010])
         se = bootstrap_std_error(emitters, 29.0, resamples=20000, seed=5)
         assert se == pytest.approx(oracle, abs=0.02)
 

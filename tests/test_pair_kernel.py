@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emitternet import DomainError, EmitterLines, LineCombo, overlap_curve
+from emitternet import DomainError, EmitterLines, LineCombo, LineTable, overlap_curve
 from emitternet.overlap import MAX_CANDIDATE_PAIRS
 from emitternet.seeding import as_seed
-from emitternet.spectral import line_arrays
 
-from conftest import make_emitter
+from conftest import make_table
 
 
 def dense_separation_matrix_mhz(a1, a2, combos):
@@ -30,15 +29,15 @@ def dense_separation_matrix_mhz(a1, a2, combos):
 
 
 def dense_probabilities(emitters, windows, combos):
-    a1, a2 = line_arrays(emitters)
-    seps = dense_separation_matrix_mhz(a1, a2, combos)[np.triu_indices(len(emitters), k=1)]
+    seps = dense_separation_matrix_mhz(emitters.a1_ghz, emitters.a2_ghz, combos)
+    seps = seps[np.triu_indices(len(emitters), k=1)]
     return tuple(float(np.count_nonzero(seps < w)) / len(seps) for w in windows), len(seps)
 
 
 def dense_bootstrap_std_error(emitters, window_mhz, combos, resamples, seed):
     n = len(emitters)
-    a1, a2 = line_arrays(emitters)
-    overlap = dense_separation_matrix_mhz(a1, a2, combos) < float(window_mhz)
+    seps = dense_separation_matrix_mhz(emitters.a1_ghz, emitters.a2_ghz, combos)
+    overlap = seps < float(window_mhz)
     rng = as_seed(seed).rng(2)
     iu = np.triu_indices(n, k=1)
     values = np.empty(resamples)
@@ -85,7 +84,7 @@ def random_ensembles(draw):
     for _ in range(copies):
         src, dst = rng.integers(0, n, 2)
         centers[dst], zfs[dst] = centers[src], zfs[src]
-    return [make_emitter(i, c, z) for i, (c, z) in enumerate(zip(centers, zfs))]
+    return make_table(centers, zfs)
 
 
 @st.composite
@@ -94,7 +93,7 @@ def grid_ensembles(draw):
     n = draw(st.integers(2, 60))
     steps = draw(st.lists(st.integers(-24, 24), min_size=n, max_size=n))
     splits = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
-    return [
+    return LineTable.from_rows(
         EmitterLines(
             id=f"g{i:03d}",
             a1_ghz=s / 8,
@@ -103,15 +102,14 @@ def grid_ensembles(draw):
             fwhm_a2_mhz=300.0,
         )
         for i, (s, z) in enumerate(zip(steps, splits))
-    ]
+    )
 
 
 @st.composite
 def cases(draw):
     emitters = draw(st.one_of(random_ensembles(), grid_ensembles()))
     combos = draw(st.sampled_from(CLOSED_COMBO_SETS))
-    a1, a2 = line_arrays(emitters)
-    seps = np.unique(dense_separation_matrix_mhz(a1, a2, combos))
+    seps = np.unique(dense_separation_matrix_mhz(emitters.a1_ghz, emitters.a2_ghz, combos))
     # Windows mix exact separations (boundary ties), the next float above
     # one (the pair must still be found) and arbitrary values.
     picks = draw(st.lists(st.integers(0, len(seps) - 1), max_size=10))
@@ -151,7 +149,7 @@ def test_bootstrap_errors_match_dense(case, resamples, seed):
 def test_bootstrap_matches_dense_across_draw_chunks():
     # n = 251 draws 31 resample rows per call, so 300 resamples span ten calls
     rng = np.random.default_rng(12)
-    emitters = [make_emitter(i, c) for i, c in enumerate(rng.uniform(-2.0, 2.0, 251))]
+    emitters = make_table(rng.uniform(-2.0, 2.0, 251))
     windows = [14.5, 29.0, 145.0]
     curve = overlap_curve(emitters, windows, bootstrap_resamples=300, seed=3)
     combos = frozenset(LineCombo)
@@ -163,7 +161,7 @@ def test_bootstrap_matches_dense_across_draw_chunks():
 def test_candidate_limit_refused_before_pairs_are_built():
     # 2e4 identical emitters under a huge window: C(4e4, 2) ~ 8e8 line pairs
     assert MAX_CANDIDATE_PAIRS >= 100_000_000
-    emitters = [make_emitter(i, 0.0) for i in range(20_000)]
+    emitters = make_table(np.zeros(20_000))
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match=f"{MAX_CANDIDATE_PAIRS}"):

@@ -11,6 +11,7 @@ from emitternet import (
     EmitterLines,
     EnsembleModel,
     LineCombo,
+    LineTable,
     NormalCenters,
     SeedSpec,
     UniformCenters,
@@ -178,7 +179,7 @@ class TestSummarizeEnsemble:
     def test_two_point_statistics(self):
         e1 = make_emitter(0, 0.0, zfs_ghz=1.0)
         e2 = make_emitter(1, 5.0, zfs_ghz=1.1)
-        summary = summarize_ensemble([e1, e2])
+        summary = summarize_ensemble(LineTable.from_rows([e1, e2]))
         assert summary.zfs_ghz.mean == pytest.approx(1.05)
         assert summary.zfs_ghz.std * 1e3 == pytest.approx(70.71, abs=0.01)
 
@@ -204,10 +205,10 @@ class TestSummarizeEnsemble:
     def test_detuning_range(self):
         e1 = make_emitter(0, -2.0)
         e2 = make_emitter(1, 3.0)
-        summary = summarize_ensemble([e1, e2])
+        summary = summarize_ensemble(LineTable.from_rows([e1, e2]))
         assert summary.detuning_min_ghz == pytest.approx(e1.a1_ghz)
         assert summary.detuning_max_ghz == pytest.approx(e2.a2_ghz)
 
     def test_requires_two(self):
         with pytest.raises(DomainError):
-            summarize_ensemble([make_emitter(0, 0.0)])
+            summarize_ensemble(LineTable.from_rows([make_emitter(0, 0.0)]))
