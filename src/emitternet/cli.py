@@ -17,7 +17,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .register import (
 )
 from .seeding import SeedSpec
 from .spatial import ConfocalPsf, occupancy_stats, sample_scene, spectral_arrangement_rate
-from .spectral import lifetime_limited_linewidth, sample_ensemble, summarize_ensemble
+from .spectral import sample_ensemble, summarize_ensemble
 
 SEED_ENV_VAR = "EMITTERNET_SEED"
 
@@ -304,12 +304,9 @@ def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     elif not section["monte_carlo"]:
         raise ConfigError("birthday requires --q (or birthday.q) unless --mc is given")
     if section["monte_carlo"]:
-        window = section["window_mhz"]
-        if window is None:
-            window = lifetime_limited_linewidth(cfg.data["ensemble"]["lifetime_ns"])
-        mc = monte_carlo_threshold(
-            cfg.ensemble_model(), window, target, section["trials"], seed, cfg.combos()
-        )
+        model = cfg.ensemble_model()
+        window = model.gamma_mhz if section["window_mhz"] is None else section["window_mhz"]
+        mc = monte_carlo_threshold(model, window, target, section["trials"], seed, cfg.combos())
         results["monte_carlo"] = {
             "n_star": mc.n_star,
             "pairwise_q": mc.pairwise_q,
@@ -480,23 +477,22 @@ def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
             "csv": "scene.csv",
         }
     if section["chain_length"] is not None:
-        window = section["chain_window_mhz"]
-        if window is None:
-            window = lifetime_limited_linewidth(cfg.data["ensemble"]["lifetime_ns"])
-        rate = spectral_arrangement_rate(
-            cfg.ensemble_model(),
-            section["chain_length"],
-            window,
-            max(section["trials"], 10_000),
-            seed,
-        )
-        results["spectral_chain"] = {
-            "k": section["chain_length"],
-            "window_mhz": window,
-            "probability": rate,
-        }
+        model = cfg.ensemble_model()
+        k, window = section["chain_length"], section["chain_window_mhz"]
+        window = model.gamma_mhz if window is None else window
+        rate = spectral_arrangement_rate(model, k, window, max(section["trials"], 10_000), seed)
+        results["spectral_chain"] = {"k": k, "window_mhz": window, "probability": rate}
     _write_summary(out_dir, "spatial", cfg, seed, results)
     return 0
+
+
+def _scalar_results(results: dict, prefix: str = "") -> Iterator[tuple[str, Any]]:
+    """Scalar results, nested ones under dotted keys; lists are left to the JSON and CSV."""
+    for key, value in results.items():
+        if isinstance(value, dict):
+            yield from _scalar_results(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float, str, bool)) or value is None:
+            yield f"{prefix}{key}", value
 
 
 def _cmd_report(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
@@ -536,9 +532,7 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     ]
     for command, info in sections.items():
         lines.append(f"[{command}] (from {info['file']}, seed {info['seed']['seed']})")
-        for key, value in info["results"].items():
-            if isinstance(value, (int, float, str, bool)) or value is None:
-                lines.append(f"  {key}: {value}")
+        lines.extend(f"  {key}: {value}" for key, value in _scalar_results(info["results"]))
         lines.append("")
     (out_dir / "report.txt").write_text("\n".join(lines), encoding="utf-8")
     return 0

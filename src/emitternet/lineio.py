@@ -170,14 +170,22 @@ def parse_line_list(data: bytes | str) -> LineTable:
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str]) -> str:
-    """CSV text: a ``#`` line per comment, the header, then the rows."""
+    """CSV text: a ``#`` line per comment, the header, then the rows. A row
+    whose first field starts with ``#`` (after spaces) has every field
+    quoted, so that it is not read back as a comment line."""
     out = io.StringIO()
     for comment in comments:
         out.write(f"# {comment}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(header))
-    writer.writerows(rows)
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for hashed, group in itertools.groupby(rows, key=_starts_with_hash):
+        (quoted if hashed else writer).writerows(group)
     return out.getvalue()
+
+
+def _starts_with_hash(row: Sequence) -> bool:
+    return str(row[0]).lstrip().startswith("#")
 
 
 def _float_texts(values: np.ndarray) -> list[str]:

@@ -6,8 +6,8 @@ zero-intercept linear fit in units of the lifetime-limited linewidth, the
 birthday-paradox collision law, and a sequential Monte Carlo estimate of
 how many emitters must be inspected before two lines coincide.
 
-Overlap uses a strict ``separation < window`` comparison; boundary ties
-count as non-overlap.
+Each statistic compares :func:`~emitternet.spectral.separation_mhz` strictly
+with its window (``separation < window``); boundary ties count as non-overlap.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 from .seeding import SeedSpec, as_seed
-from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, LineTable, sample_line_positions
+from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, LineTable
+from .spectral import sample_line_positions, separation_mhz
 
 
 @dataclass(frozen=True)
@@ -108,20 +109,15 @@ def _close_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unordered emitter pairs (i < j) closer than ``max_window_mhz``, with separations.
 
-    The separation of each candidate pair is taken exactly as the minimum
-    over ``combos`` of ``|line - line|`` in GHz, times 1e3. The sweep's reach
+    The separation of each candidate pair is taken exactly, by
+    :func:`~emitternet.spectral.separation_mhz`. The sweep's reach
     is widened by a relative and an absolute rounding margin, so no pair
     that passes this exact strict test is lost before it.
     """
     reach_ghz = float(max_window_mhz) * 1e-3
     scale = max(np.abs(a1).max(), np.abs(a2).max()) + reach_ghz
     i, j = _candidate_pairs(a1, a2, reach_ghz * (1 + 1e-9) + 8 * np.spacing(scale))
-    lines = (a1, a2)
-    sep = None
-    for ci, cj in (c.value for c in combos):
-        d = np.abs(lines[ci][i] - lines[cj][j])
-        sep = d if sep is None else np.minimum(sep, d)
-    sep = sep * 1e3
+    sep = separation_mhz((a1[i], a2[i]), (a1[j], a2[j]), combos)
     close = sep < max_window_mhz
     return i[close], j[close], sep[close]
 
@@ -312,10 +308,17 @@ class ThresholdResult:
             raise DomainError("n_star - 1 already reaches the target probability")
 
 
+# Largest threshold :func:`birthday_threshold` builds its curve up to, one point
+# per ensemble size; a larger closed-form estimate is refused before any point.
+MAX_BIRTHDAY_EMITTERS = 100_000
+
+
 def birthday_threshold(q: float, target: float) -> ThresholdResult:
     """Minimal n with collision_probability(q, n) >= target.
 
-    Closed-form seeded then verified, so it is O(n_star) overall.
+    Closed-form seeded then verified, so it is O(n_star) overall. A
+    threshold whose estimate exceeds :data:`MAX_BIRTHDAY_EMITTERS` is
+    refused.
     """
     if not (0.0 < q <= 1.0):
         raise DomainError(f"pairwise probability must lie in (0, 1], got {q}")
@@ -325,7 +328,13 @@ def birthday_threshold(q: float, target: float) -> ThresholdResult:
         n = 2
     else:
         pairs_needed = math.log1p(-target) / math.log1p(-q)
-        n = max(2, math.ceil(0.5 * (1.0 + math.sqrt(1.0 + 8.0 * pairs_needed))))
+        estimate = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * pairs_needed))
+        if estimate > MAX_BIRTHDAY_EMITTERS:
+            raise DomainError(
+                f"birthday threshold needs about {estimate:.3g} emitters, above the limit "
+                f"of {MAX_BIRTHDAY_EMITTERS} curve points; use a larger q or a smaller target"
+            )
+        n = max(2, math.ceil(estimate))
         while n > 2 and collision_probability(q, n - 1) >= target:
             n -= 1
         while collision_probability(q, n) < target:
@@ -363,8 +372,8 @@ def monte_carlo_threshold(
     Each trial uses its own sub-stream (subkeys ``(0, trial)``) so trials
     are order-independent; the pairwise rate ``pairwise_q`` is estimated
     from an independent block of sampled pairs (subkey ``(1,)``).
-    ``combos`` must be closed under swapping the two emitters, as for
-    :func:`overlap_curve`.
+    Pairs are found, and ``combos`` must be closed under swapping the two
+    emitters, as for :func:`overlap_curve`.
     """
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
@@ -374,71 +383,41 @@ def monte_carlo_threshold(
         raise DomainError(f"target must lie in (0, 1), got {target}")
     combos = _closed_combos(combos)
     spec = as_seed(seed)
-    window_ghz = float(window_mhz) * 1e-3
-    pairs_idx = [c.value for c in combos]
 
     stops = np.empty(trials, dtype=np.int64)
-    censored = 0
     for t in range(trials):
         rng = spec.rng(0, t)
-        block = 32
-        a1 = np.empty(0)
-        a2 = np.empty(0)
-        stop = 0
-        while stop == 0 and len(a1) < max_emitters:
-            grow = min(block, max_emitters - len(a1))
-            na1, na2 = sample_line_positions(model, grow, rng)
-            a1 = np.concatenate([a1, na1])
-            a2 = np.concatenate([a2, na2])
-            lines = (a1, a2)
-            sep = None
-            for i, j in pairs_idx:
-                d = np.abs(lines[i][:, None] - lines[j][None, :])
-                sep = d if sep is None else np.minimum(sep, d)
-            hit = sep < window_ghz
-            iu = np.triu_indices(len(a1), k=1)
-            mask = hit[iu]
-            if mask.any():
-                # stopping count = first emitter index that closes a pair
-                stop = int((np.maximum(iu[0], iu[1])[mask]).min()) + 1
+        a1 = a2 = np.empty(0)
+        block, stop = 32, max_emitters + 1
+        while stop > max_emitters and len(a1) < max_emitters:
+            na1, na2 = sample_line_positions(model, min(block, max_emitters - len(a1)), rng)
+            a1, a2 = np.concatenate([a1, na1]), np.concatenate([a2, na2])
+            # stopping count = first emitter index that closes a pair (i < j);
+            # max_emitters + 1 marks a censored trial
+            stop = int(_close_pairs(a1, a2, combos, window_mhz)[1].min(initial=max_emitters)) + 1
             block *= 2
-        if stop == 0:
-            censored += 1
-            stop = max_emitters + 1
         stops[t] = stop
 
     # Independent pairwise-rate estimate over >= trials sampled pairs.
     rng_q = spec.rng(1)
     n_q = max(trials, 20_000)
     qa1, qa2 = sample_line_positions(model, 2 * n_q, rng_q)
-    xa1, xa2 = qa1[:n_q], qa2[:n_q]
-    ya1, ya2 = qa1[n_q:], qa2[n_q:]
-    lines_x = (xa1, xa2)
-    lines_y = (ya1, ya2)
-    sep_q = None
-    for i, j in pairs_idx:
-        d = np.abs(lines_x[i] - lines_y[j])
-        sep_q = d if sep_q is None else np.minimum(sep_q, d)
-    pairwise_q = float(np.count_nonzero(sep_q < window_ghz)) / n_q
-
-    n_max = int(stops[stops <= max_emitters].max(initial=2))
-    ns = np.arange(2, n_max + 1)
-    cum = np.array([(stops <= k).mean() for k in ns])
-    curve = tuple((int(k), float(p)) for k, p in zip(ns, cum))
-    reached = np.nonzero(cum >= target)[0]
-    if len(reached) > 0:
-        n_star = int(ns[reached[0]])
-        p_at = float(cum[reached[0]])
-        half = 1.96 * math.sqrt(max(p_at * (1 - p_at), 0.0) / trials)
-        ci = (max(0.0, p_at - half), min(1.0, p_at + half))
-    else:
-        n_star, ci = None, None
+    sep_q = separation_mhz((qa1[:n_q], qa2[:n_q]), (qa1[n_q:], qa2[n_q:]), combos)
+    pairwise_q = float(np.count_nonzero(sep_q < window_mhz)) / n_q
 
     uncensored = stops[stops <= max_emitters]
+    ns = np.arange(2, uncensored.max(initial=2) + 1)
+    cum = np.cumsum(np.bincount(uncensored, minlength=len(ns) + 2))[2:] / trials
+    curve = tuple((int(k), float(p)) for k, p in zip(ns, cum))
+    reached = np.nonzero(cum >= target)[0]
+    n_star, ci = None, None
+    if len(reached) > 0:
+        n_star, p_at = int(ns[reached[0]]), float(cum[reached[0]])
+        half = 1.96 * math.sqrt(max(p_at * (1 - p_at), 0.0) / trials)
+        ci = (max(0.0, p_at - half), min(1.0, p_at + half))
     qs = {
-        "q25": float(np.quantile(uncensored, 0.25)) if len(uncensored) else math.nan,
-        "q50": float(np.quantile(uncensored, 0.50)) if len(uncensored) else math.nan,
-        "q75": float(np.quantile(uncensored, 0.75)) if len(uncensored) else math.nan,
+        f"q{p}": float(np.quantile(uncensored, p / 100)) if len(uncensored) else math.nan
+        for p in (25, 50, 75)
     }
     return MonteCarloThreshold(
         n_star=n_star,
@@ -449,7 +428,7 @@ def monte_carlo_threshold(
         quantiles=qs,
         ci95_at_n_star=ci,
         trials=trials,
-        n_censored=censored,
+        n_censored=trials - len(uncensored),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .seeding import SeedSpec, as_seed
-from .spectral import EnsembleModel, sample_line_positions
+from .spectral import EnsembleModel, LineCombo, sample_line_positions, separation_mhz
 
 DEFAULT_AXIAL_FWHM_UM = 1.22
 
@@ -199,17 +199,15 @@ def spectral_arrangement_rate(
     if trials < 10_000:
         raise DomainError(f"need at least 10000 trials, got {trials}")
     rng = as_seed(seed).rng()
-    window_ghz = float(window_mhz) * 1e-3
     chunk = max(1024, min(trials, 1 << 22 >> k))
     hits = 0
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        a1, a2 = sample_line_positions(model, m * k, rng)
-        a1 = a1.reshape(m, k)
-        a2 = a2.reshape(m, k)
-        gaps = np.abs(a2[:, :, None] - a1[:, None, :])
-        adjacency = gaps < window_ghz
+        lines = [x.reshape(m, k) for x in sample_line_positions(model, m * k, rng)]
+        # adjacency[t, u, v]: the A2 line of u lies within the window of the A1 line of v
+        u, v = [x[:, :, None] for x in lines], [x[:, None, :] for x in lines]
+        adjacency = separation_mhz(u, v, [LineCombo.A2_A1]) < window_mhz
         idx = np.arange(k)
         adjacency[:, idx, idx] = False
         hits += int(np.count_nonzero(_chain_exists(adjacency)))

@@ -286,6 +286,24 @@ class LineCombo(enum.Enum):
 ALL_COMBOS: frozenset[LineCombo] = frozenset(LineCombo)
 
 
+def separation_mhz(
+    x: tuple[np.ndarray, np.ndarray],
+    y: tuple[np.ndarray, np.ndarray],
+    combos: Iterable[LineCombo],
+) -> np.ndarray:
+    """Smallest |line - line| gap over ``combos`` between emitters x and y, in MHz.
+
+    ``x`` and ``y`` are ``(a1, a2)`` pairs of GHz arrays that broadcast
+    together. Every pair statistic compares this, strictly, with its
+    window: two emitters overlap when ``separation_mhz(...) < window_mhz``.
+    """
+    sep = None
+    for ci, cj in (c.value for c in combos):
+        d = np.abs(x[ci] - y[cj])
+        sep = d if sep is None else np.minimum(sep, d, out=sep)
+    return np.multiply(sep, 1e3, out=sep)
+
+
 def min_pair_separation(
     e1: EmitterLines, e2: EmitterLines, combos: Iterable[LineCombo] = ALL_COMBOS
 ) -> float:

@@ -75,6 +75,15 @@ class TestBirthdayCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DomainError"
 
+    def test_threshold_beyond_curve_limit_exit_2(self, tmp_path, capsys):
+        # n_star ~ 3.7e7: the curve would hold one point per emitter
+        code = main(["birthday", "--q", "1e-15", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError"
+        assert "100000" in err["error"]
+        assert not (tmp_path / "birthday_curve.csv").exists()
+
 
 class TestProtocolCommand:
     def test_lossless_four_qubit_chain(self, tmp_path):
@@ -338,6 +347,23 @@ class TestReportCommand:
         assert "parametric" in report["provenance_note"]
         text = (tmp_path / "report.txt").read_text()
         assert "n_star: 13" in text
+
+    def test_text_report_shows_nested_results(self, tmp_path):
+        assert main(["birthday", "--q", "0.0098", "--mc", "--trials", "1000", "--seed", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["spatial", "--lateral-fwhm-um", "0.5", "--trials", "10000",
+                     "--chain-k", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        mc = report["sections"]["birthday"]["results"]["monte_carlo"]
+        chain = report["sections"]["spatial"]["results"]["spectral_chain"]
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert f"  monte_carlo.n_star: {mc['n_star']}" in lines
+        assert f"  monte_carlo.quantiles.q50: {mc['quantiles']['q50']}" in lines
+        assert f"  spectral_chain.probability: {chain['probability']}" in lines
+        # lists stay in the JSON and CSV files
+        assert not any(line.lstrip().startswith(("curve:", "monte_carlo.ci95")) for line in lines)
+        assert not any("occupancy_distribution" in line for line in lines)
 
     def test_empty_directory_exit_2(self, tmp_path, capsys):
         code = main(["report", "--out", str(tmp_path)])

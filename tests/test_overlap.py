@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from emitternet import (
     overlap_curve,
     sample_ensemble,
 )
+from emitternet.overlap import MAX_BIRTHDAY_EMITTERS
 from emitternet.spectral import sample_line_positions
 from emitternet.seeding import as_seed
 from conftest import make_table
@@ -339,6 +341,16 @@ class TestBirthdayThreshold:
         assert [n for n, _ in r.curve] == list(range(1, 14))
         assert r.curve[0][1] == 0.0
         assert r.curve[-1][1] >= 0.5
+
+    def test_threshold_beyond_curve_limit_refused(self):
+        # q = 1e-15 needs n_star ~ 3.7e7 curve points; refused before any is built
+        assert MAX_BIRTHDAY_EMITTERS == 100_000
+        for q, about in ((1e-15, "3.72e+07"), (1e-10, "1.18e+05"), (5e-324, "inf")):
+            message = f"about {about} emitters, above the limit of 100000"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                birthday_threshold(q, 0.5)
+        # n_star ~ 3.7e4 lies below the limit
+        assert len(birthday_threshold(1e-9, 0.5).curve) == 37234
 
     def test_domain(self):
         with pytest.raises(DomainError):

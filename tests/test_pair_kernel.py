@@ -1,10 +1,14 @@
 """The sparse pair kernel against the dense all-pairs code it replaced.
 
-The oracle below is the former dense implementation: an n x n separation
-matrix per call and, for the bootstrap, an n x n submatrix gathered per
-resample and window. The kernel must reproduce its probabilities, pair
-counts and standard errors exactly (``==``), ties on a window included.
+The oracles below are the former dense implementations: an n x n
+separation matrix per call; for the bootstrap, an n x n submatrix gathered
+per resample and window; and for the sequential Monte Carlo, a dense matrix
+per trial and block. The kernel must reproduce their probabilities, pair
+counts, standard errors and stopping statistics exactly (``==``), ties on a
+window included. Every pair statistic applies one separation rule, so a
+window equal to a separation is no overlap in each of them.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,9 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emitternet import DomainError, EmitterLines, LineCombo, LineTable, overlap_curve
-from emitternet.overlap import MAX_CANDIDATE_PAIRS
+from emitternet import (
+    DomainError,
+    EmitterLines,
+    EnsembleModel,
+    LineCombo,
+    LineTable,
+    NormalCenters,
+    UniformCenters,
+    min_pair_separation,
+    monte_carlo_threshold,
+    overlap_curve,
+    sample_ensemble,
+    spectral_arrangement_rate,
+)
+from emitternet.overlap import MAX_CANDIDATE_PAIRS, MonteCarloThreshold, _closed_combos
 from emitternet.seeding import as_seed
+from emitternet.spectral import sample_line_positions
 
 from conftest import make_table
 
@@ -171,3 +189,140 @@ def test_candidate_limit_refused_before_pairs_are_built():
         tracemalloc.stop()
     # one int64 array of the refused pairs alone would be ~6.4 GB
     assert peak < 50e6
+
+
+def dense_monte_carlo_threshold(
+    model, window_mhz, target, trials, seed, combos, max_emitters=512
+):
+    """The former ``monte_carlo_threshold``, verbatim: a dense matrix per trial and block."""
+    combos = _closed_combos(combos)
+    spec = as_seed(seed)
+    window_ghz = float(window_mhz) * 1e-3
+    pairs_idx = [c.value for c in combos]
+
+    stops = np.empty(trials, dtype=np.int64)
+    censored = 0
+    for t in range(trials):
+        rng = spec.rng(0, t)
+        block = 32
+        a1 = np.empty(0)
+        a2 = np.empty(0)
+        stop = 0
+        while stop == 0 and len(a1) < max_emitters:
+            grow = min(block, max_emitters - len(a1))
+            na1, na2 = sample_line_positions(model, grow, rng)
+            a1 = np.concatenate([a1, na1])
+            a2 = np.concatenate([a2, na2])
+            lines = (a1, a2)
+            sep = None
+            for i, j in pairs_idx:
+                d = np.abs(lines[i][:, None] - lines[j][None, :])
+                sep = d if sep is None else np.minimum(sep, d)
+            hit = sep < window_ghz
+            iu = np.triu_indices(len(a1), k=1)
+            mask = hit[iu]
+            if mask.any():
+                # stopping count = first emitter index that closes a pair
+                stop = int((np.maximum(iu[0], iu[1])[mask]).min()) + 1
+            block *= 2
+        if stop == 0:
+            censored += 1
+            stop = max_emitters + 1
+        stops[t] = stop
+
+    # Independent pairwise-rate estimate over >= trials sampled pairs.
+    rng_q = spec.rng(1)
+    n_q = max(trials, 20_000)
+    qa1, qa2 = sample_line_positions(model, 2 * n_q, rng_q)
+    xa1, xa2 = qa1[:n_q], qa2[:n_q]
+    ya1, ya2 = qa1[n_q:], qa2[n_q:]
+    lines_x = (xa1, xa2)
+    lines_y = (ya1, ya2)
+    sep_q = None
+    for i, j in pairs_idx:
+        d = np.abs(lines_x[i] - lines_y[j])
+        sep_q = d if sep_q is None else np.minimum(sep_q, d)
+    pairwise_q = float(np.count_nonzero(sep_q < window_ghz)) / n_q
+
+    n_max = int(stops[stops <= max_emitters].max(initial=2))
+    ns = np.arange(2, n_max + 1)
+    cum = np.array([(stops <= k).mean() for k in ns])
+    curve = tuple((int(k), float(p)) for k, p in zip(ns, cum))
+    reached = np.nonzero(cum >= target)[0]
+    if len(reached) > 0:
+        n_star = int(ns[reached[0]])
+        p_at = float(cum[reached[0]])
+        half = 1.96 * math.sqrt(max(p_at * (1 - p_at), 0.0) / trials)
+        ci = (max(0.0, p_at - half), min(1.0, p_at + half))
+    else:
+        n_star, ci = None, None
+
+    uncensored = stops[stops <= max_emitters]
+    qs = {
+        "q25": float(np.quantile(uncensored, 0.25)) if len(uncensored) else math.nan,
+        "q50": float(np.quantile(uncensored, 0.50)) if len(uncensored) else math.nan,
+        "q75": float(np.quantile(uncensored, 0.75)) if len(uncensored) else math.nan,
+    }
+    return MonteCarloThreshold(
+        n_star=n_star,
+        target_probability=target,
+        pairwise_q=pairwise_q,
+        curve=curve,
+        median_stop=qs["q50"],
+        quantiles=qs,
+        ci95_at_n_star=ci,
+        trials=trials,
+        n_censored=censored,
+    )
+
+
+UNIFORM = EnsembleModel()
+BUNCHED = EnsembleModel(centers=NormalCenters(0.5))
+FIXED_ZFS = EnsembleModel(centers=UniformCenters(2.0), zfs_sigma_ghz=0.0)
+A1A1, A2A2, A1A2, A2A1 = (LineCombo.A1_A1, LineCombo.A2_A2, LineCombo.A1_A2, LineCombo.A2_A1)
+
+
+@pytest.mark.parametrize(
+    "model, window_mhz, combos, max_emitters, seed",
+    [
+        (UNIFORM, 29.0, set(LineCombo), 512, 1),
+        (UNIFORM, 2.0, {A1A1}, 40, 2),
+        (UNIFORM, 300.0, {A1A1, A1A2, A2A1}, 40, 3),
+        (BUNCHED, 2.0, {A1A1, A2A2}, 512, 4),
+        (BUNCHED, 29.0, {A2A2, A1A2, A2A1}, 40, 5),
+        (BUNCHED, 300.0, {A2A2}, 512, 6),
+        (FIXED_ZFS, 29.0, {A1A2, A2A1}, 40, 7),
+        (FIXED_ZFS, 300.0, set(LineCombo), 512, 8),
+    ],
+)
+def test_monte_carlo_matches_dense_oracle(model, window_mhz, combos, max_emitters, seed):
+    # max_emitters=40 censors trials and clips the second block to 8 emitters
+    got = monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
+    want = dense_monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
+    assert got.curve == want.curve
+    assert got.quantiles == want.quantiles
+    assert got.n_star == want.n_star
+    assert got.n_censored == want.n_censored
+    assert got.pairwise_q == want.pairwise_q
+    assert got == want
+
+
+CROSS = {A1A2, A2A1}
+
+
+@pytest.mark.parametrize("zfs_ghz", [0.938, 0.75, 0.9, 0.95, 1.0, 1.027, 1.1, 1.2])
+def test_window_equal_to_separation_is_no_overlap(zfs_ghz):
+    # Every emitter has the same two lines, so each pair's cross separation
+    # is exactly one value: a window equal to it counts no pair, the next
+    # float above it counts every pair, in each pair statistic.
+    model = EnsembleModel(centers=NormalCenters(0.0), zfs_mean_ghz=zfs_ghz, zfs_sigma_ghz=0.0)
+    table = sample_ensemble(model, 3, 1)
+    tie = min_pair_separation(table[0], table[1], CROSS)
+    assert zfs_ghz != 0.938 or tie == 938.0
+    for window, overlaps in ((tie, False), (float(np.nextafter(tie, math.inf)), True)):
+        assert overlap_curve(table, [window], CROSS).probabilities == (float(overlaps),)
+        assert spectral_arrangement_rate(model, 2, window, 10_000, 1) == float(overlaps)
+        mc = monte_carlo_threshold(model, window, 0.5, 1000, 1, CROSS, max_emitters=2)
+        assert mc.n_censored == (0 if overlaps else 1000)
+        assert mc.pairwise_q == float(overlaps)
+
