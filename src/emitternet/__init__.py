@@ -64,12 +64,10 @@ from .ple import (
 from .register import (
     ChainResult,
     FidelitySweepRow,
-    HeraldLabel,
     HeraldOutcome,
     HeraldOutcomes,
     LossModel,
     LossyChainResult,
-    LossyHeraldOutcome,
     MixedOutcome,
     SpinRegisterState,
     WeightedState,
@@ -79,7 +77,6 @@ from .register import (
     ghz_target,
     hadamard_all,
     herald_pair,
-    herald_with_loss,
     init_pumped,
     published_branch_weight,
     published_model_fidelity,

@@ -450,6 +450,9 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
     if not np.all(np.isfinite(vals)):
         raise DomainError("histogram values must be finite")
     k = np.floor((vals - origin) / bin_width).astype(np.int64)
+    # the division can round across an edge: place each value against the edges reported below
+    k -= vals < origin + k * bin_width
+    k += vals >= origin + (k + 1) * bin_width
     k_min, k_max = int(k.min()), int(k.max())
     counts = np.bincount(k - k_min, minlength=k_max - k_min + 1)
     edges = tuple(origin + (k_min + i) * bin_width for i in range(len(counts) + 1))

@@ -2,22 +2,22 @@
 
 Qubits encode the two ground-state spin subspaces: up = spin-1/2, down =
 spin-3/2. Driving the shared optical line of a qubit pair (i, j) excites
-qubit i when it is down and qubit j when it is up, so the pair emits 0, 1
-or 2 photons depending on its spin configuration; conditioning on a
-single photon projects the pair onto the {up-up, down-down} subspace.
+qubit i when it is down and qubit j when it is up, so a basis state emits
+bit_i + 1 - bit_j photons (0, 1 or 2); conditioning on a single photon
+projects the pair onto the {up-up, down-down} subspace.
 
 Photon loss is modeled per emitted photon with end-to-end detection
 efficiency eta and no dark counts. A lost photon from a two-photon event
 fakes a single-photon herald, which mixes the heralded state; the
 resulting mixtures are represented exactly as weighted pure-state
-branches.
+branches. The lossless chain is the eta = 1 case of the same walk.
 """
 from __future__ import annotations
 
-import enum
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,12 @@ NORM_TOLERANCE = 1e-12
 UP, DOWN = 0, 1  # basis bit values per qubit; qubit 0 is the most significant bit
 
 
+def _check_qubit_count(n: int) -> None:
+    """Refuse a register size before anything of size n or 2^n is built."""
+    if not (2 <= n <= MAX_QUBITS):
+        raise DomainError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
+
+
 @dataclass(frozen=True)
 class SpinRegisterState:
     """Normalized complex amplitude vector over n two-level spins."""
@@ -37,8 +43,7 @@ class SpinRegisterState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (2 <= self.n <= MAX_QUBITS):
-            raise DomainError(f"qubit count must be in [2, {MAX_QUBITS}], got {self.n}")
+        _check_qubit_count(self.n)
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (2**self.n,):
@@ -46,9 +51,6 @@ class SpinRegisterState:
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise DomainError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-
-    def bit(self, index: int, qubit: int) -> int:
-        return (index >> (self.n - 1 - qubit)) & 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinRegisterState):
@@ -58,24 +60,21 @@ class SpinRegisterState:
 
 def basis_state(pattern: str) -> SpinRegisterState:
     """State |pattern> from a string of 'u'/'d' characters, e.g. 'udud'."""
-    bits = []
+    _check_qubit_count(len(pattern))
+    index = 0
     for ch in pattern.lower():
         if ch not in "ud":
             raise DomainError(f"pattern must contain only 'u' and 'd', got {pattern!r}")
-        bits.append(UP if ch == "u" else DOWN)
-    n = len(bits)
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amps = np.zeros(2**n, dtype=complex)
+        index = (index << 1) | (UP if ch == "u" else DOWN)
+    amps = np.zeros(2 ** len(pattern), dtype=complex)
     amps[index] = 1.0
-    return SpinRegisterState(n=n, amplitudes=amps)
+    return SpinRegisterState(n=len(pattern), amplitudes=amps)
 
 
 def init_pumped(n: int) -> SpinRegisterState:
     """Optically pumped start state: alternating up/down/up/down..."""
-    if not (2 <= n <= MAX_QUBITS):
-        raise DomainError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
+    # checked here too: the pattern below is n characters long
+    _check_qubit_count(n)
     return basis_state("".join("u" if k % 2 == 0 else "d" for k in range(n)))
 
 
@@ -97,52 +96,37 @@ def hadamard_all(state: SpinRegisterState) -> SpinRegisterState:
     return SpinRegisterState(n=state.n, amplitudes=amps)
 
 
-class HeraldLabel(enum.Enum):
-    ZERO_PHOTON = "zero_photon"
-    ONE_PHOTON = "one_photon"
-    TWO_PHOTON = "two_photon"
-
-
-@dataclass(frozen=True)
-class HeraldOutcome:
+class HeraldOutcome(NamedTuple):
     """One photon-number outcome: probability plus the conditioned state.
 
     ``post_state`` is None when the outcome has zero probability (an
     undefined conditional state is flagged, never fabricated).
     """
 
-    label: HeraldLabel
     probability: float
     post_state: SpinRegisterState | None
 
 
-@dataclass(frozen=True)
-class HeraldOutcomes:
+class HeraldOutcomes(NamedTuple):
+    """Outcomes indexed by the number of photons the pair emits."""
+
     zero: HeraldOutcome
     one: HeraldOutcome
     two: HeraldOutcome
 
-    def __iter__(self):
-        return iter((self.zero, self.one, self.two))
 
-
-def _sector_masks(n: int, i: int, j: int) -> dict[HeraldLabel, np.ndarray]:
+def _photon_counts(n: int, i: int, j: int) -> np.ndarray:
+    """Photons emitted on the (i, j) line by each basis state: bit_i + 1 - bit_j."""
     idx = np.arange(2**n)
-    bit_i = (idx >> (n - 1 - i)) & 1
-    bit_j = (idx >> (n - 1 - j)) & 1
-    return {
-        HeraldLabel.ZERO_PHOTON: (bit_i == UP) & (bit_j == DOWN),
-        HeraldLabel.ONE_PHOTON: bit_i == bit_j,
-        HeraldLabel.TWO_PHOTON: (bit_i == DOWN) & (bit_j == UP),
-    }
+    return ((idx >> (n - 1 - i)) & 1) + 1 - ((idx >> (n - 1 - j)) & 1)
 
 
-def _project(state: SpinRegisterState, mask: np.ndarray) -> tuple[float, SpinRegisterState | None]:
+def _project(state: SpinRegisterState, mask: np.ndarray) -> HeraldOutcome:
     kept = np.where(mask, state.amplitudes, 0.0)
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob <= NORM_TOLERANCE:
-        return prob, None
-    return prob, SpinRegisterState(n=state.n, amplitudes=kept / math.sqrt(prob))
+        return HeraldOutcome(prob, None)
+    return HeraldOutcome(prob, SpinRegisterState(n=state.n, amplitudes=kept / math.sqrt(prob)))
 
 
 def herald_pair(state: SpinRegisterState, i: int, j: int) -> HeraldOutcomes:
@@ -157,16 +141,8 @@ def herald_pair(state: SpinRegisterState, i: int, j: int) -> HeraldOutcomes:
         raise DomainError("herald requires two distinct qubits")
     if not (0 <= i < state.n and 0 <= j < state.n):
         raise DomainError(f"qubit indices ({i}, {j}) out of range for n={state.n}")
-    masks = _sector_masks(state.n, i, j)
-    outcomes = {}
-    for label, mask in masks.items():
-        prob, post = _project(state, mask)
-        outcomes[label] = HeraldOutcome(label=label, probability=prob, post_state=post)
-    return HeraldOutcomes(
-        zero=outcomes[HeraldLabel.ZERO_PHOTON],
-        one=outcomes[HeraldLabel.ONE_PHOTON],
-        two=outcomes[HeraldLabel.TWO_PHOTON],
-    )
+    photons = _photon_counts(state.n, i, j)
+    return HeraldOutcomes(*(_project(state, photons == m) for m in range(3)))
 
 
 @dataclass(frozen=True)
@@ -181,21 +157,17 @@ class ChainResult:
 def run_ghz_chain(n: int) -> ChainResult:
     """Pump, rotate, then herald pairs (0,1), (1,2), ... on single photons.
 
-    The success probability is the product of the single-photon
-    probabilities, 2^(1-n) for the alternating start state.
+    This is the eta = 1 run of ``run_ghz_chain_with_loss``, where no
+    photon is lost and one branch survives. The success probability is
+    the product of the single-photon probabilities, 2^(1-n) for the
+    alternating start state.
     """
-    state = hadamard_all(init_pumped(n))
-    probs = []
-    for q in range(n - 1):
-        outcome = herald_pair(state, q, q + 1).one
-        if outcome.post_state is None:
-            raise ProtocolError(f"single-photon herald on pair ({q}, {q + 1}) has zero probability")
-        probs.append(outcome.probability)
-        state = outcome.post_state
+    lossless = run_ghz_chain_with_loss(n, LossModel(1.0))
+    probs = lossless.step_click_probabilities
     return ChainResult(
-        state=state,
+        state=lossless.mixture.branches[0].state,
         success_probability=float(np.prod(probs)),
-        herald_probabilities=tuple(probs),
+        herald_probabilities=probs,
     )
 
 
@@ -205,8 +177,7 @@ def ghz_target(n: int) -> SpinRegisterState:
     Each down-rotated qubit (odd position) contributes a minus sign to the
     all-down amplitude, giving (|u...u> + (-1)^(n//2) |d...d>)/sqrt2.
     """
-    if not (2 <= n <= MAX_QUBITS):
-        raise DomainError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
+    _check_qubit_count(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2)
     amps[-1] = (-1) ** (n // 2) / math.sqrt(2)
@@ -262,56 +233,6 @@ def published_model_fidelity(n: int, eta: float) -> float:
     return published_branch_weight(eta) ** (n - 1)
 
 
-@dataclass(frozen=True)
-class LossyHeraldOutcome:
-    """Mixture after conditioning on exactly one detector click.
-
-    ``one_photon_branch_weight`` is the enumerated weight of the intended
-    single-photon branch; ``published_p`` is the published closed form
-    1/(3 - 2*eta), reported side by side. The two do not coincide for
-    eta < 1; the gap is a documented model difference, not an error.
-    """
-
-    mixture: MixedOutcome
-    one_photon_branch_weight: float
-    false_positive_weight: float
-    published_p: float
-    click_probability: float
-
-
-def herald_with_loss(
-    state: SpinRegisterState, i: int, j: int, loss: LossModel
-) -> LossyHeraldOutcome:
-    """Herald on (i, j) conditioned on exactly one click at efficiency eta.
-
-    Branches: the single-photon sector detected (weight eta * P1) and the
-    two-photon sector with exactly one photon detected (weight
-    2*eta*(1-eta) * P2, collapsing to down_i/up_j). Weights are
-    renormalized over the click condition.
-    """
-    eta = loss.eta
-    if eta == 0.0:
-        raise DomainError("conditioning on a click is impossible at zero detection efficiency")
-    outcomes = herald_pair(state, i, j)
-    w_one = eta * outcomes.one.probability
-    w_two = 2.0 * eta * (1.0 - eta) * outcomes.two.probability
-    total = w_one + w_two
-    if total <= NORM_TOLERANCE:
-        raise DomainError("input state cannot produce a detector click on this pair")
-    branches = []
-    if outcomes.one.post_state is not None and w_one > 0.0:
-        branches.append(WeightedState(weight=w_one / total, state=outcomes.one.post_state))
-    if outcomes.two.post_state is not None and w_two > 0.0:
-        branches.append(WeightedState(weight=w_two / total, state=outcomes.two.post_state))
-    return LossyHeraldOutcome(
-        mixture=MixedOutcome(branches=tuple(branches)),
-        one_photon_branch_weight=w_one / total,
-        false_positive_weight=w_two / total,
-        published_p=published_branch_weight(eta),
-        click_probability=total,
-    )
-
-
 def ghz_fidelity(mixture: MixedOutcome, n: int) -> float:
     """Overlap of a branch mixture with the ideal chain GHZ state."""
     target = ghz_target(n).amplitudes
@@ -335,28 +256,36 @@ class LossyChainResult:
 def run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainResult:
     """Chain of lossy heralds with exact branch tracking.
 
-    Conditioning is applied jointly: at each step every branch splits by
-    its unnormalized click weights and the whole mixture is renormalized,
-    i.e. the result is conditioned on a click at every step.
+    A click on pair (q, q+1) comes from the single-photon sector detected
+    (weight eta * P1) or from the two-photon sector with exactly one
+    photon detected (weight 2*eta*(1-eta) * P2, collapsing the pair to
+    down_q/up_q+1). Conditioning is applied jointly: at each step every
+    branch splits by its unnormalized click weights and the whole mixture
+    is renormalized, i.e. the result is conditioned on a click at every
+    step. A click weight too small for a normal float is refused.
     """
-    if loss.eta == 0.0:
-        raise DomainError("conditioning on clicks is impossible at zero detection efficiency")
     eta = loss.eta
+    if eta == 0.0:
+        raise DomainError("conditioning on clicks is impossible at zero detection efficiency")
     branches = [(1.0, hadamard_all(init_pumped(n)))]
     step_probs = []
     for q in range(n - 1):
+        photons = _photon_counts(n, q, q + 1)
+        clicks = ((photons == 1, eta), (photons == 2, 2.0 * eta * (1.0 - eta)))
         grown: list[tuple[float, SpinRegisterState]] = []
         for weight, state in branches:
-            outcomes = herald_pair(state, q, q + 1)
-            w_one = eta * outcomes.one.probability
-            w_two = 2.0 * eta * (1.0 - eta) * outcomes.two.probability
-            if outcomes.one.post_state is not None and w_one > 0.0:
-                grown.append((weight * w_one, outcomes.one.post_state))
-            if outcomes.two.post_state is not None and w_two > 0.0:
-                grown.append((weight * w_two, outcomes.two.post_state))
+            for mask, click_eff in clicks:
+                prob, post = _project(state, mask)
+                if post is None or click_eff == 0.0:
+                    continue
+                w = weight * (click_eff * prob)
+                # a subnormal weight has lost its precision, and zero means no click at all
+                if w < sys.float_info.min:
+                    raise ProtocolError(
+                        f"click weight on pair ({q}, {q + 1}) underflows at eta = {eta!r}"
+                    )
+                grown.append((w, post))
         total = sum(w for w, _ in grown)
-        if total <= NORM_TOLERANCE:
-            raise ProtocolError(f"no branch can produce a click on pair ({q}, {q + 1})")
         branches = [(w / total, s) for w, s in grown]
         step_probs.append(total)
     mixture = MixedOutcome(branches=tuple(WeightedState(w, s) for w, s in branches))
@@ -386,8 +315,6 @@ def fidelity_vs_eta_sweep(n: int, etas: Sequence[float]) -> tuple[FidelitySweepR
     """
     rows = []
     for eta in etas:
-        if not (0.0 < eta <= 1.0):
-            raise DomainError(f"sweep efficiencies must lie in (0, 1], got {eta}")
         rows.append(
             FidelitySweepRow(
                 eta=float(eta),

@@ -19,6 +19,15 @@ from .seeding import SeedSpec, as_seed
 from .spectral import EnsembleModel, LineCombo, sample_line_positions, separation_mhz
 
 DEFAULT_AXIAL_FWHM_UM = 1.22
+# Most points (or occupancy trials) one draw may hold; occupancy_stats takes ~57 bytes a point.
+MAX_SPATIAL_POINTS = 10_000_000
+
+
+def _check_point_count(what: str, count: float) -> None:
+    if count > MAX_SPATIAL_POINTS:
+        raise DomainError(
+            f"{what} {count:.4g} exceeds the spatial draw limit of {MAX_SPATIAL_POINTS:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -42,10 +51,6 @@ class SpatialScene:
     def count(self) -> int:
         return len(self.positions)
 
-    @property
-    def volume_um3(self) -> float:
-        return self.box_um[0] * self.box_um[1] * self.box_um[2]
-
 
 def sample_scene(
     density_per_um3: float, box_um: Sequence[float], seed: SeedSpec | int
@@ -56,8 +61,9 @@ def sample_scene(
     box = tuple(float(b) for b in box_um)
     if len(box) != 3 or any(b <= 0 for b in box):
         raise DomainError(f"box must be three positive extents, got {box_um}")
-    rng = as_seed(seed).rng()
     volume = box[0] * box[1] * box[2]
+    _check_point_count("expected emitter count", density_per_um3 * volume)
+    rng = as_seed(seed).rng()
     count = int(rng.poisson(density_per_um3 * volume))
     positions = rng.uniform(0.0, 1.0, size=(count, 3)) * np.asarray(box)
     return SpatialScene(box_um=box, positions=positions)
@@ -122,7 +128,7 @@ def occupancy_stats(
         raise DomainError(f"need at least 1000 trials, got {trials}")
     if density_per_um3 < 0:
         raise DomainError(f"density must be non-negative, got {density_per_um3}")
-    rng = as_seed(seed).rng()
+    _check_point_count("trial count", trials)
     lam_spot = density_per_um3 * spot_volume(psf)
 
     half = np.array(
@@ -130,7 +136,9 @@ def occupancy_stats(
     )
     box_volume = float(np.prod(2.0 * half))
     lam_box = density_per_um3 * box_volume
+    _check_point_count("expected point count", lam_box * trials)
 
+    rng = as_seed(seed).rng()
     counts_in_box = rng.poisson(lam_box, trials)
     total = int(counts_in_box.sum())
     if total:

@@ -111,6 +111,13 @@ class TestProtocolCommand:
         assert (tmp_path / "fidelity_sweep.csv").exists()
 
 
+    def test_small_efficiency_runs(self, tmp_path):
+        code = main(["protocol", "--n", "4", "--eta", "1e-300", "--out", str(tmp_path)])
+        assert code == 0
+        results = _read_summary(tmp_path, "protocol")["results"]
+        assert results["fidelity_enumeration"] == pytest.approx(0.25, abs=1e-12)
+
+
 class TestOverlapCommand:
     def test_fixture_input(self, tmp_path, fixture_50_12):
         csv_path = tmp_path / "lines.csv"
@@ -333,6 +340,21 @@ class TestSpatialCommand:
         chain = _read_summary(tmp_path, "spatial")["results"]["spectral_chain"]
         assert chain["k"] == 2
         assert 0.0 <= chain["probability"] <= 1.0
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--density", "1e4", "--lateral-fwhm-um", "2"],
+            ["--density", "3000", "--lateral-fwhm-um", "0.5", "--trials", "1000", "--export-scene"],
+        ],
+    )
+    def test_draw_beyond_point_limit_exit_2(self, tmp_path, capsys, args):
+        code = main(["spatial", *args, "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "limit" in err["error"]
+        assert not (tmp_path / "spatial_summary.json").exists()
 
 
 class TestReportCommand:

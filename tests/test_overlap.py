@@ -1,8 +1,11 @@
+import bisect
 import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitternet import (
     DomainError,
@@ -408,6 +411,30 @@ class TestHistogram:
         result = histogram([1.0], 1.0, origin=0.0)
         assert result.bin_edges == (1.0, 2.0)
         assert result.counts == (1,)
+
+    @pytest.mark.parametrize("value, width", [(4.3, 0.1), (1.075, 0.025)])
+    def test_value_on_a_rounded_edge_goes_to_upper_bin(self, value, width):
+        result = histogram([value], width)
+        assert result.bin_edges == (value, result.bin_edges[1])
+        assert result.counts == (1,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.floats(1e-3, 10.0),
+        origin=st.floats(-100.0, 100.0),
+        # integer offsets put values on bin edges
+        offsets=st.lists(st.integers(-1000, 1000) | st.floats(-1000.0, 1000.0), min_size=1),
+    )
+    def test_every_value_lies_in_its_bin(self, width, origin, offsets):
+        values = [origin + k * width for k in offsets]
+        result = histogram(values, width, origin)
+        edges = result.bin_edges
+        counts = [0] * len(result.counts)
+        for v in values:
+            b = bisect.bisect_right(edges, v) - 1
+            assert 0 <= b < len(counts) and edges[b] <= v < edges[b + 1]
+            counts[b] += 1
+        assert tuple(counts) == result.counts
 
     def test_counts_sum(self):
         rng = np.random.default_rng(2)

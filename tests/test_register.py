@@ -1,12 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitternet import (
+    ChainResult,
     DomainError,
     LossModel,
+    LossyChainResult,
     MixedOutcome,
+    ProtocolError,
     SpinRegisterState,
     WeightedState,
     basis_state,
@@ -15,7 +21,6 @@ from emitternet import (
     ghz_target,
     hadamard_all,
     herald_pair,
-    herald_with_loss,
     init_pumped,
     published_branch_weight,
     published_model_fidelity,
@@ -62,6 +67,75 @@ def _random_state(n: int, seed: int) -> SpinRegisterState:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return SpinRegisterState(n=n, amplitudes=amps / np.linalg.norm(amps))
+
+
+# The chain as it was before it became one lossy walk, kept as the
+# reference: both chain functions verbatim, over the per-sector masks and
+# the projection they used.
+def _reference_herald_pair(state, i, j):
+    n = state.n
+    idx = np.arange(2**n)
+    bit_i = (idx >> (n - 1 - i)) & 1
+    bit_j = (idx >> (n - 1 - j)) & 1
+    masks = {
+        "zero": (bit_i == 0) & (bit_j == 1),
+        "one": bit_i == bit_j,
+        "two": (bit_i == 1) & (bit_j == 0),
+    }
+    outcomes = {}
+    for label, mask in masks.items():
+        kept = np.where(mask, state.amplitudes, 0.0)
+        prob = float(np.sum(np.abs(kept) ** 2))
+        post = None
+        if prob > 1e-12:
+            post = SpinRegisterState(n=state.n, amplitudes=kept / math.sqrt(prob))
+        outcomes[label] = SimpleNamespace(probability=prob, post_state=post)
+    return SimpleNamespace(**outcomes)
+
+
+def _reference_run_ghz_chain(n: int) -> ChainResult:
+    state = hadamard_all(init_pumped(n))
+    probs = []
+    for q in range(n - 1):
+        outcome = _reference_herald_pair(state, q, q + 1).one
+        if outcome.post_state is None:
+            raise ProtocolError(f"single-photon herald on pair ({q}, {q + 1}) has zero probability")
+        probs.append(outcome.probability)
+        state = outcome.post_state
+    return ChainResult(
+        state=state,
+        success_probability=float(np.prod(probs)),
+        herald_probabilities=tuple(probs),
+    )
+
+
+def _reference_run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainResult:
+    if loss.eta == 0.0:
+        raise DomainError("conditioning on clicks is impossible at zero detection efficiency")
+    eta = loss.eta
+    branches = [(1.0, hadamard_all(init_pumped(n)))]
+    step_probs = []
+    for q in range(n - 1):
+        grown: list[tuple[float, SpinRegisterState]] = []
+        for weight, state in branches:
+            outcomes = _reference_herald_pair(state, q, q + 1)
+            w_one = eta * outcomes.one.probability
+            w_two = 2.0 * eta * (1.0 - eta) * outcomes.two.probability
+            if outcomes.one.post_state is not None and w_one > 0.0:
+                grown.append((weight * w_one, outcomes.one.post_state))
+            if outcomes.two.post_state is not None and w_two > 0.0:
+                grown.append((weight * w_two, outcomes.two.post_state))
+        total = sum(w for w, _ in grown)
+        if total <= 1e-12:
+            raise ProtocolError(f"no branch can produce a click on pair ({q}, {q + 1})")
+        branches = [(w / total, s) for w, s in grown]
+        step_probs.append(total)
+    mixture = MixedOutcome(branches=tuple(WeightedState(w, s) for w, s in branches))
+    return LossyChainResult(
+        mixture=mixture,
+        fidelity=ghz_fidelity(mixture, n),
+        step_click_probabilities=tuple(step_probs),
+    )
 
 
 class TestInitPumped:
@@ -146,6 +220,19 @@ class TestHeraldPair:
             if abs(amp) > 1e-12:
                 assert bits[0] == "1" and bits[1] == "0"
 
+    def test_matches_reference_on_random_states(self):
+        for seed in range(20):
+            n = 2 + seed % 5
+            state = _random_state(n, seed)
+            i, j = (int(q) for q in np.random.default_rng(seed).choice(n, 2, replace=False))
+            got, ref = herald_pair(state, i, j), _reference_herald_pair(state, i, j)
+            for outcome, expected in zip(got, (ref.zero, ref.one, ref.two)):
+                assert outcome.probability == expected.probability
+                if expected.post_state is None:
+                    assert outcome.post_state is None
+                else:
+                    assert outcome.post_state == expected.post_state
+
     def test_invalid_pairs(self):
         state = basis_state("ud")
         with pytest.raises(DomainError):
@@ -195,6 +282,13 @@ class TestRunGhzChain:
             assert abs(abs(amps[0]) ** 2 - 0.5) < 1e-12
             assert abs(abs(amps[-1]) ** 2 - 0.5) < 1e-12
 
+    def test_matches_reference_bit_for_bit(self):
+        for n in range(2, 13):
+            got, ref = run_ghz_chain(n), _reference_run_ghz_chain(n)
+            assert got.state == ref.state
+            assert got.success_probability == ref.success_probability
+            assert got.herald_probabilities == ref.herald_probabilities
+
     def test_target_matches_chain_output(self):
         for n in range(2, 7):
             np.testing.assert_allclose(
@@ -202,19 +296,16 @@ class TestRunGhzChain:
             )
 
 
-class TestHeraldWithLoss:
+class TestTwoQubitLossyChain:
+    """The n = 2 chain is one lossy herald on the rotated pumped pair."""
+
     def test_unit_efficiency_reduces_to_plain_herald(self):
-        state = hadamard_all(basis_state("ud"))
-        lossy = herald_with_loss(state, 0, 1, LossModel(1.0))
+        lossy = run_ghz_chain_with_loss(2, LossModel(1.0))
         assert len(lossy.mixture.branches) == 1
         branch = lossy.mixture.branches[0]
-        assert branch.weight == pytest.approx(1.0, abs=1e-12)
-        plain = herald_pair(state, 0, 1).one.post_state
-        np.testing.assert_allclose(branch.state.amplitudes, plain.amplitudes, atol=1e-12)
-
-    def test_published_closed_form(self):
-        assert published_branch_weight(0.85) == pytest.approx(1.0 / 1.3, rel=1e-12)
-        assert published_branch_weight(0.85) == pytest.approx(0.769231, abs=1e-6)
+        assert branch.weight == 1.0
+        plain = herald_pair(hadamard_all(basis_state("ud")), 0, 1).one.post_state
+        assert branch.state == plain
 
     def test_enumeration_oracle_on_plus_minus(self):
         # oracle: four equal-weight spin configurations of the pair, with
@@ -238,37 +329,25 @@ class TestHeraldWithLoss:
         oracle_weight = one_click_true / one_click
         assert oracle_weight == pytest.approx(1.0 / (2.0 - eta), rel=1e-12)
 
-        state = hadamard_all(basis_state("ud"))
-        lossy = herald_with_loss(state, 0, 1, LossModel(eta))
-        assert lossy.one_photon_branch_weight == pytest.approx(oracle_weight, rel=1e-12)
-        assert lossy.false_positive_weight == pytest.approx(1.0 - oracle_weight, rel=1e-12)
-        # published closed form reported side by side, and it differs
-        assert lossy.published_p == pytest.approx(1.0 / 1.3, rel=1e-12)
-        assert lossy.one_photon_branch_weight != pytest.approx(lossy.published_p, abs=1e-3)
-
-    def test_branch_weights_sum_to_one(self):
-        for seed in range(5):
-            state = _random_state(3, seed)
-            for eta in (0.3, 0.7, 1.0):
-                try:
-                    lossy = herald_with_loss(state, 0, 1, LossModel(eta))
-                except DomainError:
-                    continue
-                assert sum(b.weight for b in lossy.mixture.branches) == pytest.approx(
-                    1.0, abs=1e-12
-                )
+        lossy = run_ghz_chain_with_loss(2, LossModel(eta))
+        true_branch, false_branch = lossy.mixture.branches
+        assert true_branch.weight == pytest.approx(oracle_weight, rel=1e-12)
+        assert false_branch.weight == pytest.approx(1.0 - oracle_weight, rel=1e-12)
+        assert false_branch.state == basis_state("du")
+        assert lossy.step_click_probabilities == pytest.approx((one_click,), rel=1e-12)
+        # the published closed form differs from the enumerated weight
+        assert true_branch.weight != pytest.approx(published_branch_weight(eta), abs=1e-3)
 
     def test_zero_efficiency_rejected(self):
-        state = hadamard_all(basis_state("ud"))
         with pytest.raises(DomainError):
-            herald_with_loss(state, 0, 1, LossModel(0.0))
-
-    def test_clickless_state_rejected(self):
-        with pytest.raises(DomainError):
-            herald_with_loss(basis_state("ud"), 0, 1, LossModel(0.9))
+            run_ghz_chain_with_loss(2, LossModel(0.0))
 
 
 class TestGhzFidelity:
+    def test_published_closed_form(self):
+        assert published_branch_weight(0.85) == pytest.approx(1.0 / 1.3, rel=1e-12)
+        assert published_branch_weight(0.85) == pytest.approx(0.769231, abs=1e-6)
+
     def test_pure_ideal_state(self):
         mixture = MixedOutcome(branches=(WeightedState(1.0, ghz_target(3)),))
         assert ghz_fidelity(mixture, 3) == pytest.approx(1.0, abs=1e-12)
@@ -296,8 +375,11 @@ class TestGhzFidelity:
 
 
 class TestLossyChain:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("eta", [0.5, 0.85, 1.0])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        eta=st.floats(min_value=1e-300, max_value=1.0) | st.sampled_from([0.5, 0.85, 1.0]),
+    )
     def test_matches_closed_form(self, n, eta):
         # oracle (derived by summing the branch tree by hand): with joint
         # conditioning on a click per step, every false branch and every
@@ -306,6 +388,29 @@ class TestLossyChain:
         # F = 1 / (1 + (n-1)(1-eta)).
         result = run_ghz_chain_with_loss(n, LossModel(eta))
         assert result.fidelity == pytest.approx(1.0 / (1.0 + (n - 1) * (1.0 - eta)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    @pytest.mark.parametrize("eta", [1e-12, 1e-300])
+    def test_small_efficiency_runs(self, n, eta):
+        result = run_ghz_chain_with_loss(n, LossModel(eta))
+        assert result.fidelity == pytest.approx(1.0 / (1.0 + (n - 1) * (1.0 - eta)), abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [1e-310, 5e-324])
+    def test_underflowing_click_weight_refused(self, eta):
+        with pytest.raises(ProtocolError, match="underflows"):
+            run_ghz_chain_with_loss(4, LossModel(eta))
+
+    @pytest.mark.parametrize("eta", [1.0, 0.999, 0.85, 0.5, 0.1, 1e-6])
+    def test_matches_reference_bit_for_bit(self, eta):
+        for n in range(2, 13):
+            got = run_ghz_chain_with_loss(n, LossModel(eta))
+            ref = _reference_run_ghz_chain_with_loss(n, LossModel(eta))
+            assert got.step_click_probabilities == ref.step_click_probabilities
+            assert got.fidelity == ref.fidelity
+            assert len(got.mixture.branches) == len(ref.mixture.branches)
+            for b, r in zip(got.mixture.branches, ref.mixture.branches):
+                assert b.weight == r.weight
+                assert b.state == r.state
 
     def test_unit_efficiency_is_exact(self):
         for n in (2, 3, 4):
@@ -366,6 +471,11 @@ class TestStateValidation:
     def test_qubit_cap(self):
         with pytest.raises(DomainError):
             SpinRegisterState(n=13, amplitudes=np.zeros(2**13))
+
+    @pytest.mark.parametrize("pattern", ["", "u", "ud" * 6 + "u"])
+    def test_basis_state_qubit_cap(self, pattern):
+        with pytest.raises(DomainError, match="qubit count"):
+            basis_state(pattern)
 
     def test_mixture_validation(self):
         with pytest.raises(DomainError):

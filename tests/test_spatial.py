@@ -15,7 +15,7 @@ from emitternet import (
     spectral_arrangement_rate,
     spot_volume,
 )
-from emitternet.spatial import _chain_exists
+from emitternet.spatial import MAX_SPATIAL_POINTS, _chain_exists
 
 
 class TestSampleScene:
@@ -56,6 +56,10 @@ class TestSampleScene:
             sample_scene(-1.0, (1.0, 1.0, 1.0), 1)
         with pytest.raises(DomainError):
             sample_scene(1.0, (0.0, 1.0, 1.0), 1)
+
+    def test_expected_count_beyond_limit_refused(self):
+        with pytest.raises(DomainError, match="expected emitter count"):
+            sample_scene(1e4, (20.0, 20.0, 10.0), 1)
 
 
 class TestSpotVolume:
@@ -118,6 +122,16 @@ class TestOccupancyStats:
     def test_needs_enough_trials(self):
         with pytest.raises(DomainError):
             occupancy_stats(0.43, ConfocalPsf(0.5), 999, 1)
+
+
+class TestOccupancyLimit:
+    def test_expected_points_beyond_limit_refused(self):
+        with pytest.raises(DomainError, match="expected point count"):
+            occupancy_stats(1e4, ConfocalPsf(2.0), 100_000, 1)
+
+    def test_trials_beyond_limit_refused(self):
+        with pytest.raises(DomainError, match="trial count"):
+            occupancy_stats(0.0, ConfocalPsf(0.5), MAX_SPATIAL_POINTS + 1, 1)
 
 
 class TestChainExists:
