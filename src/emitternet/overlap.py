@@ -358,6 +358,43 @@ class MonteCarloThreshold:
     n_censored: int
 
 
+# Most emitters one chunk of side-by-side trials in monte_carlo_threshold may
+# hold: 512 trials at the default max_emitters of 512. A chunk whose trials
+# all stay open peaks at about 75 bytes an emitter (20 MB).
+_MC_CHUNK_EMITTERS = 1 << 18
+
+
+def _first_closing(
+    a1: np.ndarray, a2: np.ndarray, combos: frozenset[LineCombo], window_mhz: float
+) -> np.ndarray:
+    """Per row of ``(rows, n)`` line arrays, the least j with some i < j closer than the window.
+
+    Rows without a close pair give n. Each row's 2n lines are sorted, and
+    the lines d places apart are compared for d = 1, 2, ... until no row has
+    two lines within the window d places apart. Each gap is compared with
+    the window as :func:`separation_mhz` compares it, and the sorted gaps
+    grow with d, so every close pair is met. The candidates are then tested
+    exactly, as in :func:`_close_pairs`.
+    """
+    rows, n = a1.shape
+    xs = np.concatenate([a1, a2], axis=1)
+    owner = np.argsort(xs, axis=1)
+    xs = np.take_along_axis(xs, owner, axis=1)
+    owner %= n
+    first = np.full(rows, n)
+    for d in range(1, 2 * n):
+        gap = xs[:, d:] - xs[:, :-d]
+        r, p = np.nonzero(np.multiply(gap, 1e3, out=gap) < window_mhz)
+        if not r.size:
+            break
+        u, v = owner[r, p], owner[r, p + d]
+        distinct = u != v
+        r, i, j = r[distinct], np.minimum(u, v)[distinct], np.maximum(u, v)[distinct]
+        close = separation_mhz((a1[r, i], a2[r, i]), (a1[r, j], a2[r, j]), combos) < window_mhz
+        np.minimum.at(first, r[close], j[close])
+    return first
+
+
 def monte_carlo_threshold(
     model: EnsembleModel,
     window_mhz: float,
@@ -374,6 +411,13 @@ def monte_carlo_threshold(
     from an independent block of sampled pairs (subkey ``(1,)``).
     Pairs are found, and ``combos`` must be closed under swapping the two
     emitters, as for :func:`overlap_curve`.
+
+    A trial draws blocks of 32, 64, 128, ... emitters, clipped at
+    ``max_emitters``, until one of them closes a pair. Trials run side by
+    side in chunks of ``_MC_CHUNK_EMITTERS // max_emitters``: after each
+    block, one sorted sweep per trial (:func:`_first_closing`) finds the
+    first emitter that closes a pair, and only the trials still open draw
+    their next block.
     """
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
@@ -381,22 +425,32 @@ def monte_carlo_threshold(
         raise DomainError(f"window must be positive, got {window_mhz}")
     if not (0.0 < target < 1.0):
         raise DomainError(f"target must lie in (0, 1), got {target}")
+    if max_emitters < 2:
+        raise DomainError(f"need max_emitters >= 2 to close a pair, got {max_emitters}")
     combos = _closed_combos(combos)
     spec = as_seed(seed)
 
-    stops = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        rng = spec.rng(0, t)
-        a1 = a2 = np.empty(0)
-        block, stop = 32, max_emitters + 1
-        while stop > max_emitters and len(a1) < max_emitters:
-            na1, na2 = sample_line_positions(model, min(block, max_emitters - len(a1)), rng)
-            a1, a2 = np.concatenate([a1, na1]), np.concatenate([a2, na2])
-            # stopping count = first emitter index that closes a pair (i < j);
-            # max_emitters + 1 marks a censored trial
-            stop = int(_close_pairs(a1, a2, combos, window_mhz)[1].min(initial=max_emitters)) + 1
+    # stopping count = 1 + first emitter index that closes a pair (i < j);
+    # max_emitters + 1 marks a censored trial
+    stops = np.full(trials, max_emitters + 1, dtype=np.int64)
+    chunk = max(1, _MC_CHUNK_EMITTERS // max_emitters)
+    for first in range(0, trials, chunk):
+        rngs = [spec.rng(0, t) for t in range(first, min(first + chunk, trials))]
+        live = np.arange(len(rngs))
+        a1 = a2 = np.empty((len(rngs), 0))
+        block = 32
+        while live.size and a1.shape[1] < max_emitters:
+            new = [
+                sample_line_positions(model, min(block, max_emitters - a1.shape[1]), rngs[r])
+                for r in live
+            ]
+            a1 = np.concatenate([a1, np.stack([n1 for n1, _ in new])], axis=1)
+            a2 = np.concatenate([a2, np.stack([n2 for _, n2 in new])], axis=1)
+            j = _first_closing(a1, a2, combos, window_mhz)
+            hit = j < a1.shape[1]
+            stops[first + live[hit]] = j[hit] + 1
+            live, a1, a2 = live[~hit], a1[~hit], a2[~hit]
             block *= 2
-        stops[t] = stop
 
     # Independent pairwise-rate estimate over >= trials sampled pairs.
     rng_q = spec.rng(1)
@@ -440,8 +494,16 @@ class HistogramResult:
     counts: tuple[int, ...]
 
 
+# Most bins :func:`histogram` builds; each costs about 50 bytes in the result.
+MAX_HISTOGRAM_BINS = 1_000_000
+
+
 def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) -> HistogramResult:
-    """Histogram with half-open bins; edge values go to the upper bin."""
+    """Histogram with half-open bins; edge values go to the upper bin.
+
+    A span of more than about :data:`MAX_HISTOGRAM_BINS` bins is refused
+    before any bin is allocated.
+    """
     if not bin_width > 0:
         raise DomainError(f"bin width must be positive, got {bin_width}")
     vals = np.asarray(values, dtype=float)
@@ -449,6 +511,15 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
         return HistogramResult(bin_edges=(), counts=())
     if not np.all(np.isfinite(vals)):
         raise DomainError("histogram values must be finite")
+    # huge spans overflow to inf (or inf - inf = nan): both are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = np.floor((np.array([vals.min(), vals.max()]) - origin) / bin_width)
+        span = hi - lo
+    if not span < MAX_HISTOGRAM_BINS:
+        raise DomainError(
+            f"histogram needs about {span + 1:.4g} bins of width {bin_width}, above the limit "
+            f"of {MAX_HISTOGRAM_BINS}; use a wider bin or a narrower ensemble"
+        )
     k = np.floor((vals - origin) / bin_width).astype(np.int64)
     # the division can round across an edge: place each value against the edges reported below
     k -= vals < origin + k * bin_width

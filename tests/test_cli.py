@@ -201,6 +201,16 @@ class TestSampleCommand:
         assert _stripped_bytes(tmp_path / "sample_summary.json") == first_summary
         assert (tmp_path / "line_list.csv").read_text() == first_lines
 
+    def test_histogram_beyond_bin_limit_exit_2(self, tmp_path, capsys):
+        # lines spread over +-1e9 GHz would need ~2e9 one-GHz bins
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"center": {"half_width_ghz": 1e9}}}))
+        code = main(["sample", "--config", str(cfg), "--n", "50", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "bins" in err["error"]
+        assert not (tmp_path / "sample_summary.json").exists()
+
 
 class TestFitPleCommand:
     def test_synthetic_two_peak_fit(self, tmp_path):
@@ -354,6 +364,22 @@ class TestSpatialCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DomainError" and "limit" in err["error"]
+        assert not (tmp_path / "spatial_summary.json").exists()
+
+    @pytest.mark.parametrize("window", ["-5", "0"])
+    def test_non_positive_chain_window_exit_2(self, tmp_path, capsys, window):
+        code = main(
+            [
+                "spatial",
+                "--lateral-fwhm-um", "0.5",
+                "--chain-k", "3",
+                "--chain-window-mhz", window,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "chain window" in err["error"]
         assert not (tmp_path / "spatial_summary.json").exists()
 
 

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from emitternet import (
     overlap_curve,
     sample_ensemble,
 )
-from emitternet.overlap import MAX_BIRTHDAY_EMITTERS
+from emitternet.overlap import MAX_BIRTHDAY_EMITTERS, MAX_HISTOGRAM_BINS
 from emitternet.spectral import sample_line_positions
 from emitternet.seeding import as_seed
 from conftest import make_table
@@ -355,6 +356,14 @@ class TestBirthdayThreshold:
         # n_star ~ 3.7e4 lies below the limit
         assert len(birthday_threshold(1e-9, 0.5).curve) == 37234
 
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.floats(1e-8, 1.0, exclude_min=True), target=st.floats(1e-9, 1.0, exclude_max=True))
+    def test_n_star_is_minimal(self, q, target):
+        r = birthday_threshold(q, target)
+        assert collision_probability(q, r.n_star) >= target
+        assert collision_probability(q, r.n_star - 1) < target
+        assert r.curve[-1] == (r.n_star, collision_probability(q, r.n_star))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             birthday_threshold(0.0, 0.5)
@@ -395,6 +404,11 @@ class TestMonteCarloThreshold:
             monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 999, 1)
         with pytest.raises(DomainError):
             monte_carlo_threshold(EnsembleModel(), 0.0, 0.5, 1000, 1)
+
+    @pytest.mark.parametrize("max_emitters", [1, 0, -3])
+    def test_too_few_emitters_to_close_a_pair_refused(self, max_emitters):
+        with pytest.raises(DomainError, match="max_emitters >= 2"):
+            monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 1000, 1, max_emitters=max_emitters)
 
 
 class TestHistogram:
@@ -445,3 +459,24 @@ class TestHistogram:
     def test_domain(self):
         with pytest.raises(DomainError):
             histogram([1.0], 0.0)
+
+    def test_bin_limit_refused_before_bins_are_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"about 1e\\+07 bins .* limit of {MAX_HISTOGRAM_BINS}"):
+                histogram([0.0, 1e7], 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bins alone used to peak at 481 MB
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("values, width", [([-1e300, 1e300], 1e-10), ([1e300], 1e-10)])
+    def test_span_beyond_integer_bins_refused(self, values, width):
+        with pytest.raises(DomainError, match="bins"):
+            histogram(values, width)
+
+    def test_span_at_the_limit_is_built(self):
+        result = histogram([0.5, MAX_HISTOGRAM_BINS - 0.5], 1.0)
+        assert len(result.counts) == MAX_HISTOGRAM_BINS
+        assert result.counts[0] == result.counts[-1] == 1

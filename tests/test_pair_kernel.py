@@ -31,6 +31,7 @@ from emitternet import (
     spectral_arrangement_rate,
 )
 from emitternet.overlap import MAX_CANDIDATE_PAIRS, MonteCarloThreshold, _closed_combos
+from emitternet.overlap import _first_closing
 from emitternet.seeding import as_seed
 from emitternet.spectral import sample_line_positions
 
@@ -164,6 +165,23 @@ def test_bootstrap_errors_match_dense(case, resamples, seed):
     assert curve.std_errors == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_first_closing_emitter_matches_dense(case, seed):
+    # rows: the ensemble and three shuffles of it, as one Monte Carlo chunk
+    emitters, windows, combos = case
+    n = len(emitters)
+    rng = np.random.default_rng(seed)
+    order = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(3)])
+    a1, a2 = emitters.a1_ghz[order], emitters.a2_ghz[order]
+    for w in windows:
+        want = []
+        for r in range(len(order)):
+            close = np.triu(dense_separation_matrix_mhz(a1[r], a2[r], combos) < w, k=1)
+            want.append(int(np.nonzero(close)[1].min(initial=n)))
+        assert _first_closing(a1, a2, combos, w).tolist() == want
+
+
 def test_bootstrap_matches_dense_across_draw_chunks():
     # n = 251 draws 31 resample rows per call, so 300 resamples span ten calls
     rng = np.random.default_rng(12)
@@ -293,10 +311,14 @@ A1A1, A2A2, A1A2, A2A1 = (LineCombo.A1_A1, LineCombo.A2_A2, LineCombo.A1_A2, Lin
         (BUNCHED, 300.0, {A2A2}, 512, 6),
         (FIXED_ZFS, 29.0, {A1A2, A2A1}, 40, 7),
         (FIXED_ZFS, 300.0, set(LineCombo), 512, 8),
+        (UNIFORM, 5.0, set(LineCombo), 45, 9),
+        (UNIFORM, 0.5, {A1A1}, 100, 10),
     ],
 )
 def test_monte_carlo_matches_dense_oracle(model, window_mhz, combos, max_emitters, seed):
-    # max_emitters=40 censors trials and clips the second block to 8 emitters
+    # max_emitters=40 censors trials and clips the second block to 8 emitters;
+    # 45 clips it to 13, and 37% of the trials reach that part-filled block;
+    # max_emitters=100 at 0.5 MHz censors about four trials in five
     got = monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     want = dense_monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     assert got.curve == want.curve

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitternet import (
     ConfocalPsf,
@@ -15,7 +17,7 @@ from emitternet import (
     spectral_arrangement_rate,
     spot_volume,
 )
-from emitternet.spatial import MAX_SPATIAL_POINTS, _chain_exists
+from emitternet.spatial import MAX_SPATIAL_POINTS, _chain_exists, _has_chain
 
 
 class TestSampleScene:
@@ -151,6 +153,21 @@ class TestChainExists:
                 )
                 assert got[t] == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        density=st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.9]),
+        trials=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        loops=st.booleans(),
+    )
+    def test_degree_filter_keeps_every_chain(self, k, density, trials, seed, loops):
+        adjacency = np.random.default_rng(seed).uniform(size=(trials, k, k)) < density
+        if not loops:
+            idx = np.arange(k)
+            adjacency[:, idx, idx] = False
+        assert np.array_equal(_has_chain(adjacency), _chain_exists(adjacency))
+
 
 class TestSpectralArrangementRate:
     def test_infinite_window(self):
@@ -191,6 +208,11 @@ class TestSpectralArrangementRate:
             spectral_arrangement_rate(EnsembleModel(), 1, 29.0, 10_000, 1)
         with pytest.raises(DomainError):
             spectral_arrangement_rate(EnsembleModel(), 2, 29.0, 9_999, 1)
+
+    @pytest.mark.parametrize("window_mhz", [0.0, -5.0, -math.inf, math.nan])
+    def test_window_must_be_positive(self, window_mhz):
+        with pytest.raises(DomainError, match="chain window must be positive"):
+            spectral_arrangement_rate(EnsembleModel(), 3, window_mhz, 10_000, 1)
 
 
 class TestPoissonTailHelper:
