@@ -211,19 +211,17 @@ def _cmd_sample(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     model = cfg.ensemble_model()
     n = cfg.data["sample"]["n_emitters"]
     emitters = sample_ensemble(model, n, seed)
+    # both histograms are binned before any file is written, so a refused one leaves none
+    hists = {
+        "zfs_histogram.csv": histogram(emitters.zfs_ghz, 0.025),
+        "line_histogram.csv": histogram(np.concatenate([emitters.a1_ghz, emitters.a2_ghz]), 1.0),
+    }
     write_line_list(out_dir / "line_list.csv", emitters, comments=_csv_comments(cfg, seed))
     summary = summarize_ensemble(emitters) if n >= 2 else None
-
-    def _write_histogram(name: str, values, bin_width: float) -> str:
-        hist = histogram(values, bin_width)
+    for name, hist in hists.items():
         rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
         header = ["bin_low", "bin_high", "count"]
         write_table(out_dir / name, header, rows, _csv_comments(cfg, seed))
-        return name
-
-    zfs_csv = _write_histogram("zfs_histogram.csv", emitters.zfs_ghz, 0.025)
-    line_values = np.concatenate([emitters.a1_ghz, emitters.a2_ghz])
-    lines_csv = _write_histogram("line_histogram.csv", line_values, 1.0)
     results = {
         "n_emitters": n,
         "zfs_ghz": vars(summary.zfs_ghz) if summary else None,
@@ -233,8 +231,8 @@ def _cmd_sample(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "detuning_max_ghz": summary.detuning_max_ghz if summary else None,
         "lifetime_limited_linewidth_mhz": model.gamma_mhz,
         "line_list": "line_list.csv",
-        "zfs_histogram_csv": zfs_csv,
-        "line_histogram_csv": lines_csv,
+        "zfs_histogram_csv": "zfs_histogram.csv",
+        "line_histogram_csv": "line_histogram.csv",
         "provenance_note": PROVENANCE_NOTE,
     }
     _write_summary(out_dir, "sample", cfg, seed, results)

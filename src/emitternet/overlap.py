@@ -46,9 +46,9 @@ class OverlapCurve:
             raise DomainError("probabilities must be non-decreasing in the window")
 
 
-# Most candidate line pairs the sweep in :func:`_candidate_pairs` may build.
-# Each costs about 60 bytes at peak, so the limit stands for a few GB; a
-# request above it is refused before any pair array is allocated.
+# Most candidate line pairs :func:`_close_pairs` may visit. Each costs about
+# 32 bytes at peak (traced), so the limit stands for about 3 GB; a request
+# above it is refused before any pair array is allocated.
 MAX_CANDIDATE_PAIRS = 100_000_000
 
 
@@ -71,55 +71,66 @@ def _closed_combos(combos: Iterable[LineCombo]) -> frozenset[LineCombo]:
     return combos
 
 
-def _candidate_pairs(
-    a1: np.ndarray, a2: np.ndarray, reach_ghz: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct emitter pairs (i < j) having some line pair within ``reach_ghz``.
+def _close_pairs(
+    a1: np.ndarray, a2: np.ndarray, combos: frozenset[LineCombo], window_mhz: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every emitter pair closer than the window, in each row of ``(rows, n)`` line arrays.
 
-    A sorted sweep over all 2n lines: ``searchsorted`` gives, for each line,
-    how many lines follow it within reach, so the candidates are counted
-    (and refused above :data:`MAX_CANDIDATE_PAIRS`) before any is built.
+    Emitter i of row r is numbered r * n + i. Returns ``(u, v, sep)``: each
+    close pair once, as u < v in ascending order, with its
+    :func:`~emitternet.spectral.separation_mhz`. Each row's 2n lines are
+    sorted and the lines d places apart compared for d = 1, 2, ...; a line
+    goes on to d + 1 while its gap stays below the window. Gaps are compared
+    as :func:`separation_mhz` compares them and grow with d, so every line
+    pair that makes two emitters close is met; each pair met is then tested.
     """
-    n = len(a1)
-    x = np.concatenate([a1, a2])
-    order = np.argsort(x, kind="stable")
-    xs, owner = x[order], order % n
-    ahead = np.searchsorted(xs, xs + reach_ghz, side="right") - np.arange(2 * n) - 1
-    total = int(ahead.sum())
-    if total > MAX_CANDIDATE_PAIRS:
-        raise DomainError(
-            f"overlap search needs {total} candidate line pairs, above the limit of "
-            f"{MAX_CANDIDATE_PAIRS}; use fewer emitters or narrower windows"
-        )
-    i = np.repeat(np.arange(2 * n), ahead)
-    j = i + 1 + np.arange(total) - np.repeat(np.cumsum(ahead) - ahead, ahead)
-    i, j = owner[i], owner[j]
-    distinct = i != j
-    keys = np.minimum(i, j)[distinct] * n + np.maximum(i, j)[distinct]
-    # One emitter pair can be reached through up to four line pairs. Sort and
+    rows, n = a1.shape
+    # each row's lines, then an inf that ends every run of gaps below the window
+    xs = np.concatenate([a1, a2, np.full((rows, 1), np.inf)], axis=1)
+    order = np.argsort(xs, axis=1)
+    xs = np.take_along_axis(xs, order, axis=1)
+    if rows * n * (2 * n - 1) > MAX_CANDIDATE_PAIRS:  # a row has C(2n, 2) line pairs
+        # count them with a reach widened for rounding, so the sweep meets no more
+        reach = window_mhz * 1e-3 * (1 + 1e-9)
+        reach += 8 * np.spacing(np.abs(xs[:, :-1]).max() + reach)
+        total = sum(int(np.searchsorted(x, x + reach, "right").sum()) for x in xs[:, :-1])
+        total -= rows * n * (2 * n + 1)
+        if total > MAX_CANDIDATE_PAIRS:
+            raise DomainError(
+                f"overlap search needs {total} candidate line pairs, above the limit of "
+                f"{MAX_CANDIDATE_PAIRS}; use fewer emitters or narrower windows"
+            )
+    # p: the flat positions whose line is within the window of the line d places on
+    gap = np.diff(xs, axis=1)
+    p = np.flatnonzero(np.multiply(gap, 1e3, out=gap) < window_mhz)
+    p += p // (2 * n)  # from the (rows, 2n) gaps to the flat (rows, 2n + 1) lines
+    xs, owner = xs.ravel(), (order % n + n * np.arange(rows)[:, None]).ravel()
+    keys, d = [], 1
+    while p.size:
+        u, v = owner[p], owner[p + d]
+        keys.append(np.minimum(u, v) * (rows * n) + np.maximum(u, v))
+        d += 1
+        gap = xs[p + d] - xs[p]
+        p = p[np.multiply(gap, 1e3, out=gap) < window_mhz]
+    keys = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    # One emitter pair can be met through up to four line pairs. Sort and
     # drop repeats; np.unique does the same but far slower on numpy 2.x.
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return np.divmod(keys[first], n)
-
-
-def _close_pairs(
-    a1: np.ndarray, a2: np.ndarray, combos: frozenset[LineCombo], max_window_mhz: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unordered emitter pairs (i < j) closer than ``max_window_mhz``, with separations.
-
-    The separation of each candidate pair is taken exactly, by
-    :func:`~emitternet.spectral.separation_mhz`. The sweep's reach
-    is widened by a relative and an absolute rounding margin, so no pair
-    that passes this exact strict test is lost before it.
-    """
-    reach_ghz = float(max_window_mhz) * 1e-3
-    scale = max(np.abs(a1).max(), np.abs(a2).max()) + reach_ghz
-    i, j = _candidate_pairs(a1, a2, reach_ghz * (1 + 1e-9) + 8 * np.spacing(scale))
-    sep = separation_mhz((a1[i], a2[i]), (a1[j], a2[j]), combos)
-    close = sep < max_window_mhz
-    return i[close], j[close], sep[close]
+    u, v = np.divmod(keys[first], rows * n)
+    del keys, first
+    # Test in blocks, so the gathered lines stay small, and pack the close
+    # pairs to the front of u, v and sep.
+    a1, a2, sep, kept = a1.ravel(), a2.ravel(), np.empty(len(u)), 0
+    for b in range(0, len(u), 1 << 16):
+        x, y = u[b : b + (1 << 16)], v[b : b + (1 << 16)]
+        sep_xy = separation_mhz((a1[x], a2[x]), (a1[y], a2[y]), combos)
+        close = (x != y) & (sep_xy < window_mhz)
+        end = kept + np.count_nonzero(close)
+        u[kept:end], v[kept:end], sep[kept:end] = x[close], y[close], sep_xy[close]
+        kept = end
+    return u[:kept], v[:kept], sep[:kept]
 
 
 def _bootstrap_std_errors(
@@ -192,7 +203,7 @@ def overlap_curve(
     if bootstrap_resamples is not None and bootstrap_resamples < 100:
         raise DomainError(f"need at least 100 resamples, got {bootstrap_resamples}")
 
-    i, j, sep = _close_pairs(emitters.a1_ghz, emitters.a2_ghz, combos, windows[-1])
+    i, j, sep = _close_pairs(emitters.a1_ghz[None], emitters.a2_ghz[None], combos, windows[-1])
     # Each pair goes to the bucket of the first window it satisfies; the
     # smallest integer type lets the bucket sort below run as a radix sort.
     bucket = np.searchsorted(windows, sep, side="right")
@@ -369,29 +380,12 @@ def _first_closing(
 ) -> np.ndarray:
     """Per row of ``(rows, n)`` line arrays, the least j with some i < j closer than the window.
 
-    Rows without a close pair give n. Each row's 2n lines are sorted, and
-    the lines d places apart are compared for d = 1, 2, ... until no row has
-    two lines within the window d places apart. Each gap is compared with
-    the window as :func:`separation_mhz` compares it, and the sorted gaps
-    grow with d, so every close pair is met. The candidates are then tested
-    exactly, as in :func:`_close_pairs`.
+    Rows without a close pair give n.
     """
     rows, n = a1.shape
-    xs = np.concatenate([a1, a2], axis=1)
-    owner = np.argsort(xs, axis=1)
-    xs = np.take_along_axis(xs, owner, axis=1)
-    owner %= n
+    _, v, _ = _close_pairs(a1, a2, combos, window_mhz)
     first = np.full(rows, n)
-    for d in range(1, 2 * n):
-        gap = xs[:, d:] - xs[:, :-d]
-        r, p = np.nonzero(np.multiply(gap, 1e3, out=gap) < window_mhz)
-        if not r.size:
-            break
-        u, v = owner[r, p], owner[r, p + d]
-        distinct = u != v
-        r, i, j = r[distinct], np.minimum(u, v)[distinct], np.maximum(u, v)[distinct]
-        close = separation_mhz((a1[r, i], a2[r, i]), (a1[r, j], a2[r, j]), combos) < window_mhz
-        np.minimum.at(first, r[close], j[close])
+    np.minimum.at(first, *np.divmod(v, n))
     return first
 
 

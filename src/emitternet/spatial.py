@@ -162,6 +162,10 @@ def occupancy_stats(
     )
 
 
+# Most bytes of one _chain_exists DP tensor: k <= 12 chunks fit; k = 16 runs 64 trials.
+_CHAIN_DP_BYTES = 64 << 20
+
+
 def _chain_exists(adjacency: np.ndarray) -> np.ndarray:
     """Vectorized Hamiltonian-path test over trials.
 
@@ -192,17 +196,20 @@ def _has_chain(adjacency: np.ndarray) -> np.ndarray:
 
     A Hamiltonian path over k vertices leaves k - 1 of them and enters
     k - 1 of them, so a trial with fewer vertices of nonzero out-degree, or
-    of nonzero in-degree, has no chain.
+    of nonzero in-degree, has no chain. Survivors run in slices of
+    :data:`_CHAIN_DP_BYTES`.
     """
     k = adjacency.shape[1]
     # trials last: numpy reduces the short u and v axes far faster there
     steps = np.ascontiguousarray(adjacency.transpose(1, 2, 0))
     leaves = np.logical_or.reduce(steps, axis=1).sum(axis=0)
     enters = np.logical_or.reduce(steps, axis=0).sum(axis=0)
-    passes = (leaves >= k - 1) & (enters >= k - 1)
+    survivors = np.flatnonzero((leaves >= k - 1) & (enters >= k - 1))
     found = np.zeros(len(adjacency), dtype=bool)
-    if passes.any():
-        found[passes] = _chain_exists(adjacency[passes])
+    step = max(1, _CHAIN_DP_BYTES // ((1 << k) * k))
+    for start in range(0, len(survivors), step):
+        t = survivors[start : start + step]
+        found[t] = _chain_exists(adjacency[t])
     return found
 
 

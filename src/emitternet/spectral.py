@@ -309,17 +309,16 @@ def min_pair_separation(
 ) -> float:
     """Smallest |line - line| frequency gap between two emitters, in MHz.
 
-    ``combos`` selects which of the four line pairings are compared;
-    default is all four (cross pairings included, since an A2 of one
-    emitter can coincide with the A1 of another).
+    :func:`separation_mhz` for one pair. ``combos`` selects which of the
+    four line pairings are compared; default is all four (cross pairings
+    included, since an A2 of one emitter can coincide with the A1 of another).
     """
     combos = frozenset(combos)
     if not combos:
         raise DomainError("combos must be a non-empty subset of the four line pairings")
-    l1 = (e1.a1_ghz, e1.a2_ghz)
-    l2 = (e2.a1_ghz, e2.a2_ghz)
-    sep_ghz = min(abs(l1[i] - l2[j]) for (i, j) in (c.value for c in combos))
-    return sep_ghz * 1e3
+    x = np.array([[e1.a1_ghz], [e1.a2_ghz]])
+    y = np.array([[e2.a1_ghz], [e2.a2_ghz]])
+    return float(separation_mhz(tuple(x), tuple(y), combos)[0])
 
 
 @dataclass(frozen=True)

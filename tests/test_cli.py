@@ -211,6 +211,15 @@ class TestSampleCommand:
         assert err["type"] == "DomainError" and "bins" in err["error"]
         assert not (tmp_path / "sample_summary.json").exists()
 
+    def test_refused_histogram_leaves_no_files(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"center": {"half_width_ghz": 1e9}}}))
+        out = tmp_path / "out"
+        code = main(["sample", "--config", str(cfg), "--n", "50", "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["type"] == "DomainError"
+        assert list(out.iterdir()) == []
+
 
 class TestFitPleCommand:
     def test_synthetic_two_peak_fit(self, tmp_path):

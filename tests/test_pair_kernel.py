@@ -31,7 +31,7 @@ from emitternet import (
     spectral_arrangement_rate,
 )
 from emitternet.overlap import MAX_CANDIDATE_PAIRS, MonteCarloThreshold, _closed_combos
-from emitternet.overlap import _first_closing
+from emitternet.overlap import _close_pairs, _first_closing
 from emitternet.seeding import as_seed
 from emitternet.spectral import sample_line_positions
 
@@ -180,6 +180,44 @@ def test_first_closing_emitter_matches_dense(case, seed):
             close = np.triu(dense_separation_matrix_mhz(a1[r], a2[r], combos) < w, k=1)
             want.append(int(np.nonzero(close)[1].min(initial=n)))
         assert _first_closing(a1, a2, combos, w).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_close_pairs_match_dense_on_shuffled_rows(case, rows, seed):
+    emitters, windows, combos = case
+    n = len(emitters)
+    rng = np.random.default_rng(seed)
+    order = np.array([rng.permutation(n) for _ in range(rows)])
+    a1, a2 = emitters.a1_ghz[order], emitters.a2_ghz[order]
+    for w in windows:
+        want = set()
+        for r in range(rows):
+            sep = dense_separation_matrix_mhz(a1[r], a2[r], combos)
+            i, j = np.nonzero(np.triu(sep < w, k=1))
+            want |= {(r, a, b, sep[a, b]) for a, b in zip(i.tolist(), j.tolist())}
+        u, v, sep = _close_pairs(a1, a2, combos, w)
+        # numbered r * n + i, ordered, each pair once
+        assert np.all(u[1:] * n * rows + v[1:] > u[:-1] * n * rows + v[:-1])
+        r, i = np.divmod(u, n)
+        got = list(zip(r.tolist(), i.tolist(), (v - r * n).tolist(), sep.tolist()))
+        assert len(got) == len(want) and set(got) == want
+
+
+def test_close_pairs_span_several_exact_blocks():
+    # 400 emitters within 1 GHz: the widest window closes all 79,800 pairs,
+    # more than one block of 2^16 exact tests
+    rng = np.random.default_rng(21)
+    emitters = make_table(rng.uniform(-0.5, 0.5, 400))
+    combos = frozenset(LineCombo)
+    u, v, sep = _close_pairs(emitters.a1_ghz[None], emitters.a2_ghz[None], combos, 2e4)
+    dense = dense_separation_matrix_mhz(emitters.a1_ghz, emitters.a2_ghz, combos)
+    i, j = np.triu_indices(400, k=1)
+    assert np.array_equal(u, i) and np.array_equal(v, j) and np.array_equal(sep, dense[i, j])
+    windows = [100.0, 300.0, 600.0, 2e4]
+    assert overlap_curve(emitters, windows).probabilities == dense_probabilities(
+        emitters, windows, combos
+    )[0]
 
 
 def test_bootstrap_matches_dense_across_draw_chunks():

@@ -17,6 +17,7 @@ from emitternet import (
     spectral_arrangement_rate,
     spot_volume,
 )
+from emitternet import spatial
 from emitternet.spatial import MAX_SPATIAL_POINTS, _chain_exists, _has_chain
 
 
@@ -167,6 +168,17 @@ class TestChainExists:
             idx = np.arange(k)
             adjacency[:, idx, idx] = False
         assert np.array_equal(_has_chain(adjacency), _chain_exists(adjacency))
+
+    @pytest.mark.parametrize("k, density", [(3, 0.4), (5, 0.35), (7, 0.25)])
+    def test_survivors_beyond_one_slice(self, k, density, monkeypatch):
+        # a budget of seven trials' DP tensors: the survivors take many slices
+        monkeypatch.setattr(spatial, "_CHAIN_DP_BYTES", 7 * (1 << k) * k + 1)
+        adjacency = np.random.default_rng(k).uniform(size=(400, k, k)) < density
+        idx = np.arange(k)
+        adjacency[:, idx, idx] = False
+        found = _has_chain(adjacency)
+        assert 7 < found.sum() < len(found)
+        assert np.array_equal(found, _chain_exists(adjacency))
 
 
 class TestSpectralArrangementRate:
