@@ -46,6 +46,11 @@ class OverlapCurve:
             raise DomainError("probabilities must be non-decreasing in the window")
 
 
+# Most bootstrap values (windows x resamples) :func:`overlap_curve` computes.
+# Each costs about 10 bytes at peak (traced), so the limit stands for about
+# 1 GB; a larger request is refused before any index is drawn.
+MAX_BOOTSTRAP_VALUES = 100_000_000
+
 # Most candidate line pairs :func:`_close_pairs` may visit. Each costs about
 # 32 bytes at peak (traced), so the limit stands for about 3 GB; a request
 # above it is refused before any pair array is allocated.
@@ -200,8 +205,14 @@ def overlap_curve(
         raise DomainError("windows must be positive and finite")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise DomainError("windows must be strictly ascending")
-    if bootstrap_resamples is not None and bootstrap_resamples < 100:
-        raise DomainError(f"need at least 100 resamples, got {bootstrap_resamples}")
+    if bootstrap_resamples is not None:
+        if bootstrap_resamples < 100:
+            raise DomainError(f"need at least 100 resamples, got {bootstrap_resamples}")
+        if len(windows) * bootstrap_resamples > MAX_BOOTSTRAP_VALUES:
+            raise DomainError(
+                f"{len(windows)} windows x {bootstrap_resamples} resamples exceeds the "
+                f"bootstrap limit of {MAX_BOOTSTRAP_VALUES:.0e} values"
+            )
 
     i, j, sep = _close_pairs(emitters.a1_ghz[None], emitters.a2_ghz[None], combos, windows[-1])
     # Each pair goes to the bucket of the first window it satisfies; the
@@ -369,6 +380,12 @@ class MonteCarloThreshold:
     n_censored: int
 
 
+# Most trials :func:`monte_carlo_threshold` runs. The stopping times and the
+# pairwise-rate sample take about 80 bytes a trial at peak (traced), so the
+# limit stands for about 0.8 GB; more trials are refused before any generator
+# is made.
+MAX_MC_TRIALS = 10_000_000
+
 # Most emitters one chunk of side-by-side trials in monte_carlo_threshold may
 # hold: 512 trials at the default max_emitters of 512. A chunk whose trials
 # all stay open peaks at about 75 bytes an emitter (20 MB).
@@ -415,6 +432,8 @@ def monte_carlo_threshold(
     """
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
+    if trials > MAX_MC_TRIALS:
+        raise DomainError(f"trial count {trials} exceeds the limit of {MAX_MC_TRIALS:.0e} trials")
     if not window_mhz > 0:
         raise DomainError(f"window must be positive, got {window_mhz}")
     if not (0.0 < target < 1.0):

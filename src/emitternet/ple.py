@@ -20,6 +20,10 @@ from .spectral import EnsembleModel
 # Convergence contract for the fitter.
 FIT_RELATIVE_TOLERANCE = 1e-8
 FIT_MAX_ITERATIONS = 500
+# Most Jacobian entries, points x (3k + 1), one fit may hold. The fit peaks at
+# about 60 bytes an entry (traced), so the limit stands for about 0.6 GB; a
+# larger fit is refused before the initial guess is made.
+MAX_FIT_JACOBIAN_ENTRIES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -189,12 +193,19 @@ def fit_multi_lorentzian(
     evaluations; hitting the cap yields ``converged=False`` rather than an
     exception. With ``guess=None`` the initial peaks come from
     :func:`initial_guess`, so an undetectable k raises
-    :class:`PeakDetectionError`.
+    :class:`PeakDetectionError`. A fit whose Jacobian would hold more than
+    :data:`MAX_FIT_JACOBIAN_ENTRIES` entries is refused.
     """
-    from scipy.optimize import least_squares
-
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
+    entries = len(spectrum.frequencies_ghz) * (3 * k + 1)
+    if entries > MAX_FIT_JACOBIAN_ENTRIES:
+        raise DomainError(
+            f"fit Jacobian of {entries:.3g} entries exceeds the limit of "
+            f"{MAX_FIT_JACOBIAN_ENTRIES:.0e}"
+        )
+    from scipy.optimize import least_squares
+
     if guess is None:
         guess = initial_guess(spectrum, k)
     if len(guess) != k:

@@ -162,54 +162,39 @@ def occupancy_stats(
     )
 
 
-# Most bytes of one _chain_exists DP tensor: k <= 12 chunks fit; k = 16 runs 64 trials.
-_CHAIN_DP_BYTES = 64 << 20
+def _has_chain(adjacency: np.ndarray) -> np.ndarray:
+    """Per trial, whether some ordering of the k vertices steps only along ``adjacency``.
 
-
-def _chain_exists(adjacency: np.ndarray) -> np.ndarray:
-    """Vectorized Hamiltonian-path test over trials.
-
-    ``adjacency[t, u, v]`` marks an allowed consecutive step u -> v in
-    trial t. Subset dynamic programming, exact for any k (equivalent to
-    enumerating all orderings).
+    ``adjacency[t, u, v]`` marks an allowed step u -> v in trial t; k <= 16.
+    ``pred[v, t]`` is the bitmask of the vertices with a step into v. A
+    Hamiltonian path leaves k - 1 vertices and enters k - 1, so trials where
+    fewer have a step out, or a step in, are ruled out first. On the rest,
+    ``ends[mask, t]`` is the bitmask of the vertices where a path covering
+    exactly ``mask`` can end (Bellman-Held-Karp subset dynamic programming),
+    filled one mask size at a time; it is exact for any ordering.
     """
     trials, k, _ = adjacency.shape
     full = (1 << k) - 1
-    dp = np.zeros((1 << k, k, trials), dtype=bool)
-    for v in range(k):
-        dp[1 << v, v, :] = True
-    for mask in range(1, full + 1):
-        for v in range(k):
-            if not (mask >> v) & 1 or mask == (1 << v):
-                continue
-            prev = mask ^ (1 << v)
-            reach = np.zeros(trials, dtype=bool)
-            for u in range(k):
-                if (prev >> u) & 1:
-                    reach |= dp[prev, u, :] & adjacency[:, u, v]
-            dp[mask, v, :] = reach
-    return dp[full].any(axis=0)
-
-
-def _has_chain(adjacency: np.ndarray) -> np.ndarray:
-    """:func:`_chain_exists`, run only on the trials that pass a degree filter.
-
-    A Hamiltonian path over k vertices leaves k - 1 of them and enters
-    k - 1 of them, so a trial with fewer vertices of nonzero out-degree, or
-    of nonzero in-degree, has no chain. Survivors run in slices of
-    :data:`_CHAIN_DP_BYTES`.
-    """
-    k = adjacency.shape[1]
-    # trials last: numpy reduces the short u and v axes far faster there
+    bits = np.uint16(1) << np.arange(k, dtype=np.uint16)
+    # trials last: numpy reduces the short u axis far faster there
     steps = np.ascontiguousarray(adjacency.transpose(1, 2, 0))
-    leaves = np.logical_or.reduce(steps, axis=1).sum(axis=0)
-    enters = np.logical_or.reduce(steps, axis=0).sum(axis=0)
-    survivors = np.flatnonzero((leaves >= k - 1) & (enters >= k - 1))
-    found = np.zeros(len(adjacency), dtype=bool)
-    step = max(1, _CHAIN_DP_BYTES // ((1 << k) * k))
-    for start in range(0, len(survivors), step):
-        t = survivors[start : start + step]
-        found[t] = _chain_exists(adjacency[t])
+    pred = np.bitwise_or.reduce(steps * bits[:, None, None], axis=0)
+    # at most one vertex without a step out: its bit is the only one missing
+    missing = np.uint16(full) & ~np.bitwise_or.reduce(pred, axis=0)
+    leaves = (missing & (missing - np.uint16(1))) == 0
+    keep = np.flatnonzero(leaves & (np.count_nonzero(pred, axis=0) >= k - 1))
+    pred = pred[:, keep]
+    ends = np.zeros((1 << k, len(keep)), dtype=np.uint16)
+    ends[bits] = bits[:, None]
+    masks = np.arange(1 << k)
+    size = sum(masks >> v & 1 for v in range(k))
+    for p in range(2, k + 1):
+        layer = masks[size == p]
+        for v in range(k):
+            m = layer[layer >> v & 1 == 1]
+            ends[m] |= ((ends[m ^ 1 << v] & pred[v]) != 0) * bits[v]
+    found = np.zeros(trials, dtype=bool)
+    found[keep] = ends[full] != 0
     return found
 
 
@@ -224,8 +209,7 @@ def spectral_arrangement_rate(
 
     A chain is an ordering where every consecutive A2(i) to A1(i+1) gap is
     below the window. Per trial the existence check is exact (subset
-    dynamic programming over all orderings, skipped where a degree count
-    already rules a chain out).
+    dynamic programming over all orderings, see :func:`_has_chain`).
     """
     if k < 2:
         raise DomainError(f"chain length must be >= 2, got {k}")

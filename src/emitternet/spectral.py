@@ -246,15 +246,27 @@ def sample_line_positions(
     return centers - 0.5 * zfs, centers + 0.5 * zfs
 
 
+# Most emitters :func:`sample_ensemble` draws. It peaks at about 160 bytes an
+# emitter (traced), and the ``sample`` command's line-list writer at about
+# twice that, so the limit stands for about 0.8 GB; a larger n is refused
+# before any generator is made.
+MAX_ENSEMBLE_EMITTERS = 5_000_000
+
+
 def sample_ensemble(model: EnsembleModel, n: int, seed: SeedSpec | int) -> LineTable:
     """Sample n emitters; deterministic for a given (seed, stream_index).
 
     Per emitter: center ~ ``model.centers``, ZFS ~ truncated normal,
     lines at center -+ ZFS/2, and one FWHM draw per line. Ids are
-    ``e000``, ``e001``, ..., zero-padded to the widest index.
+    ``e000``, ``e001``, ..., zero-padded to the widest index. An n above
+    :data:`MAX_ENSEMBLE_EMITTERS` is refused.
     """
     if n < 1:
         raise DomainError(f"ensemble size must be >= 1, got {n}")
+    if n > MAX_ENSEMBLE_EMITTERS:
+        raise DomainError(
+            f"ensemble size {n} exceeds the limit of {MAX_ENSEMBLE_EMITTERS} emitters"
+        )
     rng = as_seed(seed).rng()
     a1, a2 = sample_line_positions(model, n, rng)
     fwhm = _truncated_normal(rng, model.fwhm_mean_mhz, model.fwhm_sigma_mhz, 2 * n).reshape(n, 2)

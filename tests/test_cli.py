@@ -75,6 +75,14 @@ class TestBirthdayCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DomainError"
 
+    def test_monte_carlo_trials_beyond_limit_exit_2(self, tmp_path, capsys):
+        # the stopping times alone would take 14.9 GiB
+        code = main(["birthday", "--mc", "--trials", "2000000000", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "limit" in err["error"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_threshold_beyond_curve_limit_exit_2(self, tmp_path, capsys):
         # n_star ~ 3.7e7: the curve would hold one point per emitter
         code = main(["birthday", "--q", "1e-15", "--out", str(tmp_path)])
@@ -176,6 +184,14 @@ class TestOverlapCommand:
         assert err["type"] == "LineListError"
         assert "x" in err["error"]
 
+    def test_bootstrap_beyond_limit_exit_2(self, tmp_path, capsys):
+        # 10 default windows x 1e9 resamples: a 74.5 GiB value array
+        code = main(["overlap", "--n", "50", "--bootstrap", "1000000000", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "bootstrap limit" in err["error"]
+        assert not (tmp_path / "overlap_summary.json").exists()
+
 
 class TestSampleCommand:
     def test_writes_parseable_line_list(self, tmp_path):
@@ -210,6 +226,14 @@ class TestSampleCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DomainError" and "bins" in err["error"]
         assert not (tmp_path / "sample_summary.json").exists()
+
+    def test_ensemble_beyond_limit_exit_2(self, tmp_path, capsys):
+        # the line positions alone would take 14.9 GiB each
+        code = main(["sample", "--n", "2000000000", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "limit" in err["error"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_refused_histogram_leaves_no_files(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -249,6 +273,14 @@ class TestFitPleCommand:
         assignment = results["pair_assignment"]
         assert assignment["shared_peak"] == 1
         assert assignment["zfs1_ghz"] == pytest.approx(1.027, abs=0.03)
+
+    def test_fit_beyond_jacobian_limit_exit_2(self, tmp_path, capsys):
+        # 18000 points x 901 parameters; k = 2000 would need a 5.4 GiB Jacobian
+        code = main(["fit-ple", "--synthetic", "--k", "300", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "Jacobian" in err["error"]
+        assert not (tmp_path / "fit_ple_summary.json").exists()
 
     def test_sidecar_without_dwell_time_exit_2(self, tmp_path, capsys):
         spectrum = tmp_path / "spec.csv"

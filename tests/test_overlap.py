@@ -25,6 +25,7 @@ from emitternet import (
     overlap_curve,
     sample_ensemble,
 )
+from emitternet import overlap
 from emitternet.overlap import MAX_BIRTHDAY_EMITTERS, MAX_HISTOGRAM_BINS
 from emitternet.spectral import sample_line_positions
 from emitternet.seeding import as_seed
@@ -183,6 +184,26 @@ class TestBootstrapStdError:
         a = bootstrap_std_error(fixture_50_12, 29.0, resamples=300, seed=8)
         b = bootstrap_std_error(fixture_50_12, 29.0, resamples=300, seed=8)
         assert a == b
+
+    def test_values_beyond_limit_refused_before_allocation(self, fixture_50_12):
+        windows = [29.0 * f for f in range(1, 11)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="10 windows x 1000000000 resamples"):
+                overlap_curve(fixture_50_12, windows, bootstrap_resamples=10**9, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (10, 1e9) value array alone would take 74.5 GiB
+        assert peak < 1e6
+
+    def test_values_at_the_limit_are_computed(self, fixture_50_12, monkeypatch):
+        monkeypatch.setattr(overlap, "MAX_BOOTSTRAP_VALUES", 1000)
+        curve = overlap_curve(fixture_50_12, [14.5, 29.0], bootstrap_resamples=500, seed=1)
+        single = bootstrap_std_error(fixture_50_12, 29.0, resamples=500, seed=1)
+        assert curve.std_errors[1] == single
+        with pytest.raises(DomainError, match="bootstrap limit"):
+            overlap_curve(fixture_50_12, [14.5, 29.0], bootstrap_resamples=501, seed=1)
 
 
 class TestSlopeFit:
@@ -404,6 +425,23 @@ class TestMonteCarloThreshold:
             monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 999, 1)
         with pytest.raises(DomainError):
             monte_carlo_threshold(EnsembleModel(), 0.0, 0.5, 1000, 1)
+
+    def test_trials_beyond_limit_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="trial count 2000000000 exceeds"):
+                monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 2_000_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stopping times alone would take 14.9 GiB
+        assert peak < 1e6
+
+    def test_trials_at_the_limit_run(self, monkeypatch):
+        monkeypatch.setattr(overlap, "MAX_MC_TRIALS", 1000)
+        assert monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 1000, 9).trials == 1000
+        with pytest.raises(DomainError, match="limit of 1e\\+03 trials"):
+            monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 1001, 9)
 
     @pytest.mark.parametrize("max_emitters", [1, 0, -3])
     def test_too_few_emitters_to_close_a_pair_refused(self, max_emitters):

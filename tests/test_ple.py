@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from emitternet import (
     lorentzian_value,
     synthesize,
 )
+from emitternet import ple
 
 
 def _fit_from_centers(centers_ghz):
@@ -229,6 +232,28 @@ class TestFitMultiLorentzian:
         spec = synthesize(truth, background=1.0, grid_ghz=grid)
         fit = fit_multi_lorentzian(spec, 2)
         assert fit.peaks[0].center_ghz < fit.peaks[1].center_ghz
+
+    def test_jacobian_beyond_limit_refused_before_the_guess(self):
+        # a flat spectrum: the initial guess would raise PeakDetectionError
+        spec = PleSpectrum(np.linspace(-50.0, 50.0, 40_000), np.ones(40_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="Jacobian of 1.2e\\+07 entries"):
+                fit_multi_lorentzian(spec, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (40000, 301) Jacobian alone would take 96 MB
+        assert peak < 1e6
+
+    def test_jacobian_at_the_limit_is_fitted(self, monkeypatch):
+        truth = [LorentzianPeak(center_ghz=0.2, fwhm_mhz=300.0, amplitude=100.0)]
+        spec = synthesize(truth, background=5.0, grid_ghz=np.linspace(-2, 2, 401))
+        monkeypatch.setattr(ple, "MAX_FIT_JACOBIAN_ENTRIES", 401 * 4)
+        assert fit_multi_lorentzian(spec, 1).converged
+        monkeypatch.setattr(ple, "MAX_FIT_JACOBIAN_ENTRIES", 401 * 4 - 1)
+        with pytest.raises(DomainError, match="Jacobian"):
+            fit_multi_lorentzian(spec, 1)
 
 
 class TestClassifyPairSpectrum:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from emitternet import (
     sample_ensemble,
     summarize_ensemble,
 )
+from emitternet import spectral
+from emitternet.spectral import MAX_ENSEMBLE_EMITTERS
 from conftest import make_emitter
 
 
@@ -103,6 +106,23 @@ class TestSampleEnsemble:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             sample_ensemble(EnsembleModel(), 0, 1)
+
+    def test_size_beyond_limit_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"limit of {MAX_ENSEMBLE_EMITTERS}"):
+                sample_ensemble(EnsembleModel(), 2_000_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the centers alone would take 14.9 GiB
+        assert peak < 1e6
+
+    def test_size_at_the_limit_is_sampled(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_ENSEMBLE_EMITTERS", 50)
+        assert len(sample_ensemble(EnsembleModel(), 50, 1)) == 50
+        with pytest.raises(DomainError, match="limit of 50"):
+            sample_ensemble(EnsembleModel(), 51, 1)
 
 
 class TestModelValidation:
