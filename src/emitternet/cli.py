@@ -38,7 +38,13 @@ from .overlap import (
     monte_carlo_threshold,
     overlap_curve,
 )
-from .ple import LorentzianPeak, classify_pair_spectrum, fit_multi_lorentzian, synthesize
+from .ple import (
+    LorentzianPeak,
+    _check_fit_size,
+    classify_pair_spectrum,
+    fit_multi_lorentzian,
+    synthesize,
+)
 from .register import (
     LossModel,
     fidelity_vs_eta_sweep,
@@ -344,7 +350,10 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
             for i in range(k)
         ]
         span = (k + 1) * zfs
-        grid = np.linspace(-span, span, max(60 * k, 240))
+        n_points = max(60 * k, 240)
+        # refuse an oversized fit before any file is written
+        _check_fit_size(n_points, k)
+        grid = np.linspace(-span, span, n_points)
         spectrum = synthesize(peaks, background=5.0, grid_ghz=grid, shot_noise=True, seed=seed)
         write_spectrum(out_dir / "ple_spectrum.csv", spectrum, comments=_csv_comments(cfg, seed))
         source = "synthetic"

@@ -41,6 +41,11 @@ class _Field:
     default: Any
     nullable: bool = False
 
+    def default_value(self) -> Any:
+        """The default, as a copy if it is a list, so that no caller can
+        change the schema."""
+        return list(self.default) if isinstance(self.default, list) else self.default
+
 
 _SCHEMA: dict[str, Any] = {
     "ensemble": {
@@ -146,23 +151,16 @@ def _resolve(data: Mapping[str, Any], schema: Mapping[str, Any], path: str = "")
         child_path = f"{path}.{key}" if path else key
         if isinstance(spec, dict):
             out[key] = _resolve(data.get(key, {}), spec, child_path)
+        elif key in data:
+            out[key] = _check_leaf(spec, data[key], child_path)
         else:
-            out[key] = (
-                _check_leaf(spec, data[key], child_path) if key in data else spec.default
-            )
+            out[key] = spec.default_value()
     return out
-
-
-def _defaults(schema: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        key: _defaults(spec) if isinstance(spec, dict) else spec.default
-        for key, spec in schema.items()
-    }
 
 
 def default_config() -> dict[str, Any]:
     """Fully resolved default configuration document."""
-    return _defaults(_SCHEMA)
+    return _resolve({}, _SCHEMA)
 
 
 def schema_description() -> dict[str, Any]:
@@ -174,7 +172,11 @@ def schema_description() -> dict[str, Any]:
             if isinstance(spec, dict):
                 out[key] = describe(spec)
             else:
-                out[key] = {"type": spec.kind, "default": spec.default, "nullable": spec.nullable}
+                out[key] = {
+                    "type": spec.kind,
+                    "default": spec.default_value(),
+                    "nullable": spec.nullable,
+                }
         return out
 
     return describe(_SCHEMA)

@@ -11,110 +11,91 @@ import csv
 import io
 import itertools
 import json
+import math
+from array import array
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import LineListError
 from .ple import PleSpectrum
-from .spectral import _LINE_COLUMNS, LineTable, _first_failure
+from .spectral import _LINE_COLUMNS, LineTable
 
 LINE_LIST_HEADER = ["emitter_id", "f_a1_ghz", "f_a2_ghz", "fwhm_a1_mhz", "fwhm_a2_mhz"]
+_WIDTH_COLUMNS = LINE_LIST_HEADER[3:]
 
 # Rows formatted at a time when writing a line list, which bounds the memory
 # the cell texts take.
 _WRITE_BLOCK = 8192
 
 
-def _data_rows(text: str, header: list[str]) -> tuple[list[int], list[list[str]]]:
-    """1-based file rows and CSV fields of the data lines below ``header``.
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """1-based file row and CSV fields of each line that is neither blank
+    nor a ``#`` comment. One lazy ``csv.reader`` reads them all, so a quoted
+    field left open at the end of a line, which would run on into the next,
+    is refused, naming the row's first line; so is a row the reader
+    refuses, such as one with a field above ``csv.field_size_limit()``."""
+    taken: list[int] = []  # file rows of the lines read for the current row
 
-    Blank and ``#`` comment lines are skipped; the first other line must be
-    ``header``. One ``csv.reader`` reads all lines, so a quoted field left
-    open at the end of a line, which would run on into the next, is refused.
-    """
-    lines = text.splitlines()
-    stripped = map(str.lstrip, lines)
-    linenos = [k for k, line in enumerate(stripped, start=1) if line[:1] not in ("", "#")]
-    lines = [lines[k - 1] for k in linenos]
-    reader = csv.reader(lines)
-    rows = list(reader)
-    if reader.line_num != len(rows):
-        reader = csv.reader(lines)
-        k = next(k for k, _ in enumerate(reader) if reader.line_num != k + 1)
-        raise LineListError(
-            f"row {linenos[k]}: quoted field is not closed on its line", row=linenos[k]
-        )
-    if not rows:
-        raise LineListError("file contains no header row")
-    if [h.strip() for h in rows[0]] != header:
-        raise LineListError(
-            f"row {linenos[0]}: header must be exactly {','.join(header)!r}", row=linenos[0]
-        )
-    return linenos[1:], rows[1:]
+    def lines() -> Iterator[str]:
+        for row, line in enumerate(text.splitlines(), start=1):
+            if line.lstrip()[:1] not in ("", "#"):
+                taken.append(row)
+                yield line
 
-
-def _columns(rows: list[list[str]], n_fields: tuple[int, ...]) -> tuple[list[tuple[str, ...]], int]:
-    """Cells by column of the rows before the first whose field count is not
-    in ``n_fields``, padded with blank cells to ``max(n_fields)`` columns,
-    and the index of that row (``len(rows)`` if there is none)."""
-    miscounted = ~np.isin(np.fromiter(map(len, rows), dtype=int, count=len(rows)), n_fields)
-    m = int(miscounted.argmax()) if miscounted.any() else len(rows)
-    columns = list(itertools.zip_longest(*rows[:m], fillvalue=""))
-    return columns + [("",) * m] * (max(n_fields) - len(columns)), m
-
-
-def _number_column(
-    cells: Sequence[str], linenos: list[int], column: str, width: bool = False
-) -> tuple[np.ndarray, list[tuple]]:
-    """A column's float values and its checks, in order: a cell that is not
-    a number, then one that is not finite. For a ``width``, a blank cell is
-    NaN and fails no check, and a third check finds values not above 0.
-    """
-    n = len(cells)
-    blank = np.zeros(n, dtype=bool)
-    first_bad = n
     try:
-        values = np.fromiter(map(float, cells), dtype=float, count=n)
+        for fields in csv.reader(lines()):
+            if len(taken) > 1:
+                row = taken[0]
+                raise LineListError(f"row {row}: quoted field is not closed on its line", row=row)
+            yield taken.pop(), fields
+    except csv.Error as error:
+        raise LineListError(f"row {taken[0]}: {error}", row=taken[0]) from None
+
+
+def _drain(rows: Iterator) -> None:
+    """Read ``rows`` to the end. The checks of :func:`_csv_rows` cover the
+    whole file, so they are reported before any error of a single row: a
+    caller that is about to raise calls this first."""
+    for _ in rows:
+        pass
+
+
+def _data_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """File rows and CSV fields of the rows below the first, which must be
+    ``header``. A caller that raises while reading them calls :func:`_drain`
+    first."""
+    rows = _csv_rows(text)
+    row, fields = next(rows, (None, None))
+    if fields is None:
+        raise LineListError("file contains no header row")
+    if [h.strip() for h in fields] != header:
+        _drain(rows)
+        raise LineListError(f"row {row}: header must be exactly {','.join(header)!r}", row=row)
+    yield from rows
+
+
+def _number(cell: str, row: int, column: str, blank: bool = False) -> float:
+    """A cell's value, which must be a finite number; where ``blank``, a
+    blank cell is NaN."""
+    try:
+        value = float(cell)
     except ValueError:
-        # Blank or bad cells: go cell by cell, up to the first bad one.
-        values = np.full(n, np.nan)
-        for k, cell in enumerate(cells):
-            if width and not cell.strip():
-                blank[k] = True
-                continue
-            try:
-                values[k] = float(cell)
-            except ValueError:
-                first_bad = k
-                break
-
-    def where(k: int) -> str:
-        return f"row {linenos[k]}, column {column!r}"
-
-    # Cells after the first bad one are NaN and fail the finite check, but
-    # that cell's row comes first, so they are never reported.
-    checks = [
-        (np.arange(n) == first_bad, lambda k: f"cannot parse {cells[k]!r} as a number"),
-        (~np.isfinite(values) & ~blank, lambda k: f"value must be finite, got {cells[k]!r}"),
-        (values <= 0, lambda k: f"linewidth must be positive, got {cells[k]!r}"),
-    ]
-    return values, [
-        (mask, column, lambda k, message=message: f"{where(k)}: {message(k)}")
-        for mask, message in checks[: 3 if width else 2]
-    ]
-
-
-def _raise_first(linenos: list[int], checks: list[tuple]) -> None:
-    """Raise the error of the earliest row that fails a check; within that
-    row, of the first check it fails. A check is a mask of the rows failing
-    it, the column it blames (or None) and a row's error message."""
-    failure = _first_failure([mask for mask, _, _ in checks])
-    if failure is not None:
-        k, check = failure
-        _, column, message = checks[check]
-        raise LineListError(message(k), row=linenos[k], column=column)
+        if blank and not cell.strip():
+            return math.nan
+        raise LineListError(
+            f"row {row}, column {column!r}: cannot parse {cell!r} as a number",
+            row=row,
+            column=column,
+        ) from None
+    if not math.isfinite(value):
+        raise LineListError(
+            f"row {row}, column {column!r}: value must be finite, got {cell!r}",
+            row=row,
+            column=column,
+        )
+    return value
 
 
 def parse_line_list(data: bytes | str) -> LineTable:
@@ -122,51 +103,61 @@ def parse_line_list(data: bytes | str) -> LineTable:
 
     The header row must be exactly ``emitter_id,f_a1_ghz,f_a2_ghz,
     fwhm_a1_mhz,fwhm_a2_mhz``; a data row has 3 or 5 fields, and a blank
-    width is NaN. Whole columns are checked at once. The error (with its
-    1-based file row, comment and header lines counted) is that of the first
-    bad row, whose checks go: field count, id (non-empty, unique), each
+    width is NaN. One pass reads the rows in order and raises the first
+    failing check (with its 1-based file row, comment and header lines
+    counted). A row's checks go: field count, id (non-empty, unique), each
     position (a finite number), f_a2_ghz > f_a1_ghz, each width (a finite
     number or blank). Only a file passing all of these is checked for
-    widths that are not positive.
+    widths that are not positive. The values go straight into float
+    columns, so the field strings of one row at a time are held.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    linenos, rows = _data_rows(data, LINE_LIST_HEADER)
-    columns, m = _columns(rows, (3, 5))
-    ids = np.array(list(map(str.strip, columns[0])), dtype=object)
-    first_seen = dict(zip(reversed(ids.tolist()), range(m - 1, -1, -1)))
-    first = np.fromiter(map(first_seen.__getitem__, ids), dtype=int, count=m)
-    a1, a1_checks = _number_column(columns[1], linenos, "f_a1_ghz")
-    a2, a2_checks = _number_column(columns[2], linenos, "f_a2_ghz")
-    w1, w1_checks = _number_column(columns[3], linenos, "fwhm_a1_mhz", width=True)
-    w2, w2_checks = _number_column(columns[4], linenos, "fwhm_a2_mhz", width=True)
-
-    def row(k: int) -> str:
-        return f"row {linenos[k]}"
-
-    def duplicate(k: int) -> str:
-        return f"{row(k)}: duplicate emitter_id {ids[k]!r} (first seen at {row(first[k])})"
-
-    def inverted(k: int) -> str:
-        a1_k, a2_k = float(a1[k]), float(a2[k])
-        return f"{row(k)}: emitter {ids[k]!r} has f_a2_ghz ({a2_k}) <= f_a1_ghz ({a1_k})"
-
-    _raise_first(
-        linenos,
-        [
-            (ids == "", None, lambda k: f"{row(k)}: emitter_id must be non-empty"),
-            (first != np.arange(m), "emitter_id", duplicate),
-            *a1_checks,
-            *a2_checks,
-            (a2 <= a1, "f_a2_ghz", inverted),
-            *w1_checks[:2],
-            *w2_checks[:2],
-        ],
-    )
-    if m < len(rows):
-        raise LineListError(f"{row(m)}: expected 3 or 5 fields, got {len(rows[m])}", row=linenos[m])
-    _raise_first(linenos, [w1_checks[2], w2_checks[2]])
-    return LineTable(ids, a1, a2, w1, w2)
+    first_seen: dict[str, int] = {}  # emitter id -> file row, in file order
+    a1, a2, w1, w2 = columns = [array("d") for _ in _LINE_COLUMNS]
+    nonpositive = None  # (row, column, cell) of the first width not above 0
+    rows = _data_rows(data, LINE_LIST_HEADER)
+    try:
+        for row, fields in rows:
+            if len(fields) not in (3, 5):
+                message = f"row {row}: expected 3 or 5 fields, got {len(fields)}"
+                raise LineListError(message, row=row)
+            emitter_id = fields[0].strip()
+            if not emitter_id:
+                raise LineListError(f"row {row}: emitter_id must be non-empty", row=row)
+            seen = first_seen.setdefault(emitter_id, row)
+            if seen != row:
+                raise LineListError(
+                    f"row {row}: duplicate emitter_id {emitter_id!r} (first seen at row {seen})",
+                    row=row,
+                    column="emitter_id",
+                )
+            x1 = _number(fields[1], row, "f_a1_ghz")
+            x2 = _number(fields[2], row, "f_a2_ghz")
+            if x2 <= x1:
+                raise LineListError(
+                    f"row {row}: emitter {emitter_id!r} has f_a2_ghz ({x2}) <= f_a1_ghz ({x1})",
+                    row=row,
+                    column="f_a2_ghz",
+                )
+            a1.append(x1)
+            a2.append(x2)
+            for values, column, cell in zip((w1, w2), _WIDTH_COLUMNS, fields[3:] or ("", "")):
+                width = _number(cell, row, column, blank=True)
+                if width <= 0 and nonpositive is None:
+                    nonpositive = row, column, cell
+                values.append(width)
+    except LineListError:
+        _drain(rows)
+        raise
+    if nonpositive is not None:
+        row, column, cell = nonpositive
+        raise LineListError(
+            f"row {row}, column {column!r}: linewidth must be positive, got {cell!r}",
+            row=row,
+            column=column,
+        )
+    return LineTable(np.fromiter(first_seen, dtype=object, count=len(first_seen)), *columns)
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str]) -> str:
@@ -230,13 +221,17 @@ def read_spectrum(path: Path | str) -> PleSpectrum:
     """Read a spectrum CSV and its ``.meta.json`` sidecar (dwell time 1 s
     without one). Errors give 1-based file rows, as for line lists."""
     path = Path(path)
-    linenos, rows = _data_rows(path.read_text(encoding="utf-8"), SPECTRUM_HEADER)
-    columns, m = _columns(rows, (2,))
-    freqs, freq_checks = _number_column(columns[0], linenos, "frequency_ghz")
-    counts, count_checks = _number_column(columns[1], linenos, "counts")
-    _raise_first(linenos, [*freq_checks, *count_checks])
-    if m < len(rows):
-        raise LineListError(f"{path}: row {linenos[m]}: expected 2 fields", row=linenos[m])
+    freqs, counts = array("d"), array("d")
+    rows = _data_rows(path.read_text(encoding="utf-8"), SPECTRUM_HEADER)
+    try:
+        for row, fields in rows:
+            if len(fields) != 2:
+                raise LineListError(f"{path}: row {row}: expected 2 fields", row=row)
+            freqs.append(_number(fields[0], row, "frequency_ghz"))
+            counts.append(_number(fields[1], row, "counts"))
+    except LineListError:
+        _drain(rows)
+        raise
     dwell = 1.0
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():

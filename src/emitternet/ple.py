@@ -180,6 +180,19 @@ def _model_and_jacobian(theta: np.ndarray, nu: np.ndarray, k: int):
     return model, jac
 
 
+def _check_fit_size(n_points: int, k: int) -> None:
+    """Refuse k < 1 peaks, and a fit of ``n_points`` points whose Jacobian
+    would hold more than :data:`MAX_FIT_JACOBIAN_ENTRIES` entries."""
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    entries = n_points * (3 * k + 1)
+    if entries > MAX_FIT_JACOBIAN_ENTRIES:
+        raise DomainError(
+            f"fit Jacobian of {entries:.3g} entries exceeds the limit of "
+            f"{MAX_FIT_JACOBIAN_ENTRIES:.0e}"
+        )
+
+
 def fit_multi_lorentzian(
     spectrum: PleSpectrum,
     k: int,
@@ -196,14 +209,7 @@ def fit_multi_lorentzian(
     :class:`PeakDetectionError`. A fit whose Jacobian would hold more than
     :data:`MAX_FIT_JACOBIAN_ENTRIES` entries is refused.
     """
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    entries = len(spectrum.frequencies_ghz) * (3 * k + 1)
-    if entries > MAX_FIT_JACOBIAN_ENTRIES:
-        raise DomainError(
-            f"fit Jacobian of {entries:.3g} entries exceeds the limit of "
-            f"{MAX_FIT_JACOBIAN_ENTRIES:.0e}"
-        )
+    _check_fit_size(len(spectrum.frequencies_ghz), k)
     from scipy.optimize import least_squares
 
     if guess is None:

@@ -281,6 +281,8 @@ class TestFitPleCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DomainError" and "Jacobian" in err["error"]
         assert not (tmp_path / "fit_ple_summary.json").exists()
+        # refused before the synthetic spectrum is written
+        assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_without_dwell_time_exit_2(self, tmp_path, capsys):
         spectrum = tmp_path / "spec.csv"

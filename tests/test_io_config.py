@@ -130,6 +130,56 @@ class TestSpectrumIo:
         assert err.value.row == 4
         assert "row 4: expected 2 fields" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, message, row, column",
+        [
+            # a bad number, then a non-finite count on a later row
+            (
+                "# c\nfrequency_ghz,counts\n0.0,1.0\n0.1,x\n0.2,inf\n",
+                "row 4, column 'counts': cannot parse 'x' as a number",
+                4,
+                "counts",
+            ),
+            # a non-finite value, then a 3-field row
+            (
+                "frequency_ghz,counts\n0.0,nan\n\n0.1,1.0,2.0\n",
+                "row 2, column 'counts': value must be finite, got 'nan'",
+                2,
+                "counts",
+            ),
+            # a 3-field row, then a bad number
+            ("frequency_ghz,counts\n0.0,1,2\n0.1,x\n", "{path}: row 2: expected 2 fields", 2, None),
+            # an open quote is reported before a bad number on an earlier row
+            (
+                'frequency_ghz,counts\n0.0,x\n0.1,"2\n0.2,1\n',
+                "row 3: quoted field is not closed on its line",
+                3,
+                None,
+            ),
+            # ... and before a wrong header
+            (
+                'freq,counts\n0.0,"1\n0.1,2\n',
+                "row 2: quoted field is not closed on its line",
+                2,
+                None,
+            ),
+            # a blank cell is not a number
+            (
+                "frequency_ghz,counts\n0.0,1.0\n,2.0\n0.2,y\n",
+                "row 3, column 'frequency_ghz': cannot parse '' as a number",
+                3,
+                "frequency_ghz",
+            ),
+        ],
+    )
+    def test_first_error_of_multi_fault_files(self, tmp_path, text, message, row, column):
+        path = tmp_path / "spec.csv"
+        path.write_text(text)
+        with pytest.raises(LineListError) as err:
+            read_spectrum(path)
+        assert str(err.value) == message.format(path=path)
+        assert (err.value.row, err.value.column) == (row, column)
+
     @pytest.mark.parametrize("sidecar", ['{"dwell": 0.05}', "[0.05]", '{"dwell_time_s": "x"}', "{"])
     def test_sidecar_without_dwell_time(self, tmp_path, sidecar):
         path = tmp_path / "spec.csv"
@@ -143,6 +193,18 @@ class TestRunConfig:
     def test_defaults_round_trip(self):
         cfg = RunConfig.from_mapping({})
         assert cfg.data == default_config()
+
+    def test_defaults_are_not_shared(self):
+        # default_config() once handed out the schema's own default lists
+        before = RunConfig.from_mapping({})
+        data, digest = before.data, before.config_hash()
+        changed = default_config()
+        changed["combos"].append("a1a1")
+        changed["protocol"]["eta_sweep"].clear()
+        schema_description()["spatial"]["box_um"]["default"].append(1.0)
+        after = RunConfig.from_mapping({})
+        assert after.data == data and after.config_hash() == digest
+        assert after.data["combos"] == ["a1a1", "a2a2", "a1a2", "a2a1"]
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError) as err:

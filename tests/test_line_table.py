@@ -1,9 +1,10 @@
-"""The array-backed line table, its CSV round trip, and the column-wise parser.
+"""The array-backed line table, its CSV round trip, and the line-list parser.
 
 The parser oracle below is the former per-row ``parse_line_list``, kept
-verbatim apart from returning plain tuples. On generated files, with and
-without faults, the column-wise parser must return the same values or
-raise the same error (message, row, column).
+verbatim apart from returning plain tuples and from the rule added since:
+only a file that passes every other check is checked for widths not above
+0. On generated files, with and without faults, the parser must return the
+same values or raise the same error (message, row, column).
 """
 import csv
 import io
@@ -119,6 +120,15 @@ class TestParseErrors:
             parse_line_list(f'{HEADER}\na,"0,1\nb,0,1\n')
         assert err.value.row == 2
 
+    def test_field_over_csv_limit_is_refused(self):
+        # csv.Error escaped as a traceback; like an open quote, it is reported
+        # before the bad number on the row above
+        long_cell = "1" * (csv.field_size_limit() + 1)
+        with pytest.raises(LineListError) as err:
+            parse_line_list(f"{HEADER}\na,0,x\n\nb,0,{long_cell}\n")
+        assert str(err.value) == f"row 4: field larger than field limit ({csv.field_size_limit()})"
+        assert (err.value.row, err.value.column) == (4, None)
+
 
 # Ids are stripped by the parser, so only stripped ids can round-trip. Some
 # start with "#", the comment mark of the format.
@@ -161,7 +171,7 @@ def test_serialize_parse_round_trip(table):
         assert (got[~np.isnan(want)] == want[~np.isnan(want)]).all()
 
 
-# --- the former per-row parser, the oracle for the column-wise one ---------
+# --- the former per-row parser, the oracle for the one-pass one ------------
 
 
 def _parse_float(text: str, row: int, column: str) -> float:
@@ -208,6 +218,7 @@ def per_row_parse_line_list(data: bytes | str) -> list[tuple]:
 
     records: list[tuple] = []
     seen: dict[str, int] = {}
+    nonpositive = None  # the first width not above 0: (row, column, text)
     for lineno, line in numbered[1:]:
         fields = next(csv.reader(io.StringIO(line)))
         if len(fields) not in (3, 5):
@@ -235,7 +246,17 @@ def per_row_parse_line_list(data: bytes | str) -> list[tuple]:
             )
         fwhm1 = _parse_optional_float(fields[3], lineno, "fwhm_a1_mhz") if len(fields) == 5 else None
         fwhm2 = _parse_optional_float(fields[4], lineno, "fwhm_a2_mhz") if len(fields) == 5 else None
+        for k, (width, column) in enumerate([(fwhm1, "fwhm_a1_mhz"), (fwhm2, "fwhm_a2_mhz")]):
+            if nonpositive is None and width is not None and width <= 0:
+                nonpositive = (lineno, column, fields[3 + k])
         records.append((emitter_id, a1, a2, fwhm1, fwhm2))
+    if nonpositive is not None:
+        lineno, column, text = nonpositive
+        raise LineListError(
+            f"row {lineno}, column {column!r}: linewidth must be positive, got {text!r}",
+            row=lineno,
+            column=column,
+        )
     return records
 
 
@@ -247,7 +268,9 @@ NUMBER_TEXTS = st.one_of(
     st.sampled_from([" 1.5", "2e-1 ", "+3", "1_0", '"4.25"']),
 )
 WIDTH_TEXTS = st.one_of(
-    st.floats(1.0, 500.0).map(repr), st.sampled_from(["", "  ", " 300 ", "3e2"])
+    st.floats(1.0, 500.0).map(repr),
+    st.sampled_from(["", "  ", " 300 ", "3e2"]),
+    st.sampled_from(["0", "-5", "-0.0", " -1e-3 "]),
 )
 BAD_NUMBERS = st.sampled_from(["x", "1.2.3", "--1", "0x10", "one", "1e", ""])
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -323,6 +346,10 @@ def test_parser_matches_per_row_oracle(text):
         f"{HEADER}\ne1,5,x\n",
         f"{HEADER}\ne1,5,1\ne2,x,1\n",
         f"{HEADER}\ne1,0,1,,\ne2,0,1,300,\n",
+        # a width not above 0 is reported only once every row has passed
+        f"{HEADER}\ne1,0,1,300,0\ne2,0,1,-5,300\n",
+        f"{HEADER}\ne1,0,1,-0.0,300\ne2,0,1\ne3,0,x\n",
+        f"{HEADER}\ne1,0,1,300, -1e-3 \ne2,0,1,300\n",
     ],
 )
 def test_parser_matches_per_row_oracle_on_fixed_files(text):
