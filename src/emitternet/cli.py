@@ -397,6 +397,11 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     return 0
 
 
+def _complex_pairs(amplitudes: np.ndarray) -> list[list[float]]:
+    """``[re, im]`` of each amplitude, as Python floats."""
+    return np.column_stack((amplitudes.real, amplitudes.imag)).tolist()
+
+
 def _cmd_protocol(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     section = cfg.data["protocol"]
     n = section["n_qubits"]
@@ -408,7 +413,7 @@ def _cmd_protocol(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "eta": eta,
         "success_probability": chain.success_probability,
         "herald_probabilities": list(chain.herald_probabilities),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in chain.state.amplitudes],
+        "amplitudes": _complex_pairs(chain.state.amplitudes),
         "fidelity_published": published_model_fidelity(n, eta),
         "fidelity_enumeration": lossy.fidelity,
         "fidelity_model_note": (
@@ -420,7 +425,7 @@ def _cmd_protocol(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "branches": [
             {
                 "weight": b.weight,
-                "amplitudes": [[float(a.real), float(a.imag)] for a in b.state.amplitudes],
+                "amplitudes": _complex_pairs(b.state.amplitudes),
             }
             for b in lossy.mixture.branches
         ],

@@ -14,7 +14,7 @@ import json
 import math
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -160,11 +160,12 @@ def parse_line_list(data: bytes | str) -> LineTable:
     return LineTable(np.fromiter(first_seen, dtype=object, count=len(first_seen)), *columns)
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str]) -> str:
-    """CSV text: a ``#`` line per comment, the header, then the rows. A row
-    whose first field starts with ``#`` (after spaces) has every field
-    quoted, so that it is not read back as a comment line."""
-    out = io.StringIO()
+def _write_csv(
+    out: TextIO, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str]
+) -> None:
+    """Write CSV to ``out``: a ``#`` line per comment, the header, then the
+    rows. A row whose first field starts with ``#`` (after spaces) has every
+    field quoted, so that it is not read back as a comment line."""
     for comment in comments:
         out.write(f"# {comment}\n")
     writer = csv.writer(out, lineterminator="\n")
@@ -172,7 +173,15 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence], comments: Sequenc
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for hashed, group in itertools.groupby(rows, key=_starts_with_hash):
         (quoted if hashed else writer).writerows(group)
-    return out.getvalue()
+
+
+def _write_csv_file(
+    path: Path | str, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str]
+) -> None:
+    """:func:`_write_csv` into the file at ``path``, row by row as ``rows``
+    yields them."""
+    with open(path, "w", encoding="utf-8") as out:
+        _write_csv(out, header, rows, comments)
 
 
 def _starts_with_hash(row: Sequence) -> bool:
@@ -184,14 +193,19 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return ["" if v != v else repr(v) for v in values.tolist()]
 
 
+def _line_list_rows(records: LineTable) -> Iterator[tuple]:
+    """The rows of a table, formatted one block of :data:`_WRITE_BLOCK` at a time."""
+    for s in range(0, len(records), _WRITE_BLOCK):
+        block = records[s : s + _WRITE_BLOCK]
+        cells = (_float_texts(getattr(block, name)) for name in _LINE_COLUMNS)
+        yield from zip(block.ids.tolist(), *cells)
+
+
 def serialize_line_list(records: LineTable, comments: Sequence[str] = ()) -> str:
     """Line-list CSV text of a table, one row per emitter; NaN widths are blank."""
-    blocks = (records[s : s + _WRITE_BLOCK] for s in range(0, len(records), _WRITE_BLOCK))
-    rows = (
-        zip(b.ids.tolist(), *(_float_texts(getattr(b, name)) for name in _LINE_COLUMNS))
-        for b in blocks
-    )
-    return _csv_text(LINE_LIST_HEADER, itertools.chain.from_iterable(rows), comments)
+    out = io.StringIO()
+    _write_csv(out, LINE_LIST_HEADER, _line_list_rows(records), comments)
+    return out.getvalue()
 
 
 def read_line_list(path: Path | str) -> LineTable:
@@ -199,7 +213,9 @@ def read_line_list(path: Path | str) -> LineTable:
 
 
 def write_line_list(path: Path | str, records: LineTable, comments: Sequence[str] = ()) -> None:
-    Path(path).write_text(serialize_line_list(records, comments), encoding="utf-8")
+    """Write the text of :func:`serialize_line_list` to ``path``, one block
+    of rows at a time."""
+    _write_csv_file(path, LINE_LIST_HEADER, _line_list_rows(records), comments)
 
 
 SPECTRUM_HEADER = ["frequency_ghz", "counts"]
@@ -209,7 +225,7 @@ def write_spectrum(path: Path | str, spectrum: PleSpectrum, comments: Sequence[s
     """Two-column spectrum CSV plus a .meta.json sidecar with the dwell time."""
     path = Path(path)
     rows = zip(*(map(repr, x.tolist()) for x in (spectrum.frequencies_ghz, spectrum.counts)))
-    path.write_text(_csv_text(SPECTRUM_HEADER, rows, comments), encoding="utf-8")
+    _write_csv_file(path, SPECTRUM_HEADER, rows, comments)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(
         json.dumps({"dwell_time_s": spectrum.dwell_time_s}, sort_keys=True) + "\n",
@@ -249,4 +265,4 @@ def write_table(
 ) -> None:
     """Generic plot-ready CSV table with leading comment lines."""
     rows = ([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
-    Path(path).write_text(_csv_text(header, rows, comments), encoding="utf-8")
+    _write_csv_file(path, header, rows, comments)

@@ -37,10 +37,10 @@ class LorentzianPeak:
     def __post_init__(self) -> None:
         if not math.isfinite(self.center_ghz):
             raise DomainError("peak center must be finite")
-        if not self.fwhm_mhz > 0:
-            raise DomainError(f"FWHM must be positive, got {self.fwhm_mhz}")
-        if not self.amplitude > 0:
-            raise DomainError(f"amplitude must be positive, got {self.amplitude}")
+        if not 0 < self.fwhm_mhz < math.inf:
+            raise DomainError(f"FWHM must be positive and finite, got {self.fwhm_mhz}")
+        if not 0 < self.amplitude < math.inf:
+            raise DomainError(f"amplitude must be positive and finite, got {self.amplitude}")
 
 
 def lorentzian_value(peak: LorentzianPeak, frequency_ghz):
@@ -66,12 +66,16 @@ class PleSpectrum:
         object.__setattr__(self, "counts", cts)
         if freq.ndim != 1 or cts.shape != freq.shape:
             raise DomainError("frequencies and counts must be 1-d and the same length")
+        if not np.all(np.isfinite(freq)):
+            raise DomainError("frequencies must be finite")
+        if not np.all(np.isfinite(cts)):
+            raise DomainError("counts must be finite")
         if len(freq) >= 2 and not np.all(np.diff(freq) > 0):
             raise DomainError("frequencies must be strictly increasing")
         if np.any(cts < 0):
             raise DomainError("counts must be non-negative")
-        if not self.dwell_time_s > 0:
-            raise DomainError("dwell time must be positive")
+        if not 0 < self.dwell_time_s < math.inf:
+            raise DomainError(f"dwell time must be positive and finite, got {self.dwell_time_s}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PleSpectrum):
@@ -96,8 +100,8 @@ def synthesize(
     With ``shot_noise`` each point is replaced by a Poisson draw with that
     expectation (deterministic under ``seed``).
     """
-    if background < 0:
-        raise DomainError(f"background must be non-negative, got {background}")
+    if not 0 <= background < math.inf:
+        raise DomainError(f"background must be non-negative and finite, got {background}")
     grid = np.asarray(grid_ghz, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise DomainError("grid must be a non-empty 1-d sequence")
@@ -115,6 +119,36 @@ def synthesize(
     return PleSpectrum(frequencies_ghz=grid, counts=counts, dwell_time_s=dwell_time_s)
 
 
+def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Indices of the local maxima of ``x`` at least ``height`` tall, thinned
+    to ``distance`` samples apart: those of
+    ``scipy.signal.find_peaks(x, height=height, distance=distance)``.
+
+    A maximum is a run of equal values whose neighbouring runs are both
+    lower and which touches neither end of ``x``; its index is the middle of
+    the run, rounded down. Peaks are then visited tallest first, in reverse
+    ``np.argsort`` order so that ties break as in scipy, and each one still
+    kept drops the peaks closer than ``distance`` to it.
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], len(x)] - 1
+    rises = np.diff(x[starts]) > 0  # runs differ from their neighbours
+    maxima = np.flatnonzero(rises[:-1] & ~rises[1:]) + 1
+    peaks = (starts[maxima] + ends[maxima]) // 2
+    peaks = peaks[x[peaks] >= height]
+    lo = np.searchsorted(peaks, peaks - distance, side="right")
+    hi = np.searchsorted(peaks, peaks + distance, side="left")
+    order = np.argsort(x[peaks])[::-1]
+    # a peak with no other peak in reach is always kept and drops none
+    order = order[hi[order] - lo[order] > 1]
+    keep = np.ones(len(peaks), dtype=bool)
+    for j, left, right in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
+        if keep[j]:
+            keep[left:j] = False
+            keep[j + 1 : right] = False
+    return peaks[keep]
+
+
 def initial_guess(spectrum: PleSpectrum, k: int) -> list[LorentzianPeak]:
     """Seed peaks from the k tallest local maxima above the count median.
 
@@ -124,10 +158,6 @@ def initial_guess(spectrum: PleSpectrum, k: int) -> list[LorentzianPeak]:
     fewer than k candidates exist. Widths are seeded from the ensemble
     default FWHM mean.
     """
-    # scipy is imported here, not at module level: it costs about a second
-    # of start-up that every other command would pay for nothing.
-    from scipy.signal import find_peaks
-
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if len(spectrum.counts) < 5 * k:
@@ -137,7 +167,7 @@ def initial_guess(spectrum: PleSpectrum, k: int) -> list[LorentzianPeak]:
     width = EnsembleModel().fwhm_mean_mhz
     step_ghz = float(np.median(np.diff(spectrum.frequencies_ghz)))
     distance = max(1, int(round(0.5 * width * 1e-3 / step_ghz)))
-    idx, _ = find_peaks(counts, height=np.nextafter(background, np.inf), distance=distance)
+    idx = _find_peaks(counts, np.nextafter(background, np.inf), distance)
     if len(idx) < k:
         raise PeakDetectionError(requested=k, found=len(idx))
     chosen = idx[np.argsort(counts[idx])[::-1][:k]]
@@ -210,6 +240,9 @@ def fit_multi_lorentzian(
     :data:`MAX_FIT_JACOBIAN_ENTRIES` entries is refused.
     """
     _check_fit_size(len(spectrum.frequencies_ghz), k)
+    # scipy is imported here, not at module level: it is used only for this
+    # least-squares fit, and its import costs every other command about half
+    # a second of start-up. The start peaks are found with numpy.
     from scipy.optimize import least_squares
 
     if guess is None:

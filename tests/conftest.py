@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from emitternet import EmitterLines, LineTable
+
+# Under CI (GitHub Actions sets CI) every run draws the same examples, and a
+# failing property prints the blob that reproduces it.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ZFS_GHZ = 1.027
 

@@ -1,10 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from emitternet import serialize_line_list
+from emitternet import LossModel, run_ghz_chain, run_ghz_chain_with_loss, serialize_line_list
+from emitternet import cli
 from emitternet.cli import main
 
 TIMESTAMP_LINE = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
@@ -118,6 +125,29 @@ class TestProtocolCommand:
         assert sweep[-1]["discrepancy"] == pytest.approx(0.0, abs=1e-12)
         assert (tmp_path / "fidelity_sweep.csv").exists()
 
+    def test_amplitude_pairs_keep_the_per_scalar_text(self):
+        amps = np.array([complex(-0.0, 0.0), complex(0.5, -0.0), 1 / 3 - 2j, complex(-1e-300, 7)])
+        text = json.dumps(cli._complex_pairs(amps))
+        assert text == json.dumps([[float(a.real), float(a.imag)] for a in amps])
+        assert text.count("-0.0") == 2
+
+    def test_summary_text_is_unchanged(self, tmp_path):
+        # the amplitude lists as the summary wrote them when it converted one
+        # numpy scalar at a time
+        assert main(["protocol", "--n", "4", "--eta", "0.85", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "protocol_summary.json").read_text()
+        doc = json.loads(text)
+        results = doc["results"]
+
+        def per_scalar(amps):
+            return [[float(a.real), float(a.imag)] for a in amps]
+
+        results["amplitudes"] = per_scalar(run_ghz_chain(4).state.amplitudes)
+        lossy = run_ghz_chain_with_loss(4, LossModel(0.85))
+        assert len(results["branches"]) == len(lossy.mixture.branches) > 1
+        for entry, branch in zip(results["branches"], lossy.mixture.branches):
+            entry["amplitudes"] = per_scalar(branch.state.amplitudes)
+        assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
 
     def test_small_efficiency_runs(self, tmp_path):
         code = main(["protocol", "--n", "4", "--eta", "1e-300", "--out", str(tmp_path)])
@@ -548,3 +578,33 @@ class TestUsageAndConfig:
         monkeypatch.setenv("EMITTERNET_SEED", "12345")
         assert main(["sample", "--n", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
         assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 1
+
+
+def test_scipy_is_imported_only_for_the_fit(tmp_path):
+    # scipy takes about a second to import, and only fit-ple's least-squares
+    # fit uses it; its start peaks are found with numpy
+    script = textwrap.dedent(
+        f"""
+        import json, sys
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        from emitternet.cli import main
+        after_import = scipy_modules()
+        argv = ["fit-ple", "--synthetic", "--k", "3", "--seed", "1", "--out", {str(tmp_path)!r}]
+        code = main(argv)
+        print(json.dumps({{"code": code, "import": after_import, "fit": scipy_modules()}}))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    modules = json.loads(run.stdout)
+    assert modules["code"] == 0
+    assert modules["import"] == []
+    assert "scipy.optimize" in modules["fit"]
+    assert "scipy.signal" not in modules["fit"]

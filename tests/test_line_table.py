@@ -9,12 +9,14 @@ same values or raise the same error (message, row, column).
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emitternet.lineio
 import emitternet.spectral
 from emitternet import (
     DomainError,
@@ -28,6 +30,7 @@ from emitternet import (
     sample_ensemble,
     serialize_line_list,
     summarize_ensemble,
+    write_line_list,
 )
 from emitternet.lineio import LINE_LIST_HEADER
 
@@ -158,6 +161,39 @@ def test_ids_starting_with_hash_round_trip():
     assert '"#1","0.0","1.0","300.0","300.0"' in text.splitlines()
     assert "a,0.5,1.5,," in text.splitlines()
     assert parse_line_list(text) == table
+
+
+def _hashed_table(n: int) -> LineTable:
+    """n rows; every seventh id starts with "#" and every fifth width is NaN."""
+    table = sample_ensemble(EnsembleModel(), n, 2)
+    ids = [f"#{name}" if i % 7 == 0 else name for i, name in enumerate(table.ids.tolist())]
+    widths = np.where(np.arange(n) % 5 == 0, np.nan, table.fwhm_a1_mhz)
+    return LineTable(ids, table.a1_ghz, table.a2_ghz, widths, table.fwhm_a2_mhz)
+
+
+def test_written_file_is_the_serialized_text(tmp_path):
+    table = _hashed_table(2 * emitternet.lineio._WRITE_BLOCK + 3)  # three blocks
+    path = tmp_path / "lines.csv"
+    write_line_list(path, table, comments=["config_hash=x", "seed=2"])
+    text = serialize_line_list(table, comments=["config_hash=x", "seed=2"])
+    assert path.read_bytes() == text.encode("utf-8")
+    assert '"#e00000",' in text and ",," in text
+    assert parse_line_list(path.read_bytes()) == table
+
+
+def test_write_holds_one_block_of_rows(tmp_path, monkeypatch):
+    # the whole text of these 10000 rows takes 0.8 MB, and building it in
+    # one string peaked at 2.3 MB; a block of 64 rows takes a few kB, on top
+    # of about 0.2 MB that does not grow with the row count
+    monkeypatch.setattr(emitternet.lineio, "_WRITE_BLOCK", 64)
+    table = _hashed_table(10_000)
+    tracemalloc.start()
+    try:
+        write_line_list(tmp_path / "lines.csv", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 @settings(max_examples=200, deadline=None)

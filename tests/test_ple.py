@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitternet import (
     ClassificationError,
@@ -295,6 +298,40 @@ class TestClassifyPairSpectrum:
         assert assignment.zfs1_ghz == pytest.approx(0.8)
 
 
+# Integer counts built from runs, so that plateaus are common, and the
+# first and last runs are plateaus at either end.
+plateaued_counts = (
+    st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=200)
+    .map(lambda runs: np.repeat(*np.array(runs).T).astype(float)[:400])
+    .filter(lambda x: len(x) >= 3)
+)
+
+
+class TestFindPeaks:
+    @settings(max_examples=400, deadline=None)
+    @given(plateaued_counts, st.data())
+    def test_matches_scipy_find_peaks(self, x, data):
+        from scipy.signal import find_peaks
+
+        distance = data.draw(st.integers(1, len(x)), label="distance")
+        height = np.nextafter(np.median(x), np.inf)
+        want, _ = find_peaks(x, height=height, distance=distance)
+        assert np.array_equal(ple._find_peaks(x, height, distance), want)
+
+    def test_plateaus(self):
+        x = np.array([3.0, 3.0, 1.0, 4.0, 4.0, 4.0, 4.0, 2.0, 5.0, 5.0])
+        # the end plateaus are no maxima; the middle one is at (3 + 6) // 2
+        assert ple._find_peaks(x, 0.0, 1).tolist() == [4]
+
+    def test_taller_peak_drops_its_near_neighbours(self):
+        x = np.array([0.0, 2.0, 0.0, 3.0, 0.0, 2.0, 0.0, 0.0, 1.0, 0.0])
+        assert ple._find_peaks(x, 0.5, 1).tolist() == [1, 3, 5, 8]
+        assert ple._find_peaks(x, 0.5, 3).tolist() == [3, 8]
+        assert ple._find_peaks(x, 1.5, 3).tolist() == [3]
+        # a peak exactly at the height is kept
+        assert ple._find_peaks(x, 2.0, 1).tolist() == [1, 3, 5]
+
+
 class TestPleSpectrumValidation:
     def test_rejects_unsorted_frequencies(self):
         with pytest.raises(DomainError):
@@ -303,3 +340,48 @@ class TestPleSpectrumValidation:
     def test_rejects_negative_counts(self):
         with pytest.raises(DomainError):
             PleSpectrum(frequencies_ghz=np.array([0.0, 1.0]), counts=np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_counts(self, bad):
+        with pytest.raises(DomainError, match="counts must be finite"):
+            PleSpectrum(frequencies_ghz=np.array([0.0, 1.0, 2.0]), counts=np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_frequencies(self, bad):
+        with pytest.raises(DomainError, match="frequencies must be finite"):
+            PleSpectrum(frequencies_ghz=np.array([0.0, 1.0, bad]), counts=np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_dwell_time(self, bad):
+        with pytest.raises(DomainError, match="dwell time"):
+            PleSpectrum(np.array([0.0, 1.0]), np.array([1.0, 2.0]), dwell_time_s=bad)
+
+    def test_nan_count_is_refused_before_the_fit(self):
+        # it reached scipy's least_squares as a bare ValueError
+        grid = np.linspace(-2, 2, 401)
+        counts = synthesize([LorentzianPeak(0.0, 300.0, 100.0)], 5.0, grid).counts
+        counts[7] = math.nan
+        with pytest.raises(DomainError):
+            fit_multi_lorentzian(PleSpectrum(grid, counts), 1)
+
+
+class TestLorentzianPeakValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_center(self, bad):
+        with pytest.raises(DomainError, match="center"):
+            LorentzianPeak(center_ghz=bad, fwhm_mhz=300.0, amplitude=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_fwhm(self, bad):
+        with pytest.raises(DomainError, match="FWHM"):
+            LorentzianPeak(center_ghz=0.0, fwhm_mhz=bad, amplitude=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_amplitude(self, bad):
+        with pytest.raises(DomainError, match="amplitude"):
+            LorentzianPeak(center_ghz=0.0, fwhm_mhz=300.0, amplitude=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_synthesize_rejects_non_finite_background(self, bad):
+        with pytest.raises(DomainError, match="background"):
+            synthesize([], bad, np.linspace(-1, 1, 11))
