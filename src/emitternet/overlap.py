@@ -417,7 +417,8 @@ def monte_carlo_threshold(
 ) -> MonteCarloThreshold:
     """Simulate drawing emitters until two lines fall within the window.
 
-    Each trial uses its own sub-stream (subkeys ``(0, trial)``) so trials
+    Each trial uses its own sub-stream (subkeys ``(0, trial)``, derived in
+    bulk by :meth:`~emitternet.seeding.SeedSpec.pcg64_states`) so trials
     are order-independent; the pairwise rate ``pairwise_q`` is estimated
     from an independent block of sampled pairs (subkey ``(1,)``).
     Pairs are found, and ``combos`` must be closed under swapping the two
@@ -425,10 +426,10 @@ def monte_carlo_threshold(
 
     A trial draws blocks of 32, 64, 128, ... emitters, clipped at
     ``max_emitters``, until one of them closes a pair. Trials run side by
-    side in chunks of ``_MC_CHUNK_EMITTERS // max_emitters``: after each
-    block, one sorted sweep per trial (:func:`_first_closing`) finds the
-    first emitter that closes a pair, and only the trials still open draw
-    their next block.
+    side in chunks of ``_MC_CHUNK_EMITTERS // max_emitters``, one generator
+    set to each trial's state in turn: after each block, one sorted sweep
+    per trial (:func:`_first_closing`) finds the first emitter that closes
+    a pair, and only the trials still open draw their next block.
     """
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
@@ -447,16 +448,21 @@ def monte_carlo_threshold(
     # max_emitters + 1 marks a censored trial
     stops = np.full(trials, max_emitters + 1, dtype=np.int64)
     chunk = max(1, _MC_CHUNK_EMITTERS // max_emitters)
+    # One generator serves every trial: it is set to a trial's state before
+    # the trial's block and the state is kept after it.
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
     for first in range(0, trials, chunk):
-        rngs = [spec.rng(0, t) for t in range(first, min(first + chunk, trials))]
-        live = np.arange(len(rngs))
-        a1 = a2 = np.empty((len(rngs), 0))
+        states = spec.pcg64_states(range(first, min(first + chunk, trials)), 0)
+        live = np.arange(len(states))
+        a1 = a2 = np.empty((len(states), 0))
         block = 32
         while live.size and a1.shape[1] < max_emitters:
-            new = [
-                sample_line_positions(model, min(block, max_emitters - a1.shape[1]), rngs[r])
-                for r in live
-            ]
+            grow, new = min(block, max_emitters - a1.shape[1]), []
+            for r in live:
+                bit_generator.state = states[r]
+                new.append(sample_line_positions(model, grow, rng))
+                states[r] = bit_generator.state
             a1 = np.concatenate([a1, np.stack([n1 for n1, _ in new])], axis=1)
             a2 = np.concatenate([a2, np.stack([n2 for _, n2 in new])], axis=1)
             j = _first_closing(a1, a2, combos, window_mhz)

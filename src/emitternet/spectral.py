@@ -228,8 +228,8 @@ def _truncated_normal(rng: np.random.Generator, mean: float, sigma: float, n: in
         return np.full(n, mean)
     out = rng.normal(mean, sigma, n)
     bad = out <= 0.0
-    while bad.any():
-        out[bad] = rng.normal(mean, sigma, int(bad.sum()))
+    while n_bad := np.count_nonzero(bad):
+        out[bad] = rng.normal(mean, sigma, n_bad)
         bad = out <= 0.0
     return out
 
@@ -242,8 +242,8 @@ def sample_line_positions(
     Draw order is fixed (centers, then ZFS) so streams are reproducible.
     """
     centers = model.centers.sample(rng, n)
-    zfs = _truncated_normal(rng, model.zfs_mean_ghz, model.zfs_sigma_ghz, n)
-    return centers - 0.5 * zfs, centers + 0.5 * zfs
+    half = 0.5 * _truncated_normal(rng, model.zfs_mean_ghz, model.zfs_sigma_ghz, n)
+    return centers - half, centers + half
 
 
 # Most emitters :func:`sample_ensemble` draws. It peaks at about 160 bytes an

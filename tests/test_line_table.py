@@ -181,6 +181,30 @@ def test_written_file_is_the_serialized_text(tmp_path):
     assert parse_line_list(path.read_bytes()) == table
 
 
+def test_hash_ids_across_block_boundaries(tmp_path, monkeypatch):
+    # blocks of 4 rows: "#" ids end the first block and start the second,
+    # the third has "#" only inside an id, the fourth has none
+    monkeypatch.setattr(emitternet.lineio, "_WRITE_BLOCK", 4)
+    ids = ["a", "b", "c", "#d", "#e", " #f", "g", "h", "i", "j#", "k", "l", "m", "n", "o", "p"]
+    n = len(ids)
+    widths = np.where(np.arange(n) % 3 == 0, np.nan, 300.0 + np.arange(n))
+    table = LineTable(ids, 0.1 * np.arange(n), 0.1 * np.arange(n) + 1.0, widths, widths)
+    # each row on its own: every field quoted when the id starts with "#" after spaces
+    want = io.StringIO()
+    plain = csv.writer(want, lineterminator="\n")
+    quoted = csv.writer(want, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(LINE_LIST_HEADER)
+    for i, name in enumerate(ids):
+        cells = [table.a1_ghz[i], table.a2_ghz[i], widths[i], widths[i]]
+        row = [name, *("" if math.isnan(v) else repr(float(v)) for v in cells)]
+        (quoted if name.lstrip().startswith("#") else plain).writerow(row)
+    text = serialize_line_list(table)
+    assert text == want.getvalue()
+    assert [line[:5] for line in text.splitlines()[4:7]] == ['"#d",', '"#e",', '" #f"']
+    write_line_list(tmp_path / "lines.csv", table)
+    assert (tmp_path / "lines.csv").read_bytes() == text.encode("utf-8")
+
+
 def test_write_holds_one_block_of_rows(tmp_path, monkeypatch):
     # the whole text of these 10000 rows takes 0.8 MB, and building it in
     # one string peaked at 2.3 MB; a block of 64 rows takes a few kB, on top

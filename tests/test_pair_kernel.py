@@ -32,7 +32,7 @@ from emitternet import (
 )
 from emitternet.overlap import MAX_CANDIDATE_PAIRS, MonteCarloThreshold, _closed_combos
 from emitternet.overlap import _close_pairs, _first_closing
-from emitternet.seeding import as_seed
+from emitternet.seeding import SeedSpec, as_seed
 from emitternet.spectral import sample_line_positions
 
 from conftest import make_table
@@ -351,12 +351,17 @@ A1A1, A2A2, A1A2, A2A1 = (LineCombo.A1_A1, LineCombo.A2_A2, LineCombo.A1_A2, Lin
         (FIXED_ZFS, 300.0, set(LineCombo), 512, 8),
         (UNIFORM, 5.0, set(LineCombo), 45, 9),
         (UNIFORM, 0.5, {A1A1}, 100, 10),
+        (UNIFORM, 1.5, {A1A1}, 300, 11),
+        (BUNCHED, 29.0, set(LineCombo), 512, SeedSpec(12, stream_index=2**33 + 1)),
     ],
 )
 def test_monte_carlo_matches_dense_oracle(model, window_mhz, combos, max_emitters, seed):
     # max_emitters=40 censors trials and clips the second block to 8 emitters;
     # 45 clips it to 13, and 37% of the trials reach that part-filled block;
-    # max_emitters=100 at 0.5 MHz censors about four trials in five
+    # max_emitters=100 at 0.5 MHz censors about four trials in five; at
+    # 1.5 MHz about half the trials reach the third block (128 emitters) and
+    # 17 the fourth, so a trial's saved generator state is resumed up to three
+    # times; a stream index above 2^32 is two words of the trials' spawn key
     got = monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     want = dense_monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     assert got.curve == want.curve
