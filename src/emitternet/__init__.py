@@ -18,6 +18,7 @@ from .errors import (
     LineListError,
     PeakDetectionError,
     ProtocolError,
+    SummaryError,
     UsageError,
 )
 from .seeding import SeedSpec, as_seed

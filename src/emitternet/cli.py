@@ -1,13 +1,18 @@
 """Command line surface: reproducible runs over the analysis modules.
 
-Each subcommand writes a ``<command>_summary.json`` document plus
-plot-ready CSV tables into the output directory. Summaries embed the tool
-version, the SHA-256 hash of the fully resolved configuration, and the
-seeds, so identical config and seed reproduce byte-identical output
-except for the single ``generated_at`` timestamp field.
+Each subcommand computes everything first and returns its results and
+its files; :func:`main` then writes the files (plot-ready CSV tables) and
+a ``<command>_summary.json`` document into the output directory. Summaries
+embed the tool version, the SHA-256 hash of the fully resolved
+configuration, and the seeds, so identical config and seed reproduce
+byte-identical output except for the single ``generated_at`` timestamp
+field.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 fit non-convergence. Errors are printed as single-line JSON on stderr.
+A run refused with exit 1 or 2 writes no file (only an OS error while
+writing stops part-way); one that exits 3 writes its summary (and, for
+``fit-ple --synthetic``, the spectrum) before the error.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config
-from .errors import ConfigError, EmitterNetError, LineListError, UsageError
+from .errors import ConfigError, EmitterNetError, LineListError, SummaryError, UsageError
 from .lineio import (
     read_line_list,
     read_spectrum,
@@ -40,6 +45,7 @@ from .overlap import (
 )
 from .ple import (
     LorentzianPeak,
+    PleSpectrum,
     _check_fit_size,
     classify_pair_spectrum,
     fit_multi_lorentzian,
@@ -54,7 +60,7 @@ from .register import (
 )
 from .seeding import SeedSpec
 from .spatial import ConfocalPsf, occupancy_stats, sample_scene, spectral_arrangement_rate
-from .spectral import sample_ensemble, summarize_ensemble
+from .spectral import LineTable, sample_ensemble, summarize_ensemble
 
 SEED_ENV_VAR = "EMITTERNET_SEED"
 
@@ -116,7 +122,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", dest="fit_ple.n_peaks", type=int, help="number of peaks")
     p.add_argument("--classify", dest="fit_ple.classify", action="store_true",
                    help="classify a 3-peak pair spectrum")
-    p.add_argument("--max-iterations", type=int, default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("protocol", parents=[common], help="heralded GHZ chain simulation")
     p.add_argument("--n", dest="protocol.n_qubits", type=int, help="number of spin qubits")
@@ -177,19 +182,12 @@ def _resolve_seed(cfg: RunConfig) -> SeedSpec:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    out = cfg.data["output_dir"] or "emitternet_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _summary_slug(command: str) -> str:
-    return command.replace("-", "_")
+    return Path(cfg.data["output_dir"] or "emitternet_out")
 
 
 def _write_summary(
     out_dir: Path, command: str, cfg: RunConfig, seed: SeedSpec, results: dict[str, Any]
-) -> Path:
+) -> None:
     doc = {
         "tool": "emitternet",
         "version": __version__,
@@ -200,9 +198,8 @@ def _write_summary(
         "generated_at": _utc_now(),
         "results": results,
     }
-    path = out_dir / f"{_summary_slug(command)}_summary.json"
+    path = out_dir / f"{command.replace('-', '_')}_summary.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
@@ -213,21 +210,22 @@ def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
     ]
 
 
-def _cmd_sample(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
+# A command writes nothing: it returns its results (None for ``report``), its files
+# by name (LineTable, PleSpectrum, (header, rows) or text) and its exit code.
+_Outcome = tuple[dict[str, Any] | None, dict[str, Any], int]
+
+
+def _cmd_sample(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     model = cfg.ensemble_model()
     n = cfg.data["sample"]["n_emitters"]
     emitters = sample_ensemble(model, n, seed)
-    # both histograms are binned before any file is written, so a refused one leaves none
-    hists = {
-        "zfs_histogram.csv": histogram(emitters.zfs_ghz, 0.025),
-        "line_histogram.csv": histogram(np.concatenate([emitters.a1_ghz, emitters.a2_ghz]), 1.0),
-    }
-    write_line_list(out_dir / "line_list.csv", emitters, comments=_csv_comments(cfg, seed))
-    summary = summarize_ensemble(emitters) if n >= 2 else None
-    for name, hist in hists.items():
+    files: dict[str, Any] = {"line_list.csv": emitters}
+    lines = np.concatenate([emitters.a1_ghz, emitters.a2_ghz])
+    for name, values, width in (("zfs", emitters.zfs_ghz, 0.025), ("line", lines, 1.0)):
+        hist = histogram(values, width)
         rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
-        header = ["bin_low", "bin_high", "count"]
-        write_table(out_dir / name, header, rows, _csv_comments(cfg, seed))
+        files[f"{name}_histogram.csv"] = (["bin_low", "bin_high", "count"], rows)
+    summary = summarize_ensemble(emitters) if n >= 2 else None
     results = {
         "n_emitters": n,
         "zfs_ghz": vars(summary.zfs_ghz) if summary else None,
@@ -241,11 +239,10 @@ def _cmd_sample(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "line_histogram_csv": "line_histogram.csv",
         "provenance_note": PROVENANCE_NOTE,
     }
-    _write_summary(out_dir, "sample", cfg, seed, results)
-    return 0
+    return results, files, 0
 
 
-def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
+def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     model = cfg.ensemble_model()
     combos = cfg.combos()
     if args.input is not None:
@@ -261,12 +258,12 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
     resamples = cfg.data["overlap"]["bootstrap_resamples"]
     curve = overlap_curve(emitters, windows, combos, bootstrap_resamples=resamples, seed=seed)
     slope = fit_slope_through_origin(curve, gamma)
-    write_table(
-        out_dir / "overlap_curve.csv",
-        ["window_mhz", "probability", "std_error"],
-        list(zip(curve.windows_mhz, curve.probabilities, curve.std_errors)),
-        comments=_csv_comments(cfg, seed),
-    )
+    files = {
+        "overlap_curve.csv": (
+            ["window_mhz", "probability", "std_error"],
+            zip(curve.windows_mhz, curve.probabilities, curve.std_errors),
+        )
+    }
     results = {
         "source": source,
         "n_emitters": curve.n_emitters,
@@ -281,14 +278,14 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "curve_csv": "overlap_curve.csv",
         "provenance_note": PROVENANCE_NOTE,
     }
-    _write_summary(out_dir, "overlap", cfg, seed, results)
-    return 0
+    return results, files, 0
 
 
-def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
+def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     section = cfg.data["birthday"]
     target = section["target"]
     results: dict[str, Any] = {"target_probability": target}
+    files: dict[str, Any] = {}
     if section["q"] is not None:
         threshold = birthday_threshold(section["q"], target)
         results.update(
@@ -296,15 +293,10 @@ def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
                 "n_star": threshold.n_star,
                 "pairwise_q": threshold.pairwise_q,
                 "curve": [[n, p] for n, p in threshold.curve],
+                "curve_csv": "birthday_curve.csv",
             }
         )
-        write_table(
-            out_dir / "birthday_curve.csv",
-            ["n_emitters", "collision_probability"],
-            [list(point) for point in threshold.curve],
-            comments=_csv_comments(cfg, seed),
-        )
-        results["curve_csv"] = "birthday_curve.csv"
+        files["birthday_curve.csv"] = (["n_emitters", "collision_probability"], threshold.curve)
     elif not section["monte_carlo"]:
         raise ConfigError("birthday requires --q (or birthday.q) unless --mc is given")
     if section["monte_carlo"]:
@@ -320,21 +312,18 @@ def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
             "quantiles": mc.quantiles,
             "ci95_at_n_star": list(mc.ci95_at_n_star) if mc.ci95_at_n_star else None,
             "n_censored": mc.n_censored,
+            "curve_csv": "birthday_mc_curve.csv",
         }
-        write_table(
-            out_dir / "birthday_mc_curve.csv",
-            ["n_emitters", "empirical_collision_probability"],
-            [list(point) for point in mc.curve],
-            comments=_csv_comments(cfg, seed),
+        files["birthday_mc_curve.csv"] = (
+            ["n_emitters", "empirical_collision_probability"], mc.curve
         )
-        results["monte_carlo"]["curve_csv"] = "birthday_mc_curve.csv"
-    _write_summary(out_dir, "birthday", cfg, seed, results)
-    return 0
+    return results, files, 0
 
 
-def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
+def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     section = cfg.data["fit_ple"]
     k = section["n_peaks"]
+    files: dict[str, Any] = {}
     if args.input is not None:
         spectrum = read_spectrum(args.input)
         source = str(args.input)
@@ -351,19 +340,16 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         ]
         span = (k + 1) * zfs
         n_points = max(60 * k, 240)
-        # refuse an oversized fit before any file is written
+        # a memory guard: refuse an oversized fit before its grid is built
         _check_fit_size(n_points, k)
         grid = np.linspace(-span, span, n_points)
         spectrum = synthesize(peaks, background=5.0, grid_ghz=grid, shot_noise=True, seed=seed)
-        write_spectrum(out_dir / "ple_spectrum.csv", spectrum, comments=_csv_comments(cfg, seed))
+        files["ple_spectrum.csv"] = spectrum
         source = "synthetic"
     else:
         raise ConfigError("fit-ple requires --input or --synthetic")
 
-    kwargs = {}
-    if args.max_iterations is not None:
-        kwargs["max_iterations"] = args.max_iterations
-    fit = fit_multi_lorentzian(spectrum, k, **kwargs)
+    fit = fit_multi_lorentzian(spectrum, k)
     results: dict[str, Any] = {
         "source": source,
         "n_peaks": k,
@@ -390,11 +376,7 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
             "zfs1_ghz": assignment.zfs1_ghz,
             "zfs2_ghz": assignment.zfs2_ghz,
         }
-    _write_summary(out_dir, "fit-ple", cfg, seed, results)
-    if not fit.converged:
-        _print_error(EmitterNetError("fit did not converge within the iteration cap"), 3)
-        return 3
-    return 0
+    return results, files, 0 if fit.converged else 3
 
 
 def _complex_pairs(amplitudes: np.ndarray) -> list[list[float]]:
@@ -402,7 +384,7 @@ def _complex_pairs(amplitudes: np.ndarray) -> list[list[float]]:
     return np.column_stack((amplitudes.real, amplitudes.imag)).tolist()
 
 
-def _cmd_protocol(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
+def _cmd_protocol(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     section = cfg.data["protocol"]
     n = section["n_qubits"]
     eta = section["eta"]
@@ -423,36 +405,22 @@ def _cmd_protocol(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
             "reconciled."
         ),
         "branches": [
-            {
-                "weight": b.weight,
-                "amplitudes": _complex_pairs(b.state.amplitudes),
-            }
+            {"weight": b.weight, "amplitudes": _complex_pairs(b.state.amplitudes)}
             for b in lossy.mixture.branches
         ],
     }
+    files: dict[str, Any] = {}
     if args.sweep:
-        rows = fidelity_vs_eta_sweep(n, cfg.data["protocol"]["eta_sweep"])
-        write_table(
-            out_dir / "fidelity_sweep.csv",
-            ["eta", "fidelity_published", "fidelity_enumeration", "discrepancy"],
-            [[r.eta, r.fidelity_published, r.fidelity_enumeration, r.discrepancy] for r in rows],
-            comments=_csv_comments(cfg, seed),
-        )
+        header = ["eta", "fidelity_published", "fidelity_enumeration", "discrepancy"]
+        sweep = fidelity_vs_eta_sweep(n, section["eta_sweep"])
+        rows = [[getattr(r, key) for key in header] for r in sweep]
+        files["fidelity_sweep.csv"] = (header, rows)
         results["sweep_csv"] = "fidelity_sweep.csv"
-        results["sweep"] = [
-            {
-                "eta": r.eta,
-                "fidelity_published": r.fidelity_published,
-                "fidelity_enumeration": r.fidelity_enumeration,
-                "discrepancy": r.discrepancy,
-            }
-            for r in rows
-        ]
-    _write_summary(out_dir, "protocol", cfg, seed, results)
-    return 0
+        results["sweep"] = [dict(zip(header, row)) for row in rows]
+    return results, files, 0
 
 
-def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
+def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     section = cfg.data["spatial"]
     if section["lateral_fwhm_um"] is None:
         raise ConfigError(
@@ -475,14 +443,10 @@ def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "multi_emitter_fraction_poisson": stats.multi_emitter_fraction_poisson,
         "trials": stats.trials,
     }
+    files: dict[str, Any] = {}
     if args.export_scene:
         scene = sample_scene(density, section["box_um"], seed)
-        write_table(
-            out_dir / "scene.csv",
-            ["x_um", "y_um", "z_um"],
-            [list(map(float, row)) for row in scene.positions],
-            comments=_csv_comments(cfg, seed),
-        )
+        files["scene.csv"] = (["x_um", "y_um", "z_um"], scene.positions.tolist())
         results["scene"] = {
             "box_um": list(scene.box_um),
             "count": scene.count,
@@ -494,8 +458,7 @@ def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         window = model.gamma_mhz if window is None else window
         rate = spectral_arrangement_rate(model, k, window, max(section["trials"], 10_000), seed)
         results["spectral_chain"] = {"k": k, "window_mhz": window, "probability": rate}
-    _write_summary(out_dir, "spatial", cfg, seed, results)
-    return 0
+    return results, files, 0
 
 
 def _scalar_results(results: dict, prefix: str = "") -> Iterator[tuple[str, Any]]:
@@ -507,7 +470,26 @@ def _scalar_results(results: dict, prefix: str = "") -> Iterator[tuple[str, Any]
             yield f"{prefix}{key}", value
 
 
-def _cmd_report(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
+def _load_summary(path: Path) -> dict[str, Any]:
+    """A command summary, refused unless it holds every field ``report`` reads."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        raise SummaryError(f"{path} is not valid JSON: {exc}") from None
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("command"), str)
+        and isinstance(doc.get("results"), dict)
+        and isinstance(doc.get("seed"), dict)
+        and "seed" in doc["seed"]
+        and {"config_hash", "version"} <= doc.keys()
+    ):
+        raise SummaryError(f"{path} is not an emitternet command summary")
+    return doc
+
+
+def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
+    out_dir = _out_dir(cfg)
     summaries = sorted(
         p for p in out_dir.glob("*_summary.json") if p.name != "report_summary.json"
     )
@@ -515,7 +497,7 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         raise LineListError(f"no command summaries found in {out_dir}")
     sections = {}
     for path in summaries:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = _load_summary(path)
         sections[doc["command"]] = {
             "file": path.name,
             "config_hash": doc["config_hash"],
@@ -531,10 +513,6 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         "provenance_note": PROVENANCE_NOTE,
         "sections": sections,
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
     lines = [
         f"emitternet {__version__} run report",
         f"config hash: {cfg.config_hash()}",
@@ -546,8 +524,8 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, out_dir: Path, args) -> int:
         lines.append(f"[{command}] (from {info['file']}, seed {info['seed']['seed']})")
         lines.extend(f"  {key}: {value}" for key, value in _scalar_results(info["results"]))
         lines.append("")
-    (out_dir / "report.txt").write_text("\n".join(lines), encoding="utf-8")
-    return 0
+    report_json = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return None, {"report.json": report_json, "report.txt": "\n".join(lines)}, 0
 
 
 _COMMANDS = {
@@ -577,16 +555,31 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _load_config(args)
         seed = _resolve_seed(cfg)
         out_dir = _out_dir(cfg)
-        return _COMMANDS[args.command](cfg, seed, out_dir, args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        results, files, code = _COMMANDS[args.command](cfg, seed, args)
+        # The one output stage: a command that raised has written nothing.
+        comments = _csv_comments(cfg, seed)
+        for name, data in files.items():
+            path = out_dir / name
+            if isinstance(data, LineTable):
+                write_line_list(path, data, comments)
+            elif isinstance(data, PleSpectrum):
+                write_spectrum(path, data, comments)
+            elif isinstance(data, str):
+                path.write_text(data, encoding="utf-8")
+            else:
+                write_table(path, *data, comments)
+        if results is not None:
+            _write_summary(out_dir, args.command, cfg, seed, results)
     except UsageError as exc:
         _print_error(exc, 1)
         return 1
-    except EmitterNetError as exc:
+    except (EmitterNetError, OSError) as exc:
         _print_error(exc, 2)
         return 2
-    except OSError as exc:
-        _print_error(exc, 2)
-        return 2
+    if code == 3:
+        _print_error(EmitterNetError("fit did not converge within the iteration cap"), 3)
+    return code
 
 
 def entrypoint() -> None:

@@ -52,5 +52,9 @@ class ConfigError(EmitterNetError):
     """Run configuration violates the published schema."""
 
 
+class SummaryError(EmitterNetError):
+    """A ``*_summary.json`` file is not valid JSON or not a command summary."""
+
+
 class UsageError(EmitterNetError):
     """Command line arguments are malformed."""

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .seeding import SeedSpec, as_seed
+from .seeding import SeedSpec, _index, as_seed
 from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, LineTable
 from .spectral import sample_line_positions, separation_mhz
 
@@ -302,6 +302,7 @@ def collision_probability(q: float, n: int) -> float:
     """
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"pairwise probability must lie in [0, 1], got {q}")
+    n = _index(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     pairs = n * (n - 1) // 2
@@ -431,6 +432,7 @@ def monte_carlo_threshold(
     per trial (:func:`_first_closing`) finds the first emitter that closes
     a pair, and only the trials still open draw their next block.
     """
+    trials, max_emitters = _index(trials, "trials"), _index(max_emitters, "max_emitters")
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
     if trials > MAX_MC_TRIALS:

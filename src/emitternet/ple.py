@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClassificationError, DomainError, PeakDetectionError
-from .seeding import SeedSpec, as_seed
+from .seeding import SeedSpec, _index, as_seed
 from .spectral import EnsembleModel
 
 # Convergence contract for the fitter.
@@ -232,14 +232,17 @@ def fit_multi_lorentzian(
     """Least-squares fit of k Lorentzians plus a constant background.
 
     Stops when the relative residual change falls below
-    :data:`FIT_RELATIVE_TOLERANCE` or after ``max_iterations`` function
-    evaluations; hitting the cap yields ``converged=False`` rather than an
-    exception. With ``guess=None`` the initial peaks come from
-    :func:`initial_guess`, so an undetectable k raises
-    :class:`PeakDetectionError`. A fit whose Jacobian would hold more than
-    :data:`MAX_FIT_JACOBIAN_ENTRIES` entries is refused.
+    :data:`FIT_RELATIVE_TOLERANCE` or after ``max_iterations`` (an integer,
+    at least 1) function evaluations; hitting the cap yields
+    ``converged=False`` rather than an exception. With ``guess=None`` the
+    initial peaks come from :func:`initial_guess`, so an undetectable k
+    raises :class:`PeakDetectionError`. A fit whose Jacobian would hold
+    more than :data:`MAX_FIT_JACOBIAN_ENTRIES` entries is refused.
     """
     _check_fit_size(len(spectrum.frequencies_ghz), k)
+    max_iterations = _index(max_iterations, "max_iterations")
+    if max_iterations < 1:
+        raise DomainError(f"need max_iterations >= 1, got {max_iterations}")
     # scipy is imported here, not at module level: it is used only for this
     # least-squares fit, and its import costs every other command about half
     # a second of start-up. The start peaks are found with numpy.

@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ProtocolError
+from .seeding import _index
 
 MAX_QUBITS = 12
 NORM_TOLERANCE = 1e-12
@@ -228,6 +229,7 @@ def published_branch_weight(eta: float) -> float:
 
 def published_model_fidelity(n: int, eta: float) -> float:
     """Published fidelity model for the n-qubit chain: p^(n-1)."""
+    n = _index(n, "n")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     return published_branch_weight(eta) ** (n - 1)

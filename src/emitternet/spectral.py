@@ -21,12 +21,6 @@ from .seeding import SeedSpec, as_seed
 # relative, which keeps full double precision on MHz-scale differences.
 REFERENCE_FREQUENCY_THZ = 347.94059
 
-# Documented constants that no implemented formula consumes: the ground-state
-# splitting of the emitter and the spin-mixing drive frequency used during
-# resonant scans to avoid optical pumping into dark states.
-GROUND_STATE_SPLITTING_MHZ = 5.0
-SPIN_MIXING_DRIVE_MHZ = 5.0
-
 
 def lifetime_limited_linewidth(lifetime_ns: float) -> float:
     """Fourier-limited emission linewidth 1/(2*pi*tau), returned in MHz."""

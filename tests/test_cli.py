@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -10,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emitternet import LossModel, run_ghz_chain, run_ghz_chain_with_loss, serialize_line_list
+from emitternet import (
+    LossModel,
+    fit_multi_lorentzian,
+    run_ghz_chain,
+    run_ghz_chain_with_loss,
+    serialize_line_list,
+)
 from emitternet import cli
 from emitternet.cli import main
 
@@ -339,22 +346,26 @@ class TestFitPleCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "PeakDetectionError"
 
-    def test_nonconvergence_exit_3(self, tmp_path, capsys):
-        code = main(
-            [
-                "fit-ple",
-                "--synthetic",
-                "--k", "2",
-                "--seed", "3",
-                "--max-iterations", "1",
-                "--out", str(tmp_path),
-            ]
+    def test_nonconvergence_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "fit_multi_lorentzian", functools.partial(fit_multi_lorentzian, max_iterations=1)
         )
+        code = main(["fit-ple", "--synthetic", "--k", "2", "--seed", "3", "--out", str(tmp_path)])
         assert code == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["exit_code"] == 3
         results = _read_summary(tmp_path, "fit_ple")["results"]
         assert results["converged"] is False
+        # exit 3 still writes the summary and the synthetic spectrum
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["fit_ple_summary.json", "ple_spectrum.csv", "ple_spectrum.csv.meta.json"]
+        config_hash = _read_summary(tmp_path, "fit_ple")["config_hash"]
+        assert f"# config_hash={config_hash}\n" in (tmp_path / "ple_spectrum.csv").read_text()
+
+    def test_max_iterations_flag_removed(self, tmp_path, capsys):
+        argv = ["fit-ple", "--synthetic", "--max-iterations", "1", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "--max-iterations" in json.loads(capsys.readouterr().err.strip())["error"]
 
     def test_requires_input_or_synthetic(self, tmp_path, capsys):
         code = main(["fit-ple", "--k", "2", "--out", str(tmp_path)])
@@ -507,6 +518,79 @@ class TestReportCommand:
         assert main(["report", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["sections"]) == {"sample", "overlap", "birthday", "protocol", "spatial"}
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestRefusedRunWritesNothing:
+    # name: (successful runs of the same command, the refused run, its config,
+    #        a summary planted before it, the error it ends in)
+    CASES = {
+        "birthday-mc-trials": (
+            [["birthday", "--q", "0.01", "--mc", "--trials", "1000"]],
+            ["birthday", "--q", "0.01", "--mc", "--trials", "2000000000"],
+            None, None, "DomainError",
+        ),
+        "spatial-chain-window": (
+            [["spatial", "--lateral-fwhm-um", "0.5", "--export-scene", "--chain-k", "3"]],
+            ["spatial", "--lateral-fwhm-um", "0.5", "--export-scene", "--chain-k", "3",
+             "--chain-window-mhz", "0"],
+            None, None, "DomainError",
+        ),
+        "spatial-chain-k": (
+            [["spatial", "--lateral-fwhm-um", "0.5", "--export-scene", "--chain-k", "3"]],
+            ["spatial", "--lateral-fwhm-um", "0.5", "--export-scene", "--chain-k", "17"],
+            None, None, "DomainError",
+        ),
+        "fit-ple-classify": (
+            [["fit-ple", "--synthetic", "--k", "3", "--classify"]],
+            ["fit-ple", "--synthetic", "--k", "3", "--classify"],
+            {"fit_ple": {"prior_sigma_ghz": 0.0001}}, None, "ClassificationError",
+        ),
+        "report-invalid-json": (
+            [["birthday", "--q", "0.0098"], ["report"]],
+            ["report"],
+            None, "{", "SummaryError",
+        ),
+        "report-foreign-summary": (
+            [["birthday", "--q", "0.0098"], ["report"]],
+            ["report"],
+            None, '{"a": 1}', "SummaryError",
+        ),
+    }
+
+    @pytest.mark.parametrize("prior_run", [False, True], ids=["empty", "prior-run"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_directory_unchanged(self, tmp_path, capsys, case, prior_run):
+        priors, refused, config, planted, error_type = self.CASES[case]
+        out = tmp_path / "out"
+        out.mkdir()
+        if prior_run:
+            for argv in priors:
+                assert main([*argv, "--seed", "4", "--out", str(out)]) == 0
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            refused = [*refused, "--config", str(tmp_path / "cfg.json")]
+        if planted is not None:
+            (out / "x_summary.json").write_text(planted)
+        before = _snapshot(out)
+        capsys.readouterr()
+
+        assert main([*refused, "--seed", "4", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == error_type
+        if planted is not None:
+            assert "x_summary.json" in err["error"]
+        assert _snapshot(out) == before
+        if prior_run:
+            # the prior run's tables still carry its summary's config hash
+            config_hash = _read_summary(out, priors[0][0].replace("-", "_"))["config_hash"]
+            tables = list(out.glob("*.csv"))
+            assert tables
+            for table in tables:
+                assert f"# config_hash={config_hash}\n" in table.read_text()
 
 
 class TestUsageAndConfig:

@@ -1,4 +1,4 @@
-"""Seed validation and the bulk per-trial stream states.
+"""Seed and count validation, and the bulk per-trial stream states.
 
 ``SeedSpec.pcg64_states`` reimplements numpy's SeedSequence hash and PCG64
 seeding over arrays. numpy itself is the oracle: every state must equal
@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emitternet import DomainError, SeedSpec, as_seed
+from emitternet import (
+    DomainError,
+    EnsembleModel,
+    LorentzianPeak,
+    SeedSpec,
+    as_seed,
+    collision_probability,
+    fit_multi_lorentzian,
+    monte_carlo_threshold,
+    published_model_fidelity,
+    synthesize,
+)
 
 
 def numpy_state(seed, stream_index, subkeys, t):
@@ -41,6 +52,33 @@ class TestSeedValidation:
     def test_out_of_range_is_refused(self, seed, stream_index):
         with pytest.raises(DomainError):
             SeedSpec(seed, stream_index)
+
+
+ONE_PEAK = synthesize([LorentzianPeak(0.0, 300.0, 100.0)], 5.0, np.linspace(-2, 2, 201))
+
+
+# Counts go through the same integer check as seeds.
+@pytest.mark.parametrize(
+    "func, args, kwargs, message",
+    [
+        (monte_carlo_threshold, (EnsembleModel(), 29.0, 0.5, 1000.5, 1), {},
+         "trials must be an integer, got 1000.5"),
+        (monte_carlo_threshold, (EnsembleModel(), 29.0, 0.5, 1000, 1), {"max_emitters": 40.5},
+         "max_emitters must be an integer, got 40.5"),
+        (collision_probability, (0.01, 2.5), {}, "n must be an integer, got 2.5"),
+        (published_model_fidelity, (2.5, 0.85), {}, "n must be an integer, got 2.5"),
+        (fit_multi_lorentzian, (ONE_PEAK, 1), {"max_iterations": 2.5},
+         "max_iterations must be an integer, got 2.5"),
+        (fit_multi_lorentzian, (ONE_PEAK, 1), {"max_iterations": 0},
+         "need max_iterations >= 1, got 0"),
+    ],
+    ids=["mc-trials", "mc-max-emitters", "collision-n", "published-fidelity-n",
+         "fit-iterations", "fit-zero-iterations"],
+)
+def test_bad_count_is_refused(func, args, kwargs, message):
+    with pytest.raises(DomainError) as info:
+        func(*args, **kwargs)
+    assert str(info.value) == message
 
 
 # Stream indices and trial indices of 2^32 or more are two words of the
