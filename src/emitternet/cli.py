@@ -10,17 +10,23 @@ field.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 fit non-convergence. Errors are printed as single-line JSON on stderr.
-A run refused with exit 1 or 2 writes no file (only an OS error while
-writing stops part-way); one that exits 3 writes its summary (and, for
-``fit-ple --synthetic``, the spectrum) before the error.
+A run that exits 1 or 2 leaves the output directory as it was: the files
+are written into a staging directory there and renamed into place only
+once every one is written. A run that exits 3 writes its summary (and,
+for ``fit-ple --synthetic``, the spectrum) before the error.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import math
 import os
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -185,9 +191,102 @@ def _out_dir(cfg: RunConfig) -> Path:
     return Path(cfg.data["output_dir"] or "emitternet_out")
 
 
-def _write_summary(
-    out_dir: Path, command: str, cfg: RunConfig, seed: SeedSpec, results: dict[str, Any]
-) -> None:
+def _json_scalar(value: Any) -> str | None:
+    """JSON text of a string, number, bool or None as the stdlib encoder
+    writes it; None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _json_rows(rows: list | tuple, indent: str) -> str | None:
+    """A list of non-empty flat rows of numbers, bools and nulls (such as the
+    ``[re, im]`` amplitude pairs), encoded by the C encoder in compact form
+    and then indented; None for any other list.
+
+    Without strings, dicts or nested lists, every ``,`` separates two cells
+    or two rows and every ``[`` opens a row, so two replacements indent it.
+    """
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        return None
+    compact = json.dumps(rows, separators=(",", ":"))
+    if (
+        '"' in compact
+        or "{" in compact
+        or "[]" in compact
+        or compact.count("[") != len(rows) + 1
+    ):
+        return None
+    row_indent = indent + "  "
+    cell_indent = row_indent + "  "
+    body = compact[2:-2].replace(",", "," + cell_indent)
+    body = body.replace(
+        "]," + cell_indent + "[", row_indent + "]," + row_indent + "[" + cell_indent
+    )
+    return "[" + row_indent + "[" + cell_indent + body + row_indent + "]" + indent + "]"
+
+
+def _json_value(value: Any, indent: str, markers: set[int]) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
+    at the nesting level whose line break and indent is ``indent``."""
+    text = _json_scalar(value)
+    if text is not None:
+        return text
+    if not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    if id(value) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(value))
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = _json_scalar(key)
+            items.append(f"{encode_basestring_ascii(key)}: {_json_value(item, inner, markers)}")
+        text = "{" + inner + ("," + inner).join(items) + indent + "}"
+    else:
+        text = _json_rows(value, indent)
+        if text is None:
+            items = [_json_value(item, inner, markers) for item in value]
+            text = "[" + inner + ("," + inner).join(items) + indent + "]"
+    markers.remove(id(value))
+    return text
+
+
+def _json_text(doc: Any) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    On CPython any ``indent`` sends ``json.dumps`` to its pure-Python
+    encoder, one generator step per value; this writer joins strings and
+    hands lists of flat numeric rows to the C encoder (:func:`_json_rows`).
+    """
+    return _json_value(doc, "\n", set()) + "\n"
+
+
+def _summary_text(command: str, cfg: RunConfig, seed: SeedSpec, results: dict[str, Any]) -> str:
     doc = {
         "tool": "emitternet",
         "version": __version__,
@@ -198,8 +297,7 @@ def _write_summary(
         "generated_at": _utc_now(),
         "results": results,
     }
-    path = out_dir / f"{command.replace('-', '_')}_summary.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return _json_text(doc)
 
 
 def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
@@ -498,6 +596,11 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     sections = {}
     for path in summaries:
         doc = _load_summary(path)
+        if doc["command"] in sections:
+            raise SummaryError(
+                f"{sections[doc['command']]['file']} and {path.name} both hold "
+                f"a {doc['command']!r} summary; remove one of them"
+            )
         sections[doc["command"]] = {
             "file": path.name,
             "config_hash": doc["config_hash"],
@@ -524,8 +627,7 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
         lines.append(f"[{command}] (from {info['file']}, seed {info['seed']['seed']})")
         lines.extend(f"  {key}: {value}" for key, value in _scalar_results(info["results"]))
         lines.append("")
-    report_json = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return None, {"report.json": report_json, "report.txt": "\n".join(lines)}, 0
+    return None, {"report.json": _json_text(report), "report.txt": "\n".join(lines)}, 0
 
 
 _COMMANDS = {
@@ -544,6 +646,37 @@ def _print_error(exc: BaseException, code: int) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+def _write_files(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:
+    """Write ``files`` into ``out_dir``, none of them unless every one is written.
+
+    Each file (with any sidecar its writer adds) is written under its own
+    name in a staging directory inside ``out_dir``; all are renamed into
+    place only after every write has succeeded, and the staging directory
+    is removed either way.
+    """
+    staging = Path(tempfile.mkdtemp(prefix=".emitternet-", dir=out_dir))
+    try:
+        for name, data in files.items():
+            path = staging / name
+            if isinstance(data, LineTable):
+                write_line_list(path, data, comments)
+            elif isinstance(data, PleSpectrum):
+                write_spectrum(path, data, comments)
+            elif isinstance(data, str):
+                path.write_text(data, encoding="utf-8")
+            else:
+                write_table(path, *data, comments)
+        names = sorted(os.listdir(staging))
+        # a rename onto a directory fails, so refuse before the first rename
+        for target in (out_dir / name for name in names):
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -558,19 +691,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         results, files, code = _COMMANDS[args.command](cfg, seed, args)
         # The one output stage: a command that raised has written nothing.
-        comments = _csv_comments(cfg, seed)
-        for name, data in files.items():
-            path = out_dir / name
-            if isinstance(data, LineTable):
-                write_line_list(path, data, comments)
-            elif isinstance(data, PleSpectrum):
-                write_spectrum(path, data, comments)
-            elif isinstance(data, str):
-                path.write_text(data, encoding="utf-8")
-            else:
-                write_table(path, *data, comments)
         if results is not None:
-            _write_summary(out_dir, args.command, cfg, seed, results)
+            summary = f"{args.command.replace('-', '_')}_summary.json"
+            files[summary] = _summary_text(args.command, cfg, seed, results)
+        _write_files(out_dir, files, _csv_comments(cfg, seed))
     except UsageError as exc:
         _print_error(exc, 1)
         return 1

@@ -53,7 +53,8 @@ class ConfigError(EmitterNetError):
 
 
 class SummaryError(EmitterNetError):
-    """A ``*_summary.json`` file is not valid JSON or not a command summary."""
+    """A ``*_summary.json`` file is not valid JSON or not a command summary,
+    or a second summary of the same command."""
 
 
 class UsageError(EmitterNetError):

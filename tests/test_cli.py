@@ -288,6 +288,10 @@ class TestFitPleCommand:
             ["fit-ple", "--synthetic", "--k", "2", "--seed", "3", "--out", str(tmp_path)]
         )
         assert code == 0
+        # the sidecar sits beside the spectrum, and no staging file is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fit_ple_summary.json", "ple_spectrum.csv", "ple_spectrum.csv.meta.json"
+        ]
         results = _read_summary(tmp_path, "fit_ple")["results"]
         assert results["converged"] is True
         assert len(results["peaks"]) == 2
@@ -501,6 +505,18 @@ class TestReportCommand:
         code = main(["report", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_two_summaries_of_one_command_exit_2(self, tmp_path, capsys):
+        assert main(["birthday", "--q", "0.0098", "--out", str(tmp_path)]) == 0
+        summary = tmp_path / "birthday_summary.json"
+        (tmp_path / "old_birthday_summary.json").write_bytes(summary.read_bytes())
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "SummaryError"
+        assert "birthday_summary.json" in err["error"]
+        assert "old_birthday_summary.json" in err["error"]
+        assert not (tmp_path / "report.json").exists()
+
     def test_full_pipeline_report(self, tmp_path, fixture_50_12):
         csv_path = tmp_path / "lines.csv"
         csv_path.write_text(serialize_line_list(fixture_50_12))
@@ -591,6 +607,33 @@ class TestRefusedRunWritesNothing:
             assert tables
             for table in tables:
                 assert f"# config_hash={config_hash}\n" in table.read_text()
+
+
+def _tree(directory):
+    """Every file and directory under ``directory``, hidden ones included."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+        for p in directory.rglob("*")
+    }
+
+
+@pytest.mark.parametrize("prior_run", [False, True], ids=["empty", "prior-run"])
+def test_directory_in_the_way_leaves_the_directory_unchanged(tmp_path, capsys, prior_run):
+    out = tmp_path / "out"
+    out.mkdir()
+    if prior_run:
+        assert main(["birthday", "--q", "0.01", "--seed", "4", "--out", str(out)]) == 0
+    (out / "birthday_mc_curve.csv").mkdir()
+    (out / "birthday_mc_curve.csv" / "kept.txt").write_text("kept\n")
+    before = _tree(out)
+    capsys.readouterr()
+
+    argv = ["birthday", "--q", "0.01", "--mc", "--trials", "1000", "--seed", "5"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "IsADirectoryError"
+    assert "birthday_mc_curve.csv" in err["error"]
+    assert _tree(out) == before
 
 
 class TestUsageAndConfig:
