@@ -2,8 +2,10 @@
 
 Spectra are modeled as sums of Lorentzian peaks over a constant
 background, with optional Poisson (shot) noise on the expected counts.
-The fitter is a damped nonlinear least-squares over 3k+1 parameters
-(center, FWHM, height per peak, plus one shared background).
+The fitter is a bounded nonlinear least-squares over 3k+1 parameters
+(center, FWHM, height per peak, plus one shared background): the Trust
+Region Reflective method of ``scipy.optimize.least_squares``, ported to
+numpy in :mod:`emitternet._trf` with the same results bit for bit.
 """
 from __future__ import annotations
 
@@ -237,16 +239,17 @@ def fit_multi_lorentzian(
     ``converged=False`` rather than an exception. With ``guess=None`` the
     initial peaks come from :func:`initial_guess`, so an undetectable k
     raises :class:`PeakDetectionError`. A fit whose Jacobian would hold
-    more than :data:`MAX_FIT_JACOBIAN_ENTRIES` entries is refused.
+    more than :data:`MAX_FIT_JACOBIAN_ENTRIES` entries is refused, and so
+    are a spectrum too narrow to bound the FWHM (under about 1e-11 GHz)
+    and a fit whose arithmetic overflows, each with :class:`DomainError`.
     """
     _check_fit_size(len(spectrum.frequencies_ghz), k)
     max_iterations = _index(max_iterations, "max_iterations")
     if max_iterations < 1:
         raise DomainError(f"need max_iterations >= 1, got {max_iterations}")
-    # scipy is imported here, not at module level: it is used only for this
-    # least-squares fit, and its import costs every other command about half
-    # a second of start-up. The start peaks are found with numpy.
-    from scipy.optimize import least_squares
+    # imported here, not at module level: only this fit uses the solver, and
+    # every other command would otherwise load it at start-up
+    from . import _trf
 
     if guess is None:
         guess = initial_guess(spectrum, k)
@@ -270,6 +273,16 @@ def fit_multi_lorentzian(
         lower[1 + 3 * p], upper[1 + 3 * p] = nu[0] - span, nu[-1] + span
         lower[2 + 3 * p], upper[2 + 3 * p] = 1e-9, 100.0 * span
         lower[3 + 3 * p], upper[3 + 3 * p] = np.finfo(float).tiny, np.inf
+    empty = np.flatnonzero(lower >= upper)
+    if len(empty):
+        i = int(empty[0])
+        name = "background" if i == 0 else (
+            f"peak {(i - 1) // 3} " + ("center", "FWHM", "amplitude")[(i - 1) % 3]
+        )
+        raise DomainError(
+            f"the {name} bounds [{lower[i]:g}, {upper[i]:g}] are empty: "
+            f"a spectrum spanning {span:g} GHz is too narrow to fit"
+        )
     theta0 = np.clip(theta0, lower, upper)
 
     def residuals(theta):
@@ -280,12 +293,12 @@ def fit_multi_lorentzian(
         _, jac = _model_and_jacobian(theta, nu, k)
         return jac
 
-    result = least_squares(
+    result = _trf.least_squares(
         residuals,
+        jacobian,
         theta0,
-        jac=jacobian,
-        bounds=(lower, upper),
-        method="trf",
+        lower,
+        upper,
         ftol=FIT_RELATIVE_TOLERANCE,
         xtol=1e-14,
         gtol=1e-12,

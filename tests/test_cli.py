@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -12,14 +13,18 @@ import numpy as np
 import pytest
 
 from emitternet import (
+    LorentzianPeak,
     LossModel,
+    PleSpectrum,
     fit_multi_lorentzian,
     run_ghz_chain,
     run_ghz_chain_with_loss,
     serialize_line_list,
+    synthesize,
 )
 from emitternet import cli
 from emitternet.cli import main
+from emitternet.lineio import write_spectrum
 
 TIMESTAMP_LINE = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
 
@@ -349,6 +354,31 @@ class TestFitPleCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "PeakDetectionError"
+
+    @pytest.mark.parametrize(
+        "spectrum, message",
+        [
+            # counts near 1e200 overflow the fit's arithmetic
+            (
+                synthesize([LorentzianPeak(0.0, 300.0, 1e200)], 0.0, np.linspace(-2, 2, 200)),
+                "not finite",
+            ),
+            # 10 points 1e-12 GHz apart leave no room for a FWHM above 1e-9 GHz
+            (
+                PleSpectrum(np.arange(10) * 1e-12, np.array([1.0, 2, 3, 4, 9, 4, 3, 2, 1, 1])),
+                "FWHM bounds",
+            ),
+        ],
+        ids=["overflow", "too-narrow"],
+    )
+    def test_unfittable_spectrum_exit_2(self, tmp_path, capsys, spectrum, message):
+        write_spectrum(tmp_path / "spec.csv", spectrum)
+        out = tmp_path / "out"
+        code = main(["fit-ple", "--input", str(tmp_path / "spec.csv"), "--k", "1", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and message in err["error"]
+        assert list(out.iterdir()) == []
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -707,31 +737,33 @@ class TestUsageAndConfig:
         assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 1
 
 
-def test_scipy_is_imported_only_for_the_fit(tmp_path):
-    # scipy takes about a second to import, and only fit-ple's least-squares
-    # fit uses it; its start peaks are found with numpy
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test dependency only: every command of the README's
+    # "Command line" block, the PLE fit included, runs without it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+    assert ["fit-ple", "--synthetic", "--k", "3", "--classify"] in [argv[:5] for argv in commands]
     script = textwrap.dedent(
         f"""
         import json, sys
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
         from emitternet.cli import main
-        after_import = scipy_modules()
-        argv = ["fit-ple", "--synthetic", "--k", "3", "--seed", "1", "--out", {str(tmp_path)!r}]
-        code = main(argv)
-        print(json.dumps({{"code": code, "import": after_import, "fit": scipy_modules()}}))
+
+        loaded = []
+        for argv in {commands!r}:
+            code = main(argv)
+            loaded.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+        print(json.dumps(loaded))
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     run = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+        check=True,
     )
-    modules = json.loads(run.stdout)
-    assert modules["code"] == 0
-    assert modules["import"] == []
-    assert "scipy.optimize" in modules["fit"]
-    assert "scipy.signal" not in modules["fit"]
+    loaded = json.loads(run.stdout)
+    assert loaded == [[0, []]] * len(commands)
+    assert (tmp_path / "runs" / "demo" / "fit_ple_summary.json").exists()

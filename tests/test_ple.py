@@ -1,9 +1,11 @@
+import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from emitternet import (
@@ -20,6 +22,8 @@ from emitternet import (
     synthesize,
 )
 from emitternet import ple
+from emitternet import _trf
+from emitternet.cli import main
 
 
 def _fit_from_centers(centers_ghz):
@@ -257,6 +261,105 @@ class TestFitMultiLorentzian:
         monkeypatch.setattr(ple, "MAX_FIT_JACOBIAN_ENTRIES", 401 * 4 - 1)
         with pytest.raises(DomainError, match="Jacobian"):
             fit_multi_lorentzian(spec, 1)
+
+    def test_overflowing_fit_is_a_domain_error(self):
+        # the residuals overflow; scipy raised a bare ValueError after its
+        # overflow warnings, which pytest here turns into errors
+        spec = synthesize([LorentzianPeak(0.0, 300.0, 1e200)], 0.0, np.linspace(-2, 2, 200))
+        with pytest.raises(DomainError, match="not finite"):
+            fit_multi_lorentzian(spec, 1)
+
+    def test_spectrum_too_narrow_for_the_fwhm_bounds(self):
+        # the FWHM bounds [1e-9, 100 x span] GHz are empty below a 1e-11 GHz span
+        counts = np.array([1.0, 2.0, 3.0, 4.0, 9.0, 4.0, 3.0, 2.0, 1.0, 1.0])
+        spec = PleSpectrum(np.arange(10) * 1e-12, counts)
+        with pytest.raises(DomainError, match="peak 0 FWHM bounds .* are empty"):
+            fit_multi_lorentzian(spec, 1)
+
+
+def _scipy_least_squares(fun, jac, x0, lb, ub, **tolerances):
+    """``_trf.least_squares`` through scipy, with the arguments the fit
+    passed to scipy before the port."""
+    from scipy.optimize import least_squares
+
+    r = least_squares(fun, x0, jac=jac, bounds=(lb, ub), method="trf", **tolerances)
+    return _trf.TrfResult(r.x, r.fun, r.nfev, r.status)
+
+
+def _fit_with(solver, spectrum, k, guess, max_iterations):
+    """The fit, and the raw result of its one call to ``solver``."""
+    raw = []
+
+    def record(*args, **kwargs):
+        raw.append(solver(*args, **kwargs))
+        return raw[-1]
+
+    with mock.patch.object(_trf, "least_squares", record):
+        fit = fit_multi_lorentzian(spectrum, k, guess, max_iterations)
+    (result,) = raw
+    return fit, result
+
+
+@st.composite
+def fit_cases(draw):
+    k = draw(st.integers(1, 5), label="k")
+    n_points = draw(st.integers(40, 600), label="n_points")
+    span = draw(st.floats(1.0, 6.0), label="span")
+    peak = st.builds(
+        LorentzianPeak,
+        center_ghz=st.floats(-span, span),
+        fwhm_mhz=st.floats(50.0, 800.0),
+        amplitude=st.floats(5.0, 500.0),
+    )
+    truth = draw(st.lists(peak, min_size=k, max_size=k), label="truth")
+    spectrum = synthesize(
+        truth,
+        draw(st.floats(0.0, 20.0), label="background"),
+        np.linspace(-span, span, n_points),
+        shot_noise=draw(st.booleans(), label="shot_noise"),
+        seed=draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+    # None: the fit guesses from the spectrum, so hypothesis rejects the
+    # draws where initial_guess finds fewer than k peaks
+    guess = draw(st.one_of(st.none(), st.lists(peak, min_size=k, max_size=k)), label="guess")
+    if guess is None:
+        try:
+            initial_guess(spectrum, k)
+        except PeakDetectionError:
+            assume(False)
+    max_iterations = draw(st.one_of(st.integers(1, 10), st.integers(1, 500)), label="max_it")
+    return spectrum, k, guess, max_iterations
+
+
+class TestTrfMatchesScipy:
+    """The numpy port gives scipy's least_squares result bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
+    def test_fit_equals_scipy_fit(self, case):
+        got, port = _fit_with(_trf.least_squares, *case)
+        want, oracle = _fit_with(_scipy_least_squares, *case)
+        assert got == want
+        assert np.array_equal(port.x, oracle.x)
+        assert np.array_equal(port.fun, oracle.fun)
+        assert (port.nfev, port.status) == (oracle.nfev, oracle.status)
+        event(f"status {port.status}")
+
+    def test_interactive_fit_is_pinned(self, tmp_path):
+        # fit-ple --synthetic --k 3 --classify --seed 1, as scipy fitted it
+        argv = ["fit-ple", "--synthetic", "--k", "3", "--classify", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "fit_ple_summary.json").read_text())["results"]
+        assert (results["converged"], results["iterations"]) == (True, 7)
+        assert results["background"] == float.fromhex("0x1.411867f45813ep+2")
+        assert results["residual_rms"] == float.fromhex("0x1.1b35b221281a8p+2")
+        want = [
+            ("-0x1.0606ec2600d90p+0", "0x1.5960ecc11b0e4p+8", "0x1.74f8431b62669p+6"),
+            ("-0x1.dc132947c7332p-10", "0x1.2cc0551f8c786p+8", "0x1.b4691775a06ecp+6"),
+            ("0x1.0b35b8240ffc1p+0", "0x1.3751f12af6e25p+8", "0x1.967f40382ba06p+6"),
+        ]
+        got = [(p["center_ghz"], p["fwhm_mhz"], p["amplitude"]) for p in results["peaks"]]
+        assert got == [tuple(float.fromhex(h) for h in peak) for peak in want]
 
 
 class TestClassifyPairSpectrum:
