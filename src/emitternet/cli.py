@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import shutil
 import sys
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config
-from .errors import ConfigError, EmitterNetError, LineListError, SummaryError, UsageError
+from .errors import ConfigError, EmitterNetError, SummaryError, UsageError
 from .lineio import (
     read_line_list,
     read_spectrum,
@@ -191,30 +190,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return Path(cfg.data["output_dir"] or "emitternet_out")
 
 
-def _json_scalar(value: Any) -> str | None:
-    """JSON text of a string, number, bool or None as the stdlib encoder
-    writes it; None for anything else."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
 def _json_rows(rows: list | tuple, indent: str) -> str | None:
     """A list of non-empty flat rows of numbers, bools and nulls (such as the
     ``[re, im]`` amplitude pairs), encoded by the C encoder in compact form
@@ -244,28 +219,27 @@ def _json_rows(rows: list | tuple, indent: str) -> str | None:
 
 def _json_value(value: Any, indent: str, markers: set[int]) -> str:
     """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
-    at the nesting level whose line break and indent is ``indent``."""
-    text = _json_scalar(value)
-    if text is not None:
-        return text
-    if not isinstance(value, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+    at the nesting level whose line break and indent is ``indent``.
+
+    Only non-empty lists, tuples and dicts with str keys are walked here, in
+    the stdlib's order, so that row lists deeper down reach :func:`_json_rows`.
+    Every other value is the stdlib's own text: it writes no raw line break
+    inside a string, so re-indenting its level-0 text places it here.
+    """
+    walked = isinstance(value, (list, tuple)) or (
+        isinstance(value, dict) and all(isinstance(key, str) for key in value)
+    )
+    if not (walked and value):
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
     if id(value) in markers:
         raise ValueError("Circular reference detected")
     markers.add(id(value))
     inner = indent + "  "
     if isinstance(value, dict):
-        items = []
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                key = _json_scalar(key)
-            items.append(f"{encode_basestring_ascii(key)}: {_json_value(item, inner, markers)}")
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_value(item, inner, markers)}"
+            for key, item in sorted(value.items())
+        ]
         text = "{" + inner + ("," + inner).join(items) + indent + "}"
     else:
         text = _json_rows(value, indent)
@@ -280,8 +254,9 @@ def _json_text(doc: Any) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     On CPython any ``indent`` sends ``json.dumps`` to its pure-Python
-    encoder, one generator step per value; this writer joins strings and
-    hands lists of flat numeric rows to the C encoder (:func:`_json_rows`).
+    encoder, one generator step per value. Lists of flat numeric rows go
+    instead to the C encoder (:func:`_json_rows`); every other value is
+    written by ``json.dumps`` itself (:func:`_json_value`).
     """
     return _json_value(doc, "\n", set()) + "\n"
 
@@ -592,7 +567,7 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
         p for p in out_dir.glob("*_summary.json") if p.name != "report_summary.json"
     )
     if not summaries:
-        raise LineListError(f"no command summaries found in {out_dir}")
+        raise SummaryError(f"no command summaries found in {out_dir}")
     sections = {}
     for path in summaries:
         doc = _load_summary(path)

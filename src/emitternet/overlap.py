@@ -267,12 +267,17 @@ def fit_slope_through_origin(curve: OverlapCurve, gamma_mhz: float) -> float:
         raise DomainError("curve is empty")
     if not gamma_mhz > 0:
         raise DomainError("gamma must be positive")
-    x = np.asarray(curve.windows_mhz) / float(gamma_mhz)
-    y = np.asarray(curve.probabilities)
-    sxx = float(np.dot(x, x))
+    # huge windows overflow to inf (or inf * 0 = nan): both are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(curve.windows_mhz) / float(gamma_mhz)
+        y = np.asarray(curve.probabilities)
+        sxx = float(np.dot(x, x))
+        sxy = float(np.dot(x, y))
     if sxx == 0.0:
         raise DomainError("all windows are zero; slope is undefined")
-    return float(np.dot(x, y) / sxx)
+    if not (math.isfinite(sxx) and math.isfinite(sxy)):
+        raise DomainError("window sums are not finite; slope is undefined")
+    return sxy / sxx
 
 
 def analytic_homogeneous_slope(half_width_ghz: float, gamma_mhz: float, n_combos: int = 4) -> float:
@@ -532,7 +537,8 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
         return HistogramResult(bin_edges=(), counts=())
     if not np.all(np.isfinite(vals)):
         raise DomainError("histogram values must be finite")
-    # huge spans overflow to inf (or inf - inf = nan): both are refused below
+    # huge spans overflow to inf (or inf - inf = nan), and huge offsets leave the int64
+    # range of the bin index: all are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = np.floor((np.array([vals.min(), vals.max()]) - origin) / bin_width)
         span = hi - lo
@@ -540,6 +546,11 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
         raise DomainError(
             f"histogram needs about {span + 1:.4g} bins of width {bin_width}, above the limit "
             f"of {MAX_HISTOGRAM_BINS}; use a wider bin or a narrower ensemble"
+        )
+    if not (-(2.0**63) < lo and hi < 2.0**63):
+        raise DomainError(
+            f"histogram bin indices reach {max(-lo, hi):.4g}, beyond the int64 range; use a "
+            "wider bin or an origin nearer the values"
         )
     k = np.floor((vals - origin) / bin_width).astype(np.int64)
     # the division can round across an edge: place each value against the edges reported below

@@ -79,6 +79,17 @@ class ConfocalPsf:
     def __post_init__(self) -> None:
         if not (self.lateral_fwhm_um > 0 and self.axial_fwhm_um > 0):
             raise DomainError("PSF widths must be positive")
+        # occupancy_stats draws in the bounding box lateral * lateral * axial,
+        # which holds the spot: a finite box volume gives a finite spot volume
+        try:
+            lateral, axial = float(self.lateral_fwhm_um), float(self.axial_fwhm_um)
+        except OverflowError:  # an int beyond the range of a double
+            lateral = axial = math.inf
+        if not math.isfinite(lateral * lateral * axial):
+            raise DomainError(
+                f"PSF of lateral FWHM {self.lateral_fwhm_um} um and axial FWHM "
+                f"{self.axial_fwhm_um} um has a spot volume beyond the range of a double"
+            )
 
 
 def spot_volume(psf: ConfocalPsf) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -160,6 +161,12 @@ class UniformCenters:
     def __post_init__(self) -> None:
         if not self.half_width_ghz > 0:
             raise DomainError("uniform center half width must be positive")
+        # sample draws over the full width, 2 * half_width
+        if not self.half_width_ghz <= sys.float_info.max / 2:
+            raise DomainError(
+                f"uniform center half width {self.half_width_ghz} GHz gives a full width "
+                "beyond the range of a double"
+            )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(-self.half_width_ghz, self.half_width_ghz, n)

@@ -534,6 +534,7 @@ class TestReportCommand:
     def test_empty_directory_exit_2(self, tmp_path, capsys):
         code = main(["report", "--out", str(tmp_path)])
         assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["type"] == "SummaryError"
 
     def test_two_summaries_of_one_command_exit_2(self, tmp_path, capsys):
         assert main(["birthday", "--q", "0.0098", "--out", str(tmp_path)]) == 0
@@ -604,6 +605,27 @@ class TestRefusedRunWritesNothing:
             [["birthday", "--q", "0.0098"], ["report"]],
             ["report"],
             None, '{"a": 1}', "SummaryError",
+        ),
+        "spatial-psf-square": (
+            [["spatial", "--lateral-fwhm-um", "0.5", "--export-scene"]],
+            ["spatial", "--export-scene", "--lateral-fwhm-um", "1e300"],
+            None, None, "DomainError",
+        ),
+        "spatial-psf-product": (
+            [["spatial", "--lateral-fwhm-um", "0.5", "--export-scene"]],
+            ["spatial", "--export-scene", "--lateral-fwhm-um", "1e150",
+             "--axial-fwhm-um", "1e300"],
+            None, None, "DomainError",
+        ),
+        "sample-center-width": (
+            [["sample", "--n", "10"]],
+            ["sample", "--n", "10"],
+            {"ensemble": {"center": {"half_width_ghz": 1e308}}}, None, "DomainError",
+        ),
+        "overlap-window-sums": (
+            [["overlap", "--n", "2", "--window-mhz", "29"]],
+            ["overlap", "--n", "2", "--window-mhz", "1e308"],
+            None, None, "DomainError",
         ),
     }
 
@@ -735,6 +757,29 @@ class TestUsageAndConfig:
         monkeypatch.setenv("EMITTERNET_SEED", "12345")
         assert main(["sample", "--n", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
         assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 1
+
+
+def test_readme_python_examples_run():
+    # each ```python block runs in a fresh namespace; a line ending in
+    # "# -> X" shows the repr X of its expression
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    shown = []
+    for block in blocks:
+        namespace: dict = {}
+        pending = []
+        for line in block.splitlines():
+            expression, arrow, expected = line.partition("# -> ")
+            if not arrow:
+                pending.append(line)
+                continue
+            exec("\n".join(pending), namespace)
+            pending = []
+            assert repr(eval(expression, namespace)) == expected.strip()
+            shown.append(expected.strip())
+        exec("\n".join(pending), namespace)
+    assert shown == ["(1.0,)", "13"]
 
 
 def test_no_command_imports_scipy(tmp_path):

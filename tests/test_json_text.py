@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emitternet import cli
@@ -59,6 +59,9 @@ trees = st.recursive(scalars | matrices, _containers, max_leaves=30)
 
 @settings(max_examples=400, deadline=None)
 @given(trees)
+# row lists under int keys: the stdlib writes the whole dict, rows included
+@example({1: [[1.0, 2.0], [3.0, 4.0]]})
+@example({"results": {0: [[1.0, -0.0]], 1: [[True, None]]}, "rows": [[1.0]]})
 def test_equals_the_stdlib_text(doc):
     _assert_same(doc)
 
@@ -78,7 +81,9 @@ def _cycles():
     through_row[0].append(through_row)
     outer = {"rows": [[1.0]]}
     outer["rows"][0].append(outer)
-    return [flat, through_dict, through_row, outer]
+    through_int_keys = {"a": {1: []}}
+    through_int_keys["a"][1].append(through_int_keys)
+    return [flat, through_dict, through_row, outer, through_int_keys]
 
 
 @pytest.mark.parametrize(
@@ -94,12 +99,13 @@ def _cycles():
         {None: 0, 1: 0},
         {(1, 2): 0},
         {"a": {b"k": 0}},
+        {"rows": [[1.0]], "z": {"a": 1, "n": np.int64(2)}},
         *_cycles(),
     ],
     ids=[
         "int64", "int64-value", "int64-in-row", "bool_-in-row", "set", "set-in-row",
-        "mixed-keys", "none-and-int-keys", "tuple-key", "bytes-key",
-        "cycle-list", "cycle-dict", "cycle-row", "cycle-row-to-dict",
+        "mixed-keys", "none-and-int-keys", "tuple-key", "bytes-key", "int64-in-walked-dict",
+        "cycle-list", "cycle-dict", "cycle-row", "cycle-row-to-dict", "cycle-through-int-keys",
     ],
 )
 def test_refuses_what_the_stdlib_refuses(doc):

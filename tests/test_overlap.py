@@ -236,6 +236,16 @@ class TestSlopeFit:
         with pytest.raises(DomainError):
             fit_slope_through_origin(zeros, 29.0)
 
+    @pytest.mark.parametrize(
+        "window, probability, gamma",
+        [(1e308, 0.5, 29.0), (1e200, 0.5, 29.0), (1e308, 0.0, 1e-10)],
+        ids=["huge-window", "window-squared-overflows", "window-over-gamma-overflows"],
+    )
+    def test_sums_beyond_double_refused(self, window, probability, gamma):
+        curve = OverlapCurve((window,), (probability,), (0.0,), 2, 1)
+        with pytest.raises(DomainError, match="not finite"):
+            fit_slope_through_origin(curve, gamma)
+
 
 class TestAnalyticSlope:
     def test_four_combo_value(self):
@@ -513,6 +523,19 @@ class TestHistogram:
     def test_span_beyond_integer_bins_refused(self, values, width):
         with pytest.raises(DomainError, match="bins"):
             histogram(values, width)
+
+    @pytest.mark.parametrize(
+        "values, width, origin",
+        [([1e300], 0.025, 0.0), ([-1e300], 0.025, 0.0), ([0.0], 1.0, 2.0**63)],
+        ids=["above", "below", "at-int64-min"],
+    )
+    def test_bin_index_beyond_int64_refused(self, values, width, origin):
+        # the int64 bin index used to wrap: [1e300] gave one bin at -2.3e17
+        with pytest.raises(DomainError, match="int64"):
+            histogram(values, width, origin)
+
+    def test_bin_index_inside_int64_is_counted(self):
+        assert histogram([9e18], 1.0).counts == (1,)
 
     def test_span_at_the_limit_is_built(self):
         result = histogram([0.5, MAX_HISTOGRAM_BINS - 0.5], 1.0)

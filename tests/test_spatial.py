@@ -111,6 +111,20 @@ class TestSpotVolume:
         with pytest.raises(DomainError):
             ConfocalPsf(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "lateral, axial",
+        [(1e300, 1.22), (1e150, 1e300), (1e100, 2.5e108), (10**400, 1.0)],
+        ids=["square-raises", "product-inf", "box-only", "int-beyond-double"],
+    )
+    def test_volume_beyond_double_refused(self, lateral, axial):
+        with pytest.raises(DomainError, match="beyond the range of a double"):
+            ConfocalPsf(lateral, axial)
+
+    def test_largest_volumes_are_accepted(self):
+        psf = ConfocalPsf(1e100, 1e108)
+        assert math.isfinite(spot_volume(psf))
+        assert occupancy_stats(0.0, psf, 1000, 1).distribution == (1.0,)
+
 
 class TestOccupancyStats:
     def test_zero_density(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,16 @@ class TestModelValidation:
             UniformCenters(half_width_ghz=0.0)
         with pytest.raises(DomainError):
             NormalCenters(sigma_ghz=-1.0)
+
+    @pytest.mark.parametrize("half_width", [1e308, math.inf])
+    def test_uniform_full_width_beyond_double_refused(self, half_width):
+        with pytest.raises(DomainError, match="beyond the range of a double"):
+            UniformCenters(half_width_ghz=half_width)
+
+    def test_uniform_largest_half_width_is_sampled(self):
+        half_width = sys.float_info.max / 2
+        draws = UniformCenters(half_width).sample(np.random.default_rng(0), 3)
+        assert np.all(np.abs(draws) <= half_width)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
