@@ -10,16 +10,19 @@ field.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 fit non-convergence. Errors are printed as single-line JSON on stderr.
-A run that exits 1 or 2 leaves the output directory as it was: the files
-are written into a staging directory there and renamed into place only
-once every one is written. A run that exits 3 writes its summary (and,
-for ``fit-ple --synthetic``, the spectrum) before the error.
+A run that exits 1 or 2 leaves the output directory as it was, or absent
+if it did not exist: the files are written into a staging directory there
+and renamed into place only once every one is written. A run that exits 3
+writes its summary (and, for ``fit-ple --synthetic``, the spectrum) before
+the error.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
+import math
 import os
 import shutil
 import sys
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config
-from .errors import ConfigError, EmitterNetError, SummaryError, UsageError
+from .errors import ConfigError, DomainError, EmitterNetError, SummaryError, UsageError
 from .lineio import (
     read_line_list,
     read_spectrum,
@@ -403,6 +406,16 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     elif args.synthetic:
         model = cfg.ensemble_model()
         zfs = cfg.data["ensemble"]["zfs_mean_ghz"]
+        n_points = max(60 * k, 240)
+        # a memory guard: refuse an oversized fit before its peaks and grid are built
+        _check_fit_size(n_points, k)
+        # the spectrum squares detunings across the grid, so its width squared must be finite
+        span = (k + 1) * zfs
+        if not math.isfinite((2 * span) * (2 * span)):
+            raise DomainError(
+                f"synthetic spectrum grid of {k} peaks {zfs} GHz apart is too wide: its "
+                "squared width is beyond the range of a double"
+            )
         peaks = [
             LorentzianPeak(
                 center_ghz=(i - (k - 1) / 2.0) * zfs,
@@ -411,10 +424,6 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
             )
             for i in range(k)
         ]
-        span = (k + 1) * zfs
-        n_points = max(60 * k, 240)
-        # a memory guard: refuse an oversized fit before its grid is built
-        _check_fit_size(n_points, k)
         grid = np.linspace(-span, span, n_points)
         spectrum = synthesize(peaks, background=5.0, grid_ghz=grid, shot_noise=True, seed=seed)
         files["ple_spectrum.csv"] = spectrum
@@ -624,11 +633,25 @@ def _print_error(exc: BaseException, code: int) -> None:
 def _write_files(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:
     """Write ``files`` into ``out_dir``, none of them unless every one is written.
 
-    Each file (with any sidecar its writer adds) is written under its own
-    name in a staging directory inside ``out_dir``; all are renamed into
-    place only after every write has succeeded, and the staging directory
-    is removed either way.
+    ``out_dir`` and any missing parents are made here. Each file (with any
+    sidecar its writer adds) is written under its own name in a staging
+    directory inside ``out_dir``; all are renamed into place only after
+    every write has succeeded, and the staging directory is removed either
+    way. If a write fails, the directories made here are removed again.
     """
+    made = [d for d in (out_dir, *out_dir.parents) if not os.path.lexists(d)]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_staged(out_dir, files, comments)
+    except BaseException:
+        for directory in made:  # deepest first; a directory still in use stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def _write_staged(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:
+    """The writes of :func:`_write_files` into the existing ``out_dir``."""
     staging = Path(tempfile.mkdtemp(prefix=".emitternet-", dir=out_dir))
     try:
         for name, data in files.items():
@@ -662,14 +685,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         seed = _resolve_seed(cfg)
-        out_dir = _out_dir(cfg)
-        out_dir.mkdir(parents=True, exist_ok=True)
         results, files, code = _COMMANDS[args.command](cfg, seed, args)
         # The one output stage: a command that raised has written nothing.
         if results is not None:
             summary = f"{args.command.replace('-', '_')}_summary.json"
             files[summary] = _summary_text(args.command, cfg, seed, results)
-        _write_files(out_dir, files, _csv_comments(cfg, seed))
+        _write_files(_out_dir(cfg), files, _csv_comments(cfg, seed))
     except UsageError as exc:
         _print_error(exc, 1)
         return 1

@@ -111,9 +111,13 @@ def _check_leaf(field: _Field, value: Any, path: str) -> Any:
     if field.kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the range of a double
+            number = math.inf
+        if not math.isfinite(number):
             raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-        return float(value)
+        return number
     if field.kind == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -196,7 +200,7 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         return cls.from_mapping(raw)
 

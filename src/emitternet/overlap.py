@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .seeding import SeedSpec, _index, as_seed
 from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, LineTable
-from .spectral import sample_line_positions, separation_mhz
+from .spectral import _draw_raw, _lines, _map_raw, sample_line_positions, separation_mhz
 
 
 @dataclass(frozen=True)
@@ -432,10 +432,20 @@ def monte_carlo_threshold(
 
     A trial draws blocks of 32, 64, 128, ... emitters, clipped at
     ``max_emitters``, until one of them closes a pair. Trials run side by
-    side in chunks of ``_MC_CHUNK_EMITTERS // max_emitters``, one generator
-    set to each trial's state in turn: after each block, one sorted sweep
-    per trial (:func:`_first_closing`) finds the first emitter that closes
-    a pair, and only the trials still open draw their next block.
+    side in chunks of ``_MC_CHUNK_EMITTERS // max_emitters``. One generator
+    is set to each trial's block-start state in turn and draws the block's
+    raw numbers in two C calls (:func:`~emitternet.spectral._draw_raw`);
+    the raw numbers of every trial are then mapped to lines at once
+    (:func:`~emitternet.spectral._map_raw`), with the IEEE operations of
+    numpy's ``uniform`` and ``normal``, so each trial's lines are, bit for
+    bit, those of :func:`~emitternet.spectral.sample_line_positions` on its
+    own stream. A block holding a ZFS of 0 or below needs the truncated
+    normal's further draws, so ``sample_line_positions`` draws it again from
+    the trial's block-start state. One sorted sweep per trial
+    (:func:`_first_closing`) then finds the first emitter that closes a
+    pair. Only the trials still open go on: each replays its block with
+    ``sample_line_positions`` from its saved state to reach the start state
+    of its next block.
     """
     trials, max_emitters = _index(trials, "trials"), _index(max_emitters, "max_emitters")
     if trials < 1000:
@@ -455,8 +465,8 @@ def monte_carlo_threshold(
     # max_emitters + 1 marks a censored trial
     stops = np.full(trials, max_emitters + 1, dtype=np.int64)
     chunk = max(1, _MC_CHUNK_EMITTERS // max_emitters)
-    # One generator serves every trial: it is set to a trial's state before
-    # the trial's block and the state is kept after it.
+    # One generator serves every trial: it is set to a trial's state at the
+    # start of each of the trial's blocks, and states[r] holds that state.
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     for first in range(0, trials, chunk):
@@ -465,18 +475,32 @@ def monte_carlo_threshold(
         a1 = a2 = np.empty((len(states), 0))
         block = 32
         while live.size and a1.shape[1] < max_emitters:
-            grow, new = min(block, max_emitters - a1.shape[1]), []
-            for r in live:
+            grow = min(block, max_emitters - a1.shape[1])
+            u, z = np.empty((live.size, grow)), np.empty((live.size, grow))
+            for k, r in enumerate(live):
                 bit_generator.state = states[r]
-                new.append(sample_line_positions(model, grow, rng))
-                states[r] = bit_generator.state
-            a1 = np.concatenate([a1, np.stack([n1 for n1, _ in new])], axis=1)
-            a2 = np.concatenate([a2, np.stack([n2 for _, n2 in new])], axis=1)
+                _draw_raw(model, rng, u[k], z[k])
+            _map_raw(model, u, z)
+            # a ZFS of 0 or below takes the truncated normal's further draws:
+            # such a trial's block is drawn again whole, from its start state
+            redraw = np.flatnonzero((z <= 0.0).any(axis=1))
+            new1, new2 = _lines(u, z)
+            for k in redraw:
+                bit_generator.state = states[live[k]]
+                new1[k], new2[k] = sample_line_positions(model, grow, rng)
+            a1 = np.concatenate([a1, new1], axis=1)
+            a2 = np.concatenate([a2, new2], axis=1)
             j = _first_closing(a1, a2, combos, window_mhz)
             hit = j < a1.shape[1]
             stops[first + live[hit]] = j[hit] + 1
             live, a1, a2 = live[~hit], a1[~hit], a2[~hit]
             block *= 2
+            if a1.shape[1] < max_emitters:
+                # an open trial replays its block to reach its next block's start
+                for r in live:
+                    bit_generator.state = states[r]
+                    sample_line_positions(model, grow, rng)
+                    states[r] = bit_generator.state
 
     # Independent pairwise-rate estimate over >= trials sampled pairs.
     rng_q = spec.rng(1)
@@ -559,4 +583,9 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
     k_min, k_max = int(k.min()), int(k.max())
     counts = np.bincount(k - k_min, minlength=k_max - k_min + 1)
     edges = tuple(origin + (k_min + i) * bin_width for i in range(len(counts) + 1))
+    if any(high <= low for low, high in zip(edges, edges[1:])):
+        raise DomainError(
+            f"histogram bins of width {bin_width} from origin {origin:.4g} round to edges that "
+            "do not increase; use a wider bin or an origin nearer the values"
+        )
     return HistogramResult(bin_edges=edges, counts=tuple(int(c) for c in counts))

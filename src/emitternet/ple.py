@@ -219,8 +219,10 @@ def _check_fit_size(n_points: int, k: int) -> None:
         raise DomainError(f"need k >= 1, got {k}")
     entries = n_points * (3 * k + 1)
     if entries > MAX_FIT_JACOBIAN_ENTRIES:
+        # an int beyond the double range has no float for ".3g"
+        size = f"{entries:.3g}" if entries < 1e300 else f"over {1e300:.0e}"
         raise DomainError(
-            f"fit Jacobian of {entries:.3g} entries exceeds the limit of "
+            f"fit Jacobian of {size} entries exceeds the limit of "
             f"{MAX_FIT_JACOBIAN_ENTRIES:.0e}"
         )
 

@@ -168,9 +168,6 @@ class UniformCenters:
                 "beyond the range of a double"
             )
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(-self.half_width_ghz, self.half_width_ghz, n)
-
 
 @dataclass(frozen=True)
 class NormalCenters:
@@ -184,9 +181,6 @@ class NormalCenters:
     def __post_init__(self) -> None:
         if self.sigma_ghz < 0:
             raise DomainError("normal center sigma must be non-negative")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(0.0, self.sigma_ghz, n)
 
 
 CenterDistribution = UniformCenters | NormalCenters
@@ -223,11 +217,18 @@ class EnsembleModel:
         return lifetime_limited_linewidth(self.lifetime_ns)
 
 
-def _truncated_normal(rng: np.random.Generator, mean: float, sigma: float, n: int) -> np.ndarray:
-    """Normal(mean, sigma) conditioned on > 0, by resampling violations."""
+def _truncated_normal(
+    rng: np.random.Generator, mean: float, sigma: float, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Normal(mean, sigma) conditioned on > 0, by resampling violations.
+
+    ``out``, if given, is the first draw of the n values, already taken
+    from ``rng``; it is resampled in place.
+    """
     if sigma == 0.0:
         return np.full(n, mean)
-    out = rng.normal(mean, sigma, n)
+    if out is None:
+        out = rng.normal(mean, sigma, n)
     bad = out <= 0.0
     while n_bad := np.count_nonzero(bad):
         out[bad] = rng.normal(mean, sigma, n_bad)
@@ -235,16 +236,69 @@ def _truncated_normal(rng: np.random.Generator, mean: float, sigma: float, n: in
     return out
 
 
+def _draw_raw(model: EnsembleModel, rng: np.random.Generator, u: np.ndarray, z: np.ndarray) -> None:
+    """Fill ``u`` and ``z`` with the raw numbers of one block of ``len(u)`` emitters.
+
+    Draw order is fixed: the centers' standard uniforms (standard normals
+    for :class:`NormalCenters`), then the ZFS standard normals, none when
+    ``zfs_sigma_ghz`` is 0. ZFS values of 0 or below take further draws;
+    :func:`sample_line_positions` makes them.
+    """
+    if isinstance(model.centers, NormalCenters):
+        rng.standard_normal(out=u)
+    else:
+        rng.random(out=u)
+    if model.zfs_sigma_ghz != 0.0:
+        rng.standard_normal(out=z)
+
+
+def _map_raw(model: EnsembleModel, u: np.ndarray, z: np.ndarray) -> None:
+    """Map raw numbers from :func:`_draw_raw`, in place, to centers in ``u``
+    and ZFS values, not yet truncated, in ``z``.
+
+    These are the IEEE operations of numpy's C ``random_uniform``
+    (``low + range * u``) and ``random_normal`` (``loc + scale * z``), so
+    each value equals, bit for bit, what ``rng.uniform`` or ``rng.normal``
+    draws from the same stream. Arrays of any shape are mapped at once.
+    """
+    centers = model.centers
+    if isinstance(centers, NormalCenters):
+        u *= centers.sigma_ghz
+        u += 0.0  # as loc 0.0 does: -0.0 becomes 0.0
+    else:
+        low, high = -centers.half_width_ghz, centers.half_width_ghz
+        u *= high - low
+        u += low
+    if model.zfs_sigma_ghz == 0.0:
+        z.fill(model.zfs_mean_ghz)
+    else:
+        z *= model.zfs_sigma_ghz
+        z += model.zfs_mean_ghz
+
+
+def _lines(center: np.ndarray, zfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a1, a2): the lines ZFS/2 below and above each center. Both arrays
+    are overwritten: ``zfs`` with the half-splittings, ``center`` with a2."""
+    zfs *= 0.5
+    a1 = center - zfs
+    center += zfs
+    return a1, center
+
+
 def sample_line_positions(
     model: EnsembleModel, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n emitters' (a1, a2) detunings in GHz as arrays.
 
-    Draw order is fixed (centers, then ZFS) so streams are reproducible.
+    Draw order is fixed (centers, then ZFS, then the ZFS resamples) so
+    streams are reproducible: :func:`_draw_raw`, :func:`_map_raw`, then
+    :func:`_truncated_normal` for ZFS values of 0 or below.
     """
-    centers = model.centers.sample(rng, n)
-    half = 0.5 * _truncated_normal(rng, model.zfs_mean_ghz, model.zfs_sigma_ghz, n)
-    return centers - half, centers + half
+    u, z = np.empty(n), np.empty(n)
+    _draw_raw(model, rng, u, z)
+    _map_raw(model, u, z)
+    z = _truncated_normal(rng, model.zfs_mean_ghz, model.zfs_sigma_ghz, n, z)
+    return _lines(u, z)
 
 
 # Most emitters :func:`sample_ensemble` draws. It peaks at about 160 bytes an

@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import math
@@ -7,6 +8,8 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +287,8 @@ class TestSampleCommand:
         code = main(["sample", "--config", str(cfg), "--n", "50", "--out", str(out)])
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["type"] == "DomainError"
-        assert list(out.iterdir()) == []
+        # the output directory did not exist, and is not made
+        assert not out.exists()
 
 
 class TestFitPleCommand:
@@ -378,7 +382,7 @@ class TestFitPleCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DomainError" and message in err["error"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -627,28 +631,62 @@ class TestRefusedRunWritesNothing:
             ["overlap", "--n", "2", "--window-mhz", "1e308"],
             None, None, "DomainError",
         ),
+        "sample-histogram-edges": (
+            [["sample", "--n", "10"]],
+            ["sample", "--n", "1"],
+            # lines near 5e17 GHz, where doubles are 64 apart: 1-GHz bins have no width
+            {"ensemble": {"center": {"half_width_ghz": 1e18}, "zfs_mean_ghz": 1000.0}},
+            None, "DomainError",
+        ),
+        "spatial-int-beyond-double": (
+            [["spatial", "--lateral-fwhm-um", "0.5", "--export-scene"]],
+            ["spatial", "--export-scene"],
+            {"spatial": {"lateral_fwhm_um": 10**400}}, None, "ConfigError",
+        ),
+        "spatial-array-int-beyond-double": (
+            [["spatial", "--lateral-fwhm-um", "0.5", "--export-scene"]],
+            ["spatial", "--lateral-fwhm-um", "0.5", "--export-scene"],
+            {"spatial": {"box_um": [20.0, 10**400, 10.0]}}, None, "ConfigError",
+        ),
+        "fit-ple-peaks-beyond-int64": (
+            [["fit-ple", "--synthetic"]],
+            ["fit-ple", "--synthetic"],
+            {"fit_ple": {"n_peaks": 2**64}}, None, "DomainError",
+        ),
+        "fit-ple-grid-beyond-double": (
+            [["fit-ple", "--synthetic"]],
+            ["fit-ple", "--synthetic"],
+            {"ensemble": {"zfs_mean_ghz": 1.7e308}}, None, "DomainError",
+        ),
     }
 
-    @pytest.mark.parametrize("prior_run", [False, True], ids=["empty", "prior-run"])
+    @pytest.mark.parametrize(
+        "prior_run", [False, True, None], ids=["empty", "prior-run", "absent"]
+    )
     @pytest.mark.parametrize("case", list(CASES))
     def test_directory_unchanged(self, tmp_path, capsys, case, prior_run):
+        # prior_run None: the output directory does not exist, and must not exist after
         priors, refused, config, planted, error_type = self.CASES[case]
-        out = tmp_path / "out"
-        out.mkdir()
+        out = tmp_path / "out" / "run"
+        if prior_run is not None:
+            out.mkdir(parents=True)
         if prior_run:
             for argv in priors:
                 assert main([*argv, "--seed", "4", "--out", str(out)]) == 0
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             refused = [*refused, "--config", str(tmp_path / "cfg.json")]
-        if planted is not None:
+        if planted is not None and prior_run is not None:
             (out / "x_summary.json").write_text(planted)
-        before = _snapshot(out)
+        before = _snapshot(out) if prior_run is not None else None
         capsys.readouterr()
 
         assert main([*refused, "--seed", "4", "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == error_type
+        if prior_run is None:
+            assert not (tmp_path / "out").exists()
+            return
         if planted is not None:
             assert "x_summary.json" in err["error"]
         assert _snapshot(out) == before
@@ -659,6 +697,39 @@ class TestRefusedRunWritesNothing:
             assert tables
             for table in tables:
                 assert f"# config_hash={config_hash}\n" in table.read_text()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"fit_ple": {"n_peaks": 2**64}}, {"ensemble": {"zfs_mean_ghz": 1.7e308}}],
+    ids=["peaks-beyond-int64", "grid-beyond-double"],
+)
+def test_synthetic_fit_refused_at_once(tmp_path, capsys, config):
+    # 2^64 peaks were built one by one before the size check (k = 1e6 took
+    # 4.3 s); the infinite grid span made np.linspace warn before the refusal
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = ["fit-ple", "--synthetic", "--config", str(tmp_path / "cfg.json")]
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().err)["type"] == "DomainError"
+
+
+def test_failed_write_removes_the_directories_it_made(tmp_path, capsys, monkeypatch):
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_table", full_disk)
+    out = tmp_path / "new" / "run"
+    assert main(["birthday", "--q", "0.01", "--seed", "4", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["type"] == "OSError"
+    assert list(tmp_path.iterdir()) == []
+    # a directory that existed before stays, as it was
+    out.mkdir(parents=True)
+    assert main(["birthday", "--q", "0.01", "--seed", "4", "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 def _tree(directory):

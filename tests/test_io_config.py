@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -268,6 +269,28 @@ class TestRunConfig:
         # as a numpy traceback or as an error blamed on emitter 'e000'
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[\d\])?: expected .*finite"):
             RunConfig.from_json(text)
+
+    @pytest.mark.parametrize(
+        "mapping, path",
+        [
+            ({"spatial": {"lateral_fwhm_um": 10**400}}, "spatial.lateral_fwhm_um"),
+            ({"spatial": {"box_um": [20.0, -(10**400), 10.0]}}, "spatial.box_um[1]"),
+        ],
+    )
+    def test_integers_beyond_double_rejected(self, mapping, path):
+        # float() of such an integer raised OverflowError, a traceback with exit 1
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected a finite number"):
+            RunConfig.from_json(json.dumps(mapping))
+
+    def test_largest_integer_number_accepted(self):
+        value = int(sys.float_info.max)
+        config = RunConfig.from_mapping({"spatial": {"lateral_fwhm_um": value}})
+        assert config.data["spatial"]["lateral_fwhm_um"] == sys.float_info.max
+
+    def test_integer_beyond_the_digit_limit_rejected(self):
+        # json.loads raises a plain ValueError for an integer of over 4300 digits
+        with pytest.raises(ConfigError, match="digits"):
+            RunConfig.from_json('{"seed": 1' + "0" * 5000 + "}")
 
     def test_removed_keys_rejected(self):
         for mapping in ({"threads": 2}, {"overlap": {"fill_fwhm_mhz": 316.0}}):

@@ -535,7 +535,20 @@ class TestHistogram:
             histogram(values, width, origin)
 
     def test_bin_index_inside_int64_is_counted(self):
-        assert histogram([9e18], 1.0).counts == (1,)
+        # from 2^53 on, consecutive bin indices can round to one double
+        result = histogram([2.0**53 - 1], 1.0)
+        assert result.bin_edges == (2.0**53 - 1, 2.0**53) and result.counts == (1,)
+
+    @pytest.mark.parametrize(
+        "values, width, origin",
+        [([0.5], 1.0, 2.0**62), ([9e18], 1.0, 0.0), ([2.0**54], 1.0, 0.0)],
+        ids=["far-origin", "near-int64", "at-2^54"],
+    )
+    def test_edges_that_do_not_increase_refused(self, values, width, origin):
+        # these gave bins of zero width, (0.0, 0.0) and (9e18, 9e18), that did
+        # not hold their values
+        with pytest.raises(DomainError, match="do not increase"):
+            histogram(values, width, origin)
 
     def test_span_at_the_limit_is_built(self):
         result = histogram([0.5, MAX_HISTOGRAM_BINS - 0.5], 1.0)

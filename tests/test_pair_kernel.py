@@ -335,6 +335,9 @@ def dense_monte_carlo_threshold(
 UNIFORM = EnsembleModel()
 BUNCHED = EnsembleModel(centers=NormalCenters(0.5))
 FIXED_ZFS = EnsembleModel(centers=UniformCenters(2.0), zfs_sigma_ghz=0.0)
+# about 40% of the ZFS draws fall at or below 0 and are drawn again
+TRUNCATED_ZFS = EnsembleModel(zfs_mean_ghz=0.02, zfs_sigma_ghz=0.075)
+ONE_CENTER = EnsembleModel(centers=NormalCenters(0.0))
 A1A1, A2A2, A1A2, A2A1 = (LineCombo.A1_A1, LineCombo.A2_A2, LineCombo.A1_A2, LineCombo.A2_A1)
 
 
@@ -353,6 +356,8 @@ A1A1, A2A2, A1A2, A2A1 = (LineCombo.A1_A1, LineCombo.A2_A2, LineCombo.A1_A2, Lin
         (UNIFORM, 0.5, {A1A1}, 100, 10),
         (UNIFORM, 1.5, {A1A1}, 300, 11),
         (BUNCHED, 29.0, set(LineCombo), 512, SeedSpec(12, stream_index=2**33 + 1)),
+        (TRUNCATED_ZFS, 2.0, set(LineCombo), 100, 13),
+        (ONE_CENTER, 0.2, set(LineCombo), 100, 14),
     ],
 )
 def test_monte_carlo_matches_dense_oracle(model, window_mhz, combos, max_emitters, seed):
@@ -361,7 +366,11 @@ def test_monte_carlo_matches_dense_oracle(model, window_mhz, combos, max_emitter
     # max_emitters=100 at 0.5 MHz censors about four trials in five; at
     # 1.5 MHz about half the trials reach the third block (128 emitters) and
     # 17 the fourth, so a trial's saved generator state is resumed up to three
-    # times; a stream index above 2^32 is two words of the trials' spawn key
+    # times; a stream index above 2^32 is two words of the trials' spawn key.
+    # TRUNCATED_ZFS draws 1715 blocks again for a ZFS at or below 0, in first
+    # and later blocks, and 721 blocks are replayed to reach the next block,
+    # where the replay draws again too; ONE_CENTER's centers are 0.0 + 0.0 * z
+    # (229 replays)
     got = monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     want = dense_monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     assert got.curve == want.curve

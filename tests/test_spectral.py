@@ -126,6 +126,48 @@ class TestSampleEnsemble:
             sample_ensemble(EnsembleModel(), 51, 1)
 
 
+def former_sample_line_positions(model, n, rng):
+    """The former ``sample_line_positions``, verbatim, on numpy's own ``uniform`` and ``normal``."""
+    if isinstance(model.centers, UniformCenters):
+        centers = rng.uniform(-model.centers.half_width_ghz, model.centers.half_width_ghz, n)
+    else:
+        centers = rng.normal(0.0, model.centers.sigma_ghz, n)
+    mean, sigma = model.zfs_mean_ghz, model.zfs_sigma_ghz
+    if sigma == 0.0:
+        zfs = np.full(n, mean)
+    else:
+        zfs = rng.normal(mean, sigma, n)
+        bad = zfs <= 0.0
+        while n_bad := np.count_nonzero(bad):
+            zfs[bad] = rng.normal(mean, sigma, n_bad)
+            bad = zfs <= 0.0
+    half = 0.5 * zfs
+    return centers - half, centers + half
+
+
+class TestSampleLinePositions:
+    # The raw draws and their maps must be the IEEE operations of numpy's C
+    # uniform and normal: equal bits (signed zeros too) and the same stream.
+    @pytest.mark.parametrize("model", [
+        EnsembleModel(),
+        EnsembleModel(centers=NormalCenters(0.5)),
+        EnsembleModel(centers=NormalCenters(0.0)),
+        EnsembleModel(centers=UniformCenters(2.0), zfs_sigma_ghz=0.0),
+        EnsembleModel(zfs_mean_ghz=0.02, zfs_sigma_ghz=0.075),
+        EnsembleModel(centers=UniformCenters(sys.float_info.max / 2)),
+        EnsembleModel(centers=NormalCenters(1e-300), zfs_mean_ghz=1e-5, zfs_sigma_ghz=3.0),
+    ])
+    @pytest.mark.parametrize("n", [1, 7, 32, 1000])
+    def test_equals_numpys_uniform_and_normal(self, model, n):
+        for seed in range(5):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = spectral.sample_line_positions(model, n, got_rng)
+            want = former_sample_line_positions(model, n, want_rng)
+            for g, w in zip(got, want):
+                assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestModelValidation:
     def test_center_distributions(self):
         with pytest.raises(DomainError):
@@ -140,8 +182,9 @@ class TestModelValidation:
 
     def test_uniform_largest_half_width_is_sampled(self):
         half_width = sys.float_info.max / 2
-        draws = UniformCenters(half_width).sample(np.random.default_rng(0), 3)
-        assert np.all(np.abs(draws) <= half_width)
+        model = EnsembleModel(centers=UniformCenters(half_width))
+        for lines in spectral.sample_line_positions(model, 3, np.random.default_rng(0)):
+            assert np.all(np.abs(lines) <= half_width)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
