@@ -4,6 +4,18 @@ All frequency columns are detunings in GHz relative to the reference
 frequency, never absolute THz. CSV files written by this tool start with
 ``#`` comment lines carrying the config hash; parsers skip such lines, so
 the documented header row is always the first non-comment line.
+
+Rows move a block at a time. A writer formats :data:`_WRITE_BLOCK` rows
+into columns of cell texts and, where ``csv.writer`` would quote none of
+them, writes the block as one ``"".join`` of the cells interleaved with
+their separators; any other block goes row by row through ``csv.writer``.
+The parsers split the text into lines a piece of :data:`_SPLIT_CHARS` at
+a time, each piece ending just after a line feed, so the rows keep the
+numbers of ``text.splitlines()`` without that whole list being held.
+Below the header, :func:`parse_line_list` takes :data:`_READ_BLOCK` lines
+at a time in bulk while a block holds only plain data rows that pass
+every check; from the first block that does not, it reads row by row,
+and that loop alone decides every error.
 """
 from __future__ import annotations
 
@@ -13,6 +25,7 @@ import itertools
 import json
 import math
 from array import array
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -25,21 +38,45 @@ from .spectral import _LINE_COLUMNS, LineTable
 LINE_LIST_HEADER = ["emitter_id", "f_a1_ghz", "f_a2_ghz", "fwhm_a1_mhz", "fwhm_a2_mhz"]
 _WIDTH_COLUMNS = LINE_LIST_HEADER[3:]
 
-# Rows formatted at a time when writing a line list, which bounds the memory
-# the cell texts take.
-_WRITE_BLOCK = 8192
+# Rows formatted at a time when writing, which bounds the memory the cell
+# texts take.
+_WRITE_BLOCK = 4096
+# Characters of text split into lines at a time, and data lines a parser
+# checks and takes in bulk at a time: together they bound the memory that
+# the line texts take.
+_SPLIT_CHARS = 1 << 20
+_READ_BLOCK = 8192
 
 
-def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """1-based file row and CSV fields of each line that is neither blank
-    nor a ``#`` comment. One lazy ``csv.reader`` reads them all, so a quoted
-    field left open at the end of a line, which would run on into the next,
-    is refused, naming the row's first line; so is a row the reader
-    refuses, such as one with a field above ``csv.field_size_limit()``."""
+def _numbered_lines(text: str) -> Iterator[tuple[str, int]]:
+    """Each line of ``text.splitlines()`` with its 1-based file row. The
+    text is split a piece at a time, and each piece ends just after a line
+    feed, so no CR LF pair is cut in two and every other line break of
+    ``str.splitlines`` is kept."""
+
+    def pieces() -> Iterator[list[str]]:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _SPLIT_CHARS) + 1 or len(text)
+            yield text[start:end].splitlines()
+            start = end
+
+    rows = itertools.count(1)
+    return itertools.chain.from_iterable(zip(lines, rows) for lines in pieces())
+
+
+def _csv_rows(numbered: Iterator[tuple[str, int]]) -> Iterator[tuple[int, list[str]]]:
+    """1-based file row and CSV fields of each line of ``numbered`` that is
+    neither blank nor a ``#`` comment. One lazy ``csv.reader`` reads them
+    all, so a quoted field left open at the end of a line, which would run
+    on into the next, is refused, naming the row's first line; so is a row
+    the reader refuses, such as one with a field above
+    ``csv.field_size_limit()``. The reader takes no line beyond the row it
+    yields, so after each row ``numbered`` stands at the next line."""
     taken: list[int] = []  # file rows of the lines read for the current row
 
     def lines() -> Iterator[str]:
-        for row, line in enumerate(text.splitlines(), start=1):
+        for line, row in numbered:
             if line.lstrip()[:1] not in ("", "#"):
                 taken.append(row)
                 yield line
@@ -62,18 +99,21 @@ def _drain(rows: Iterator) -> None:
         pass
 
 
-def _data_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """File rows and CSV fields of the rows below the first, which must be
-    ``header``. A caller that raises while reading them calls :func:`_drain`
+def _data_rows(
+    numbered: Iterator[tuple[str, int]], header: list[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Check that the first row of ``numbered`` is ``header`` and return
+    the rows below it, with ``numbered`` standing just after the header
+    line. A caller that raises while reading them calls :func:`_drain`
     first."""
-    rows = _csv_rows(text)
+    rows = _csv_rows(numbered)
     row, fields = next(rows, (None, None))
     if fields is None:
         raise LineListError("file contains no header row")
     if [h.strip() for h in fields] != header:
         _drain(rows)
         raise LineListError(f"row {row}: header must be exactly {','.join(header)!r}", row=row)
-    yield from rows
+    return rows
 
 
 def _number(cell: str, row: int, column: str, blank: bool = False) -> float:
@@ -109,14 +149,23 @@ def parse_line_list(data: bytes | str) -> LineTable:
     position (a finite number), f_a2_ghz > f_a1_ghz, each width (a finite
     number or blank). Only a file passing all of these is checked for
     widths that are not positive. The values go straight into float
-    columns, so the field strings of one row at a time are held.
+    columns, so the field strings of one block of lines at a time are held.
+
+    Below the header, each block of :data:`_READ_BLOCK` lines is taken in
+    bulk by :func:`_take_block` while it can be; from the first block that
+    cannot, the rows are read one at a time, which alone raises errors.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     first_seen: dict[str, int] = {}  # emitter id -> file row, in file order
     a1, a2, w1, w2 = columns = [array("d") for _ in _LINE_COLUMNS]
     nonpositive = None  # (row, column, cell) of the first width not above 0
-    rows = _data_rows(data, LINE_LIST_HEADER)
+    numbered = _numbered_lines(data)
+    rows = _data_rows(numbered, LINE_LIST_HEADER)
+    for block in iter(lambda: list(itertools.islice(numbered, _READ_BLOCK)), []):
+        if not _take_block(block, first_seen, columns):
+            rows = _csv_rows(itertools.chain(block, numbered))
+            break
     try:
         for row, fields in rows:
             if len(fields) not in (3, 5):
@@ -160,28 +209,110 @@ def parse_line_list(data: bytes | str) -> LineTable:
     return LineTable(np.fromiter(first_seen, dtype=object, count=len(first_seen)), *columns)
 
 
+def _take_block(
+    block: list[tuple[str, int]], first_seen: dict[str, int], columns: list[array]
+) -> bool:
+    """Add the ``(line, row)`` pairs of ``block`` to ``first_seen`` and
+    ``columns`` in bulk, as the row-by-row loop of :func:`parse_line_list`
+    would, and return True; or change nothing and return False. A block is
+    taken only if every line is a data row that ``csv.reader`` splits at
+    each comma and that passes every check, a positive width included: no
+    ``"``, ``#`` or NUL, no line longer than ``csv.field_size_limit()``,
+    5 fields on every line or 3 on every line, ids non-empty after strip
+    and new, and numbers that ``float`` parses, finite, with f_a2_ghz >
+    f_a1_ghz and widths above 0."""
+    lines = list(map(itemgetter(0), block))
+    text = ",".join(lines)
+    if '"' in text or "#" in text or "\0" in text:
+        return False
+    if max(map(len, lines)) > csv.field_size_limit():
+        return False
+    commas = set(map(str.count, lines, itertools.repeat(",")))
+    if commas != {4} and commas != {2}:
+        return False
+    k, n = commas.pop() + 1, len(lines)
+    cells = text.split(",")
+    ids = list(map(str.strip, cells[0::k]))
+    new = dict(zip(ids, range(block[0][1], block[0][1] + n)))
+    if not all(ids) or len(new) < n or not new.keys().isdisjoint(first_seen):
+        return False
+    try:
+        values = [np.fromiter(map(float, cells[j::k]), float, n) for j in range(1, k)]
+    except ValueError:
+        return False
+    x1, x2, *widths = values
+    if not (np.isfinite(values).all() and (x2 > x1).all() and all((w > 0).all() for w in widths)):
+        return False
+    first_seen.update(new)
+    for column, x in zip(columns, (x1, x2, *(widths or [np.full(n, np.nan)] * 2))):
+        column.frombytes(x.tobytes())
+    return True
+
+
 def _write_csv(
-    out: TextIO, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str]
+    out: TextIO,
+    header: Sequence[str],
+    blocks: Iterable[Sequence[Sequence]],
+    comments: Sequence[str],
 ) -> None:
     """Write CSV to ``out``: a ``#`` line per comment, the header, then the
-    rows. A row whose first field starts with ``#`` (after spaces) has every
-    field quoted, so that it is not read back as a comment line."""
+    rows of each block, a block being a list of columns of equal length. A
+    block that :func:`_plain_text` can write goes in one piece; any other
+    goes row by row through ``csv.writer``, where a row whose first field
+    starts with ``#`` (after spaces) has every field quoted, so that it is
+    not read back as a comment line."""
     for comment in comments:
         out.write(f"# {comment}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(header))
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for hashed, group in itertools.groupby(rows, key=_starts_with_hash):
-        (quoted if hashed else writer).writerows(group)
+    for columns in blocks:
+        text = _plain_text(columns)
+        if text is not None:
+            out.write(text)
+        else:
+            for hashed, group in itertools.groupby(zip(*columns), key=_starts_with_hash):
+                (quoted if hashed else writer).writerows(group)
+        del columns, text  # so that one block at a time is held
+
+
+def _plain_text(columns: Sequence[Sequence]) -> str | None:
+    """The CSV text of the rows of ``columns``, built by one ``"".join``
+    over the cells interleaved with their separators; or None where
+    ``csv.writer`` would write it otherwise or quote a row: a cell that is
+    not a ``str`` or holds ``,``, ``"``, CR, LF or NUL, fewer than two
+    columns, or a first field that starts with ``#`` after spaces."""
+    k = len(columns)
+    if k < 2:
+        return None
+    first, n = columns[0], len(columns[0])
+    try:
+        if "#" in "".join(first) and any(cell.lstrip().startswith("#") for cell in first):
+            return None
+        flat = [","] * (2 * k * n)
+        flat[2 * k - 1 :: 2 * k] = itertools.repeat("\n", n)
+        for j, column in enumerate(columns):
+            flat[2 * j :: 2 * k] = column
+        text = "".join(flat)
+    except TypeError:  # a cell that is not a str
+        return None
+    if text.count(",") != (k - 1) * n or text.count("\n") != n:
+        return None
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    return text
 
 
 def _write_csv_file(
-    path: Path | str, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str]
+    path: Path | str,
+    header: Sequence[str],
+    blocks: Iterable[Sequence[Sequence]],
+    comments: Sequence[str],
 ) -> None:
-    """:func:`_write_csv` into the file at ``path``, row by row as ``rows``
-    yields them."""
+    """:func:`_write_csv` into the file at ``path``, block by block as
+    ``blocks`` yields them."""
     with open(path, "w", encoding="utf-8") as out:
-        _write_csv(out, header, rows, comments)
+        _write_csv(out, header, blocks, comments)
 
 
 def _starts_with_hash(row: Sequence) -> bool:
@@ -190,21 +321,23 @@ def _starts_with_hash(row: Sequence) -> bool:
 
 def _float_texts(values: np.ndarray) -> list[str]:
     """``repr`` of each value, as line lists have always been written; NaN is blank."""
-    return ["" if v != v else repr(v) for v in values.tolist()]
+    texts = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        texts[i] = ""
+    return texts
 
 
-def _line_list_rows(records: LineTable) -> Iterator[tuple]:
-    """The rows of a table, formatted one block of :data:`_WRITE_BLOCK` at a time."""
+def _line_list_blocks(records: LineTable) -> Iterator[list[list[str]]]:
+    """The columns of a table's rows, formatted one block of :data:`_WRITE_BLOCK` at a time."""
     for s in range(0, len(records), _WRITE_BLOCK):
         block = records[s : s + _WRITE_BLOCK]
-        cells = (_float_texts(getattr(block, name)) for name in _LINE_COLUMNS)
-        yield from zip(block.ids.tolist(), *cells)
+        yield [block.ids.tolist(), *(_float_texts(getattr(block, name)) for name in _LINE_COLUMNS)]
 
 
 def serialize_line_list(records: LineTable, comments: Sequence[str] = ()) -> str:
     """Line-list CSV text of a table, one row per emitter; NaN widths are blank."""
     out = io.StringIO()
-    _write_csv(out, LINE_LIST_HEADER, _line_list_rows(records), comments)
+    _write_csv(out, LINE_LIST_HEADER, _line_list_blocks(records), comments)
     return out.getvalue()
 
 
@@ -215,7 +348,7 @@ def read_line_list(path: Path | str) -> LineTable:
 def write_line_list(path: Path | str, records: LineTable, comments: Sequence[str] = ()) -> None:
     """Write the text of :func:`serialize_line_list` to ``path``, one block
     of rows at a time."""
-    _write_csv_file(path, LINE_LIST_HEADER, _line_list_rows(records), comments)
+    _write_csv_file(path, LINE_LIST_HEADER, _line_list_blocks(records), comments)
 
 
 SPECTRUM_HEADER = ["frequency_ghz", "counts"]
@@ -224,8 +357,12 @@ SPECTRUM_HEADER = ["frequency_ghz", "counts"]
 def write_spectrum(path: Path | str, spectrum: PleSpectrum, comments: Sequence[str] = ()) -> None:
     """Two-column spectrum CSV plus a .meta.json sidecar with the dwell time."""
     path = Path(path)
-    rows = zip(*(map(repr, x.tolist()) for x in (spectrum.frequencies_ghz, spectrum.counts)))
-    _write_csv_file(path, SPECTRUM_HEADER, rows, comments)
+    columns = spectrum.frequencies_ghz, spectrum.counts
+    blocks = (
+        [list(map(repr, x[s : s + _WRITE_BLOCK].tolist())) for x in columns]
+        for s in range(0, len(columns[0]), _WRITE_BLOCK)
+    )
+    _write_csv_file(path, SPECTRUM_HEADER, blocks, comments)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(
         json.dumps({"dwell_time_s": spectrum.dwell_time_s}, sort_keys=True) + "\n",
@@ -238,7 +375,7 @@ def read_spectrum(path: Path | str) -> PleSpectrum:
     without one). Errors give 1-based file rows, as for line lists."""
     path = Path(path)
     freqs, counts = array("d"), array("d")
-    rows = _data_rows(path.read_text(encoding="utf-8"), SPECTRUM_HEADER)
+    rows = _data_rows(_numbered_lines(path.read_text(encoding="utf-8")), SPECTRUM_HEADER)
     try:
         for row, fields in rows:
             if len(fields) != 2:
@@ -263,6 +400,8 @@ def read_spectrum(path: Path | str) -> PleSpectrum:
 def write_table(
     path: Path | str, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()
 ) -> None:
-    """Generic plot-ready CSV table with leading comment lines."""
+    """Generic plot-ready CSV table with leading comment lines; the rows
+    have one length."""
     rows = ([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
-    _write_csv_file(path, header, rows, comments)
+    blocks = iter(lambda: list(zip(*itertools.islice(rows, _WRITE_BLOCK), strict=True)), [])
+    _write_csv_file(path, header, blocks, comments)

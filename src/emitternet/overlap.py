@@ -561,8 +561,9 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
         return HistogramResult(bin_edges=(), counts=())
     if not np.all(np.isfinite(vals)):
         raise DomainError("histogram values must be finite")
-    # huge spans overflow to inf (or inf - inf = nan), and huge offsets leave the int64
-    # range of the bin index: all are refused below
+    # huge spans overflow to inf (or inf - inf = nan), and huge offsets give bin indices
+    # from 2^53 on, where consecutive indices round to one double and an edge
+    # origin + k * bin_width can skip a bin: all are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = np.floor((np.array([vals.min(), vals.max()]) - origin) / bin_width)
         span = hi - lo
@@ -571,10 +572,10 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
             f"histogram needs about {span + 1:.4g} bins of width {bin_width}, above the limit "
             f"of {MAX_HISTOGRAM_BINS}; use a wider bin or a narrower ensemble"
         )
-    if not (-(2.0**63) < lo and hi < 2.0**63):
+    if not (-(2.0**53) < lo and hi < 2.0**53):
         raise DomainError(
-            f"histogram bin indices reach {max(-lo, hi):.4g}, beyond the int64 range; use a "
-            "wider bin or an origin nearer the values"
+            f"histogram bin indices reach {max(-lo, hi):.4g}, 2^53 or more, where bins of "
+            f"width {bin_width} are no longer exact; use a wider bin or an origin nearer the values"
         )
     k = np.floor((vals - origin) / bin_width).astype(np.int64)
     # the division can round across an edge: place each value against the edges reported below

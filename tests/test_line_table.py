@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_written_file_is_the_serialized_text(tmp_path):
     write_line_list(path, table, comments=["config_hash=x", "seed=2"])
     text = serialize_line_list(table, comments=["config_hash=x", "seed=2"])
     assert path.read_bytes() == text.encode("utf-8")
-    assert '"#e00000",' in text and ",," in text
+    assert f'"{table.ids[0]}",' in text and table.ids[0].startswith("#") and ",," in text
     assert parse_line_list(path.read_bytes()) == table
 
 
@@ -218,6 +219,87 @@ def test_write_holds_one_block_of_rows(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def _csv_writer_text(table: LineTable, comments=()) -> str:
+    """The line-list text of ``table`` written row by row by ``csv.writer``:
+    every field quoted where the id starts with "#" after spaces."""
+    want = io.StringIO()
+    for comment in comments:
+        want.write(f"# {comment}\n")
+    plain = csv.writer(want, lineterminator="\n")
+    quoted = csv.writer(want, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(LINE_LIST_HEADER)
+    for i, name in enumerate(table.ids.tolist()):
+        cells = [table.a1_ghz[i], table.a2_ghz[i], table.fwhm_a1_mhz[i], table.fwhm_a2_mhz[i]]
+        row = [name, *("" if math.isnan(v) else repr(float(v)) for v in cells)]
+        (quoted if str(name).lstrip().startswith("#") else plain).writerow(row)
+    return want.getvalue()
+
+
+# ids that csv.writer must quote, or that are not str, beside plain ones
+_writer_ids = st.one_of(
+    st.text(st.sampled_from('ab#, "\r\n\t'), min_size=1, max_size=5),
+    st.sampled_from(["#a", " #b", "\t#c", "c#", "a,b", 'q"q', "r\rr", "n\nn", "e1"]),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+_writer_positions = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1.2345678901234567e17]),
+)
+_writer_widths = st.one_of(
+    st.just(math.nan),
+    st.sampled_from([5e-324, 1e16, 3e300]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@st.composite
+def writer_tables(draw):
+    n = draw(st.integers(0, 12))
+    rows = []
+    for _ in range(n):
+        a1, a2 = sorted(draw(st.lists(_writer_positions, min_size=2, max_size=2, unique=True)))
+        rows.append((draw(_writer_ids), a1, a2, draw(_writer_widths), draw(_writer_widths)))
+    columns = list(zip(*rows)) or [[]] * 5
+    return LineTable(*columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_tables(), st.integers(1, 5))
+def test_writer_matches_csv_writer(table, block):
+    with patch.object(emitternet.lineio, "_WRITE_BLOCK", block):
+        text = serialize_line_list(table, comments=["config_hash=x"])
+    assert text == _csv_writer_text(table, comments=["config_hash=x"])
+
+
+def _padded_line_list(n: int, quoted_first: bool) -> str:
+    """n rows of about 1000 characters each, padded with spaces before a width."""
+    pad = " " * 950
+    rows = [f"e{i},{i}.0,{i}.5,{pad}300,300" for i in range(n)]
+    if quoted_first:
+        rows[0] = '"e0"' + rows[0][2:]
+    return "\n".join(["# c", HEADER, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("quoted_first", [False, True], ids=["bulk", "row-by-row"])
+def test_parse_holds_one_piece_of_lines(monkeypatch, quoted_first):
+    # the whole splitlines() list of these 5 MB of text takes 5 MB; a piece of
+    # 16k characters and a block of 64 lines take about 0.2 MB, beside the
+    # parsed ids and values, about 0.5 MB for 5000 rows
+    monkeypatch.setattr(emitternet.lineio, "_SPLIT_CHARS", 1 << 14)
+    monkeypatch.setattr(emitternet.lineio, "_READ_BLOCK", 64)
+    text = _padded_line_list(5000, quoted_first)
+    tracemalloc.start()
+    try:
+        table = parse_line_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 5000 and table.ids[0] == "e0"
+    assert peak < 1_500_000
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,25 +474,106 @@ def test_parser_matches_per_row_oracle(text):
     assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "# only a comment\n",
-        "id,a1,a2\n",
-        f"{HEADER}\ne1,0,1\ne2,0,1,2\ne3,x,1\n",
-        f"{HEADER}\ne1,x,1\ne2,0,1,2\n",
-        f"{HEADER}\ne1,0,1,x,nan\n",
-        f"{HEADER}\ne1,0,1\n,0,1\ne1,0,1\n",
-        f"{HEADER}\ne1,nan,x\n",
-        f"{HEADER}\ne1,5,x\n",
-        f"{HEADER}\ne1,5,1\ne2,x,1\n",
-        f"{HEADER}\ne1,0,1,,\ne2,0,1,300,\n",
-        # a width not above 0 is reported only once every row has passed
-        f"{HEADER}\ne1,0,1,300,0\ne2,0,1,-5,300\n",
-        f"{HEADER}\ne1,0,1,-0.0,300\ne2,0,1\ne3,0,x\n",
-        f"{HEADER}\ne1,0,1,300, -1e-3 \ne2,0,1,300\n",
-    ],
+# --- the same files, cut into blocks of 3 lines ------------------------------
+
+# every line break of str.splitlines that a lazy splitter could get wrong
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\v"])
+BREAK_NOISE = st.sampled_from(
+    ["", "   ", "# comment", "#,a,b", "#e,1,2,300,300", "  #e,1,2", "\r", "\r\n", "\x85"]
+    + ["\u2028", "\v", "# c\r# d", " \x85 #e"]
 )
+# appended to an id, it makes a field over the csv limit
+LONG_TAIL = "1" * csv.field_size_limit()
+
+
+@st.composite
+def plain_row(draw, index: int, n_fields: int) -> str:
+    """A row the parser can take in bulk, its id quoted now and then."""
+    a1 = draw(st.floats(-20, 20))
+    fields = [f"e{index}", repr(a1), repr(a1 + draw(st.floats(0.1, 3.0)))]
+    fields += [repr(draw(st.floats(1.0, 500.0))) for _ in range(n_fields - 3)]
+    if draw(st.integers(0, 19)) == 0:
+        fields[0] = f'"{fields[0]}"'
+    return ",".join(fields)
+
+
+@st.composite
+def block_files(draw) -> str:
+    """Up to 40 rows, most of them plain, so that clean blocks hand over to
+    the row-by-row loop at many places; every line break, blank and comment
+    lines, quoted fields, 3-field rows and faults in later blocks; and in
+    some files one field over the csv limit."""
+    lines = draw(st.lists(BREAK_NOISE, max_size=2)) + [HEADER]
+    ids: list[str] = []
+    n_fields = draw(st.sampled_from([3, 5]))
+    n_rows = draw(st.integers(0, 40))
+    long_row = draw(st.sampled_from([None] * 9 + [draw(st.integers(0, max(n_rows - 1, 0)))]))
+    for index in range(n_rows):
+        kind = draw(st.integers(0, 29))
+        if kind == 0:
+            lines.append(draw(BREAK_NOISE))
+        if kind == 1:
+            n_fields = 8 - n_fields  # the rows below switch between 3 and 5 fields
+        line = draw(data_row(index, ids) if kind <= 3 else plain_row(index, n_fields))
+        if index == long_row:
+            line = line.replace(",", LONG_TAIL + ",", 1)
+        ids.append(line.split(",")[0])
+        lines.append(line)
+    ends = draw(st.lists(BREAKS, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_files())
+def test_parser_matches_per_row_oracle_across_blocks(text):
+    with patch.object(emitternet.lineio, "_READ_BLOCK", 3), patch.object(
+        emitternet.lineio, "_SPLIT_CHARS", 16
+    ):
+        got = outcome(parse_line_list, text)
+    long_rows = [row for row, line in enumerate(text.splitlines(), 1) if LONG_TAIL in line]
+    if long_rows:
+        # the reader's own errors come first, wherever they are in the file
+        row = long_rows[0]
+        message = f"row {row}: field larger than field limit ({csv.field_size_limit()})"
+        assert got == ("error", message, row, None)
+    else:
+        assert got == outcome(per_row_parse_line_list, text)
+
+
+FIXED_FILES = [
+    "",
+    "# only a comment\n",
+    "id,a1,a2\n",
+    f"{HEADER}\ne1,0,1\ne2,0,1,2\ne3,x,1\n",
+    f"{HEADER}\ne1,x,1\ne2,0,1,2\n",
+    f"{HEADER}\ne1,0,1,x,nan\n",
+    f"{HEADER}\ne1,0,1\n,0,1\ne1,0,1\n",
+    f"{HEADER}\ne1,nan,x\n",
+    f"{HEADER}\ne1,5,x\n",
+    f"{HEADER}\ne1,5,1\ne2,x,1\n",
+    f"{HEADER}\ne1,0,1,,\ne2,0,1,300,\n",
+    # a width not above 0 is reported only once every row has passed
+    f"{HEADER}\ne1,0,1,300,0\ne2,0,1,-5,300\n",
+    f"{HEADER}\ne1,0,1,-0.0,300\ne2,0,1\ne3,0,x\n",
+    f"{HEADER}\ne1,0,1,300, -1e-3 \ne2,0,1,300\n",
+    # rows that a block taken in bulk would get wrong: comment lines with the
+    # data rows' comma count, blank ids, 4 and 6 fields, an id seen before
+    f"{HEADER}\ne1,0,1,300,300\n#e2,0,1,300,300\ne3,0,1,300,300\n",
+    f"{HEADER}\ne1,0,1\n  #e2,0,1\ne3,0,1\n",
+    f"{HEADER}\ne1,0,1,300,300\n  ,0,1,300,300\ne3,0,1,300,300\n",
+    f"{HEADER}\ne1,0,1,300,300\ne2,0,1,300,300,7\ne3,0,1,300,300\n",
+    f"{HEADER}\ne1,0,1,300,300\ne2,0,1,300\ne3,0,1,300,300\ne4,0,1,300,300,7\n",
+    f"{HEADER}\ne1,0,1\ne2,0,1\ne3,0,1\ne1,0,1\ne5,0,1\n",
+    f"{HEADER}\ne1,0,1\ne2,0,1\ne3,0,1\ne4,0,1\ne3,0,1\n",
+]
+
+
+@pytest.mark.parametrize("text", FIXED_FILES)
 def test_parser_matches_per_row_oracle_on_fixed_files(text):
     assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
+
+
+@pytest.mark.parametrize("text", FIXED_FILES)
+def test_parser_matches_per_row_oracle_on_fixed_files_in_blocks_of_2(text):
+    with patch.object(emitternet.lineio, "_READ_BLOCK", 2):
+        assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)

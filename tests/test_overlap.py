@@ -526,27 +526,41 @@ class TestHistogram:
 
     @pytest.mark.parametrize(
         "values, width, origin",
-        [([1e300], 0.025, 0.0), ([-1e300], 0.025, 0.0), ([0.0], 1.0, 2.0**63)],
-        ids=["above", "below", "at-int64-min"],
+        [
+            ([1e300], 0.025, 0.0),
+            ([-1e300], 0.025, 0.0),
+            ([0.0], 1.0, 2.0**63),
+            ([2.0**53], 1.0, 0.0),
+            ([-(2.0**53)], 1.0, 0.0),
+            ([0.5], 1.0, 2.0**62),
+            ([9e18], 1.0, 0.0),
+            ([2.0**54], 1.0, 0.0),
+        ],
+        ids=["above", "below", "at-int64-min", "at-2^53", "at-minus-2^53", "far-origin",
+             "near-int64", "at-2^54"],
     )
-    def test_bin_index_beyond_int64_refused(self, values, width, origin):
-        # the int64 bin index used to wrap: [1e300] gave one bin at -2.3e17
-        with pytest.raises(DomainError, match="int64"):
+    def test_bin_index_from_2_53_refused(self, values, width, origin):
+        # the int64 bin index used to wrap: [1e300] gave one bin at -2.3e17;
+        # [2.0**53] gave one bin 2 wide, (2^53, 2^53 + 2); the last three gave
+        # bins of zero width, (0.0, 0.0) and (9e18, 9e18), that did not hold
+        # their values
+        with pytest.raises(DomainError, match=r"bin indices reach .*, 2\^53 or more"):
             histogram(values, width, origin)
 
-    def test_bin_index_inside_int64_is_counted(self):
+    @pytest.mark.parametrize("value", [2.0**53 - 1, -(2.0**53) + 1])
+    def test_bin_index_below_2_53_is_counted(self, value):
         # from 2^53 on, consecutive bin indices can round to one double
-        result = histogram([2.0**53 - 1], 1.0)
-        assert result.bin_edges == (2.0**53 - 1, 2.0**53) and result.counts == (1,)
+        result = histogram([value], 1.0)
+        assert result.bin_edges == (value, value + 1.0) and result.counts == (1,)
 
     @pytest.mark.parametrize(
         "values, width, origin",
-        [([0.5], 1.0, 2.0**62), ([9e18], 1.0, 0.0), ([2.0**54], 1.0, 0.0)],
-        ids=["far-origin", "near-int64", "at-2^54"],
+        [([2.0**62], 1.0, 2.0**62), ([1e20], 1.0, 1e20)],
+        ids=["far-origin", "far-origin-1e20"],
     )
     def test_edges_that_do_not_increase_refused(self, values, width, origin):
-        # these gave bins of zero width, (0.0, 0.0) and (9e18, 9e18), that did
-        # not hold their values
+        # small bin indices from an origin whose doubles are spaced wider than
+        # the bin: both edges of the one bin round to the origin
         with pytest.raises(DomainError, match="do not increase"):
             histogram(values, width, origin)
 
