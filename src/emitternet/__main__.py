@@ -1,3 +1,3 @@
-from .cli import entrypoint
+from ._front import entrypoint
 
 entrypoint()

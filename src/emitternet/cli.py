@@ -1,49 +1,30 @@
-"""Command line surface: reproducible runs over the analysis modules.
+"""The computing subcommands: ``sample``, ``overlap``, ``birthday``,
+``fit-ple``, ``protocol`` and ``spatial``.
 
-Each subcommand computes everything first and returns its results and
-its files; :func:`main` then writes the files (plot-ready CSV tables) and
-a ``<command>_summary.json`` document into the output directory. Summaries
-embed the tool version, the SHA-256 hash of the fully resolved
-configuration, and the seeds, so identical config and seed reproduce
-byte-identical output except for the single ``generated_at`` timestamp
-field.
-
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 fit non-convergence. Errors are printed as single-line JSON on stderr.
-A run that exits 1 or 2 leaves the output directory as it was, or absent
-if it did not exist: the files are written into a staging directory there
-and renamed into place only once every one is written. A run that exits 3
-writes its summary (and, for ``fit-ple --synthetic``, the spectrum) before
-the error.
+Each returns its results and its files and writes nothing; the parser,
+``main``, the summary writer, the output stage and ``report`` are in
+:mod:`emitternet._front`, which imports this module only to run one of
+these commands. Importing it loads every analysis module.
 """
 from __future__ import annotations
 
-import argparse
-import contextlib
-import errno
-import json
 import math
-import os
-import shutil
-import sys
-import tempfile
-from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any
 
 import numpy as np
 
-from . import __version__
-from .config import RunConfig, default_config
-from .errors import ConfigError, DomainError, EmitterNetError, SummaryError, UsageError
-from .lineio import (
-    read_line_list,
-    read_spectrum,
-    write_line_list,
-    write_spectrum,
-    write_table,
+# main, entrypoint and the summary writer are the front's, re-exported here
+from ._front import (  # noqa: F401
+    PROVENANCE_NOTE,
+    SEED_ENV_VAR,
+    _json_text,
+    _Outcome,
+    entrypoint,
+    main,
 )
+from .config import RunConfig, default_config
+from .errors import ConfigError, DomainError
+from .lineio import read_line_list, read_spectrum
 from .overlap import (
     birthday_threshold,
     fit_slope_through_origin,
@@ -53,7 +34,6 @@ from .overlap import (
 )
 from .ple import (
     LorentzianPeak,
-    PleSpectrum,
     _check_fit_size,
     classify_pair_spectrum,
     fit_multi_lorentzian,
@@ -68,227 +48,7 @@ from .register import (
 )
 from .seeding import SeedSpec
 from .spatial import ConfocalPsf, occupancy_stats, sample_scene, spectral_arrangement_rate
-from .spectral import LineTable, sample_ensemble, summarize_ensemble
-
-SEED_ENV_VAR = "EMITTERNET_SEED"
-
-PROVENANCE_NOTE = (
-    "Overlap statistics are computed from constructed fixtures or parametric "
-    "ensemble resampling; the measured per-emitter line list is not published "
-    "and is represented only by its distribution parameters."
-)
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: A003 - argparse API
-        raise UsageError(message)
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _build_parser() -> _Parser:
-    # A flag that sets a config value stores it under that value's dotted
-    # config path (its ``dest``); see _load_config.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="path to a JSON run configuration")
-    common.add_argument("--out", dest="output_dir", type=Path, help="output directory")
-    common.add_argument("--seed", type=int, help="base seed (overrides config and environment)")
-    common.add_argument("--stream-index", type=int, help="seed stream index")
-
-    parser = _Parser(prog="emitternet", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"emitternet {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", parents=[common], help="sample an emitter ensemble to CSV")
-    p.add_argument("--n", dest="sample.n_emitters", type=int, help="number of emitters")
-
-    p = sub.add_parser("overlap", parents=[common], help="pair-overlap probability curve")
-    p.add_argument("--input", type=Path, help="line-list CSV (default: sample from the model)")
-    p.add_argument("--n", dest="sample.n_emitters", type=int, help="emitters to sample if no input")
-    p.add_argument(
-        "--window-mhz", dest="windows_mhz", type=float, action="append",
-        help="overlap window (repeatable)",
-    )
-    p.add_argument("--bootstrap", dest="overlap.bootstrap_resamples", type=int,
-                   help="bootstrap resamples for error bars")
-
-    p = sub.add_parser("birthday", parents=[common], help="collision threshold analysis")
-    p.add_argument("--q", dest="birthday.q", type=float, help="pairwise overlap probability")
-    p.add_argument("--target", dest="birthday.target", type=float,
-                   help="target collision probability")
-    p.add_argument("--mc", dest="birthday.monte_carlo", action="store_true",
-                   help="add a sequential Monte Carlo cross-check")
-    p.add_argument("--trials", dest="birthday.trials", type=int, help="Monte Carlo trials")
-    p.add_argument("--window-mhz", dest="birthday.window_mhz", type=float,
-                   help="overlap window for the Monte Carlo run")
-
-    p = sub.add_parser("fit-ple", parents=[common], help="multi-Lorentzian spectrum fit")
-    p.add_argument("--input", type=Path, help="spectrum CSV (frequency_ghz,counts)")
-    p.add_argument("--synthetic", action="store_true", help="fit a synthesized demo spectrum")
-    p.add_argument("--k", dest="fit_ple.n_peaks", type=int, help="number of peaks")
-    p.add_argument("--classify", dest="fit_ple.classify", action="store_true",
-                   help="classify a 3-peak pair spectrum")
-
-    p = sub.add_parser("protocol", parents=[common], help="heralded GHZ chain simulation")
-    p.add_argument("--n", dest="protocol.n_qubits", type=int, help="number of spin qubits")
-    p.add_argument("--eta", dest="protocol.eta", type=float, help="photon detection efficiency")
-    p.add_argument("--sweep", action="store_true", help="also sweep fidelity over eta")
-
-    p = sub.add_parser("spatial", parents=[common], help="confocal spot occupancy statistics")
-    p.add_argument("--density", dest="spatial.density_per_um3", type=float,
-                   help="emitter density per cubic micron")
-    p.add_argument("--lateral-fwhm-um", dest="spatial.lateral_fwhm_um", type=float,
-                   help="lateral PSF FWHM (required)")
-    p.add_argument("--axial-fwhm-um", dest="spatial.axial_fwhm_um", type=float,
-                   help="axial PSF FWHM")
-    p.add_argument("--trials", dest="spatial.trials", type=int, help="Monte Carlo trials")
-    p.add_argument("--chain-k", dest="spatial.chain_length", type=int,
-                   help="spectral chain length to evaluate")
-    p.add_argument("--chain-window-mhz", dest="spatial.chain_window_mhz", type=float,
-                   help="chain overlap window")
-    p.add_argument("--export-scene", action="store_true", help="also export a sampled 3D scene")
-
-    sub.add_parser("report", parents=[common], help="aggregate summaries in the output directory")
-    return parser
-
-
-def _load_config(args) -> RunConfig:
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        cfg = RunConfig.from_json(text)
-    else:
-        cfg = RunConfig.from_mapping({})
-    # Flags that set a config value are stored under its dotted path; an
-    # unset flag (None, or False for a switch) overrides nothing.
-    overrides: dict[str, Any] = {}
-    for dest, value in vars(args).items():
-        if value is None or value is False or ("." not in dest and dest not in cfg.data):
-            continue
-        *path, key = dest.split(".")
-        section = overrides
-        for name in path:
-            section = section.setdefault(name, {})
-        section[key] = str(value) if isinstance(value, Path) else value
-    return cfg.with_overrides(overrides)
-
-
-def _resolve_seed(cfg: RunConfig) -> SeedSpec:
-    if cfg.data["seed"] is not None:
-        return cfg.seed_spec()
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return SeedSpec(seed=int(env), stream_index=int(cfg.data["stream_index"]))
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return cfg.seed_spec(fallback=0)
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.data["output_dir"] or "emitternet_out")
-
-
-def _json_rows(rows: list | tuple, indent: str) -> str | None:
-    """A list of non-empty flat rows of numbers, bools and nulls (such as the
-    ``[re, im]`` amplitude pairs), encoded by the C encoder in compact form
-    and then indented; None for any other list.
-
-    Without strings, dicts or nested lists, every ``,`` separates two cells
-    or two rows and every ``[`` opens a row, so two replacements indent it.
-    """
-    if not all(isinstance(row, (list, tuple)) for row in rows):
-        return None
-    compact = json.dumps(rows, separators=(",", ":"))
-    if (
-        '"' in compact
-        or "{" in compact
-        or "[]" in compact
-        or compact.count("[") != len(rows) + 1
-    ):
-        return None
-    row_indent = indent + "  "
-    cell_indent = row_indent + "  "
-    body = compact[2:-2].replace(",", "," + cell_indent)
-    body = body.replace(
-        "]," + cell_indent + "[", row_indent + "]," + row_indent + "[" + cell_indent
-    )
-    return "[" + row_indent + "[" + cell_indent + body + row_indent + "]" + indent + "]"
-
-
-def _json_value(value: Any, indent: str, markers: set[int]) -> str:
-    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
-    at the nesting level whose line break and indent is ``indent``.
-
-    Only non-empty lists, tuples and dicts with str keys are walked here, in
-    the stdlib's order, so that row lists deeper down reach :func:`_json_rows`.
-    Every other value is the stdlib's own text: it writes no raw line break
-    inside a string, so re-indenting its level-0 text places it here.
-    """
-    walked = isinstance(value, (list, tuple)) or (
-        isinstance(value, dict) and all(isinstance(key, str) for key in value)
-    )
-    if not (walked and value):
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
-    if id(value) in markers:
-        raise ValueError("Circular reference detected")
-    markers.add(id(value))
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json_value(item, inner, markers)}"
-            for key, item in sorted(value.items())
-        ]
-        text = "{" + inner + ("," + inner).join(items) + indent + "}"
-    else:
-        text = _json_rows(value, indent)
-        if text is None:
-            items = [_json_value(item, inner, markers) for item in value]
-            text = "[" + inner + ("," + inner).join(items) + indent + "]"
-    markers.remove(id(value))
-    return text
-
-
-def _json_text(doc: Any) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
-
-    On CPython any ``indent`` sends ``json.dumps`` to its pure-Python
-    encoder, one generator step per value. Lists of flat numeric rows go
-    instead to the C encoder (:func:`_json_rows`); every other value is
-    written by ``json.dumps`` itself (:func:`_json_value`).
-    """
-    return _json_value(doc, "\n", set()) + "\n"
-
-
-def _summary_text(command: str, cfg: RunConfig, seed: SeedSpec, results: dict[str, Any]) -> str:
-    doc = {
-        "tool": "emitternet",
-        "version": __version__,
-        "command": command,
-        "config_hash": cfg.config_hash(),
-        "config": cfg.data,
-        "seed": {"seed": seed.seed, "stream_index": seed.stream_index},
-        "generated_at": _utc_now(),
-        "results": results,
-    }
-    return _json_text(doc)
-
-
-def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
-    return [
-        f"emitternet {__version__}",
-        f"config_hash={cfg.config_hash()}",
-        f"seed={seed.seed} stream_index={seed.stream_index}",
-    ]
-
-
-# A command writes nothing: it returns its results (None for ``report``), its files
-# by name (LineTable, PleSpectrum, (header, rows) or text) and its exit code.
-_Outcome = tuple[dict[str, Any] | None, dict[str, Any], int]
+from .spectral import sample_ensemble, summarize_ensemble
 
 
 def _cmd_sample(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
@@ -543,77 +303,6 @@ def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     return results, files, 0
 
 
-def _scalar_results(results: dict, prefix: str = "") -> Iterator[tuple[str, Any]]:
-    """Scalar results, nested ones under dotted keys; lists are left to the JSON and CSV."""
-    for key, value in results.items():
-        if isinstance(value, dict):
-            yield from _scalar_results(value, f"{prefix}{key}.")
-        elif isinstance(value, (int, float, str, bool)) or value is None:
-            yield f"{prefix}{key}", value
-
-
-def _load_summary(path: Path) -> dict[str, Any]:
-    """A command summary, refused unless it holds every field ``report`` reads."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid UTF-8 or invalid JSON
-        raise SummaryError(f"{path} is not valid JSON: {exc}") from None
-    if not (
-        isinstance(doc, dict)
-        and isinstance(doc.get("command"), str)
-        and isinstance(doc.get("results"), dict)
-        and isinstance(doc.get("seed"), dict)
-        and "seed" in doc["seed"]
-        and {"config_hash", "version"} <= doc.keys()
-    ):
-        raise SummaryError(f"{path} is not an emitternet command summary")
-    return doc
-
-
-def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
-    out_dir = _out_dir(cfg)
-    summaries = sorted(
-        p for p in out_dir.glob("*_summary.json") if p.name != "report_summary.json"
-    )
-    if not summaries:
-        raise SummaryError(f"no command summaries found in {out_dir}")
-    sections = {}
-    for path in summaries:
-        doc = _load_summary(path)
-        if doc["command"] in sections:
-            raise SummaryError(
-                f"{sections[doc['command']]['file']} and {path.name} both hold "
-                f"a {doc['command']!r} summary; remove one of them"
-            )
-        sections[doc["command"]] = {
-            "file": path.name,
-            "config_hash": doc["config_hash"],
-            "seed": doc["seed"],
-            "version": doc["version"],
-            "results": doc["results"],
-        }
-    report = {
-        "tool": "emitternet",
-        "version": __version__,
-        "config_hash": cfg.config_hash(),
-        "generated_at": _utc_now(),
-        "provenance_note": PROVENANCE_NOTE,
-        "sections": sections,
-    }
-    lines = [
-        f"emitternet {__version__} run report",
-        f"config hash: {cfg.config_hash()}",
-        "",
-        f"note: {PROVENANCE_NOTE}",
-        "",
-    ]
-    for command, info in sections.items():
-        lines.append(f"[{command}] (from {info['file']}, seed {info['seed']['seed']})")
-        lines.extend(f"  {key}: {value}" for key, value in _scalar_results(info["results"]))
-        lines.append("")
-    return None, {"report.json": _json_text(report), "report.txt": "\n".join(lines)}, 0
-
-
 _COMMANDS = {
     "sample": _cmd_sample,
     "overlap": _cmd_overlap,
@@ -621,89 +310,6 @@ _COMMANDS = {
     "fit-ple": _cmd_fit_ple,
     "protocol": _cmd_protocol,
     "spatial": _cmd_spatial,
-    "report": _cmd_report,
 }
-
-
-def _print_error(exc: BaseException, code: int) -> None:
-    payload = {"error": str(exc), "type": type(exc).__name__, "exit_code": code}
-    print(json.dumps(payload), file=sys.stderr)
-
-
-def _write_files(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:
-    """Write ``files`` into ``out_dir``, none of them unless every one is written.
-
-    ``out_dir`` and any missing parents are made here. Each file (with any
-    sidecar its writer adds) is written under its own name in a staging
-    directory inside ``out_dir``; all are renamed into place only after
-    every write has succeeded, and the staging directory is removed either
-    way. If a write fails, the directories made here are removed again.
-    """
-    made = [d for d in (out_dir, *out_dir.parents) if not os.path.lexists(d)]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_staged(out_dir, files, comments)
-    except BaseException:
-        for directory in made:  # deepest first; a directory still in use stays
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise
-
-
-def _write_staged(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:
-    """The writes of :func:`_write_files` into the existing ``out_dir``."""
-    staging = Path(tempfile.mkdtemp(prefix=".emitternet-", dir=out_dir))
-    try:
-        for name, data in files.items():
-            path = staging / name
-            if isinstance(data, LineTable):
-                write_line_list(path, data, comments)
-            elif isinstance(data, PleSpectrum):
-                write_spectrum(path, data, comments)
-            elif isinstance(data, str):
-                path.write_text(data, encoding="utf-8")
-            else:
-                write_table(path, *data, comments)
-        names = sorted(os.listdir(staging))
-        # a rename onto a directory fails, so refuse before the first rename
-        for target in (out_dir / name for name in names):
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        for name in names:
-            os.replace(staging / name, out_dir / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        _print_error(exc, 1)
-        return 1
-    try:
-        cfg = _load_config(args)
-        seed = _resolve_seed(cfg)
-        results, files, code = _COMMANDS[args.command](cfg, seed, args)
-        # The one output stage: a command that raised has written nothing.
-        if results is not None:
-            summary = f"{args.command.replace('-', '_')}_summary.json"
-            files[summary] = _summary_text(args.command, cfg, seed, results)
-        _write_files(_out_dir(cfg), files, _csv_comments(cfg, seed))
-    except UsageError as exc:
-        _print_error(exc, 1)
-        return 1
-    except (EmitterNetError, OSError) as exc:
-        _print_error(exc, 2)
-        return 2
-    if code == 3:
-        _print_error(EmitterNetError("fit did not converge within the iteration cap"), 3)
-    return code
-
-
-def entrypoint() -> None:
-    sys.exit(main())
-
 
 __all__ = ["main", "entrypoint", "default_config", "SEED_ENV_VAR", "PROVENANCE_NOTE"]

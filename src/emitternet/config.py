@@ -12,15 +12,20 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import ConfigError
 from .seeding import SeedSpec
-from .spectral import EnsembleModel, LineCombo, NormalCenters, UniformCenters
+
+# spectral imports numpy, which reading and hashing a config does not need
+if TYPE_CHECKING:
+    from .spectral import EnsembleModel, LineCombo
 
 
 def ensemble_to_mapping(model: EnsembleModel) -> dict[str, Any]:
     """Ensemble parameters as the config document's ``ensemble`` section."""
+    from .spectral import UniformCenters
+
     if isinstance(model.centers, UniformCenters):
         center = {"kind": "uniform", "half_width_ghz": model.centers.half_width_ghz}
     else:
@@ -232,6 +237,8 @@ class RunConfig:
         )
 
     def ensemble_model(self) -> EnsembleModel:
+        from .spectral import EnsembleModel, NormalCenters, UniformCenters
+
         ens = self.data["ensemble"]
         kind = ens["center"]["kind"]
         if kind == "uniform":
@@ -250,4 +257,6 @@ class RunConfig:
         )
 
     def combos(self) -> frozenset[LineCombo]:
+        from .spectral import LineCombo
+
         return frozenset(LineCombo.parse(name) for name in self.data["combos"])

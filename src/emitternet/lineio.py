@@ -220,7 +220,7 @@ def _take_block(
     ``"``, ``#`` or NUL, no line longer than ``csv.field_size_limit()``,
     5 fields on every line or 3 on every line, ids non-empty after strip
     and new, and numbers that ``float`` parses, finite, with f_a2_ghz >
-    f_a1_ghz and widths above 0."""
+    f_a1_ghz and each width blank or above 0."""
     lines = list(map(itemgetter(0), block))
     text = ",".join(lines)
     if '"' in text or "#" in text or "\0" in text:
@@ -237,16 +237,35 @@ def _take_block(
     if not all(ids) or len(new) < n or not new.keys().isdisjoint(first_seen):
         return False
     try:
-        values = [np.fromiter(map(float, cells[j::k]), float, n) for j in range(1, k)]
+        x1, x2 = (np.fromiter(map(float, cells[j::k]), float, n) for j in (1, 2))
     except ValueError:
         return False
-    x1, x2, *widths = values
-    if not (np.isfinite(values).all() and (x2 > x1).all() and all((w > 0).all() for w in widths)):
+    widths = [_width_column(cells[j::k]) for j in range(3, k)]
+    if not (np.isfinite([x1, x2]).all() and (x2 > x1).all()) or any(w is None for w in widths):
         return False
     first_seen.update(new)
     for column, x in zip(columns, (x1, x2, *(widths or [np.full(n, np.nan)] * 2))):
         column.frombytes(x.tobytes())
     return True
+
+
+def _width_column(cells: list[str]) -> np.ndarray | None:
+    """A block's cells of one width column as :func:`_number` reads them,
+    NaN for a blank cell (empty after strip); None unless every other cell
+    is a finite number above 0."""
+    given = slice(None)
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:  # a blank cell, or one that is not a number
+        texts = list(map(str.strip, cells))
+        given = np.fromiter(map(bool, texts), bool, len(cells))
+        values = np.full(len(cells), math.nan)
+        try:
+            values[given] = np.fromiter(map(float, itertools.compress(cells, texts)), float)
+        except ValueError:
+            return None
+    widths = values[given]
+    return values if (np.isfinite(widths) & (widths > 0)).all() else None
 
 
 def _write_csv(

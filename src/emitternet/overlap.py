@@ -589,4 +589,13 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
             f"histogram bins of width {bin_width} from origin {origin:.4g} round to edges that "
             "do not increase; use a wider bin or an origin nearer the values"
         )
+    # an origin whose doubles are spaced near the bin width rounds some edges
+    # apart by a multiple of that spacing
+    widths = np.diff(edges)
+    if np.any(np.abs(widths - bin_width) > bin_width * 2.0**-20):
+        raise DomainError(
+            f"histogram bins of width {bin_width} from origin {origin:.4g} round to widths "
+            f"from {widths.min():.4g} to {widths.max():.4g}; use a wider bin or an origin "
+            "nearer the values"
+        )
     return HistogramResult(bin_edges=edges, counts=tuple(int(c) for c in counts))

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 
@@ -35,6 +34,11 @@ _MASK32 = 2 ** 32 - 1
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = 2 ** 128 - 1
+
+# numpy is imported by the methods that use it: a SeedSpec is also made where
+# no random number is drawn, such as by ``report``
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _index(value: object, name: str) -> int:
@@ -62,10 +66,14 @@ class SeedSpec:
         object.__setattr__(self, "stream_index", stream_index)
 
     def sequence(self, *subkeys: int) -> np.random.SeedSequence:
+        import numpy as np
+
         return np.random.SeedSequence(self.seed, spawn_key=(self.stream_index, *subkeys))
 
     def rng(self, *subkeys: int) -> np.random.Generator:
         """Generator for this stream, optionally narrowed by subkeys."""
+        import numpy as np
+
         return np.random.default_rng(self.sequence(*subkeys))
 
     def pcg64_states(self, trials: range, *subkeys: int) -> list[dict]:
@@ -75,6 +83,8 @@ class SeedSpec:
         ``self.rng(*subkeys, t)`` draws. ``trials`` is a range of
         consecutive indices below 2^64, and ``subkeys`` are non-negative.
         """
+        import numpy as np
+
         if not 0 <= trials.start <= trials.stop <= _MAX_SEED or trials.step != 1:
             raise DomainError(f"trials must be consecutive indices below 2^64, got {trials}")
         if any(key < 0 for key in subkeys):

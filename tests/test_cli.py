@@ -721,7 +721,7 @@ def test_failed_write_removes_the_directories_it_made(tmp_path, capsys, monkeypa
     def full_disk(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(cli, "write_table", full_disk)
+    monkeypatch.setattr("emitternet.lineio.write_table", full_disk)
     out = tmp_path / "new" / "run"
     assert main(["birthday", "--q", "0.01", "--seed", "4", "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["type"] == "OSError"
@@ -853,12 +853,24 @@ def test_readme_python_examples_run():
     assert shown == ["(1.0,)", "13"]
 
 
+def _readme_commands():
+    """The argv of each command in the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_no_command_imports_scipy(tmp_path):
     # scipy is a test dependency only: every command of the README's
     # "Command line" block, the PLE fit included, runs without it
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+    commands = _readme_commands()
     assert ["fit-ple", "--synthetic", "--k", "3", "--classify"] in [argv[:5] for argv in commands]
     script = textwrap.dedent(
         f"""
@@ -873,13 +885,108 @@ def test_no_command_imports_scipy(tmp_path):
         print(json.dumps(loaded))
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     run = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", script], cwd=tmp_path, env=_src_env(), capture_output=True,
+        text=True, check=True,
     )
     loaded = json.loads(run.stdout)
     assert loaded == [[0, []]] * len(commands)
     assert (tmp_path / "runs" / "demo" / "fit_ple_summary.json").exists()
+
+
+def _imported(stderr):
+    """The modules a ``python -X importtime`` run imported, from its stderr."""
+    lines = [line.split("|")[-1].strip() for line in stderr.splitlines()]
+    return {line for line in lines if line and line != "imported package"}
+
+
+def test_version_and_report_load_no_numpy(tmp_path, monkeypatch):
+    # neither computes an array: they run from emitternet._front alone
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands[-1] == ["report", "--out", "runs/demo"]
+    for argv in commands:
+        assert main(argv) == 0
+    demo = tmp_path / "runs" / "demo"
+    written = {name: _stripped_bytes(demo / name) for name in ("report.json", "report.txt")}
+    for argv in (["--version"], commands[-1]):
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "emitternet", *argv],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True, check=True,
+        )
+        imported = _imported(run.stderr)
+        assert "emitternet._front" in imported
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}, argv
+    assert {name: _stripped_bytes(demo / name) for name in written} == written
+
+
+PACKAGE_ALL = [
+    "ALL_COMBOS", "ChainResult", "ClassificationError", "ConfigError", "ConfocalPsf",
+    "DomainError", "EmitterLines", "EmitterNetError", "EnsembleModel", "EnsembleSummary",
+    "FidelitySweepRow", "FitResult", "HeraldOutcome", "HeraldOutcomes", "HistogramResult",
+    "LineCombo", "LineListError", "LineTable", "LorentzianPeak", "LossModel",
+    "LossyChainResult", "MixedOutcome", "MonteCarloThreshold", "NormalCenters",
+    "OccupancyStats", "OverlapCurve", "PairAssignment", "PeakDetectionError", "PleSpectrum",
+    "ProtocolError", "REFERENCE_FREQUENCY_THZ", "RunConfig", "SeedSpec", "SpatialScene",
+    "SpinRegisterState", "SummaryError", "ThresholdResult", "UniformCenters", "UsageError",
+    "WeightedState", "analytic_homogeneous_slope", "as_seed", "basis_state",
+    "birthday_threshold", "bootstrap_std_error", "classify_pair_spectrum",
+    "collision_probability", "config", "default_config", "ensemble_to_mapping", "errors",
+    "fidelity_vs_eta_sweep", "fit_multi_lorentzian", "fit_slope_through_origin",
+    "ghz_fidelity", "ghz_target", "hadamard_all", "herald_pair", "histogram", "init_pumped",
+    "initial_guess", "lifetime_limited_linewidth", "lineio", "lorentzian_value",
+    "min_pair_separation", "monte_carlo_threshold", "occupancy_stats", "overlap",
+    "overlap_curve", "parse_line_list", "ple", "poisson_multi_occupancy",
+    "published_branch_weight", "published_model_fidelity", "read_line_list", "read_spectrum",
+    "register", "run_ghz_chain", "run_ghz_chain_with_loss", "sample_ensemble", "sample_scene",
+    "schema_description", "seeding", "serialize_line_list", "spatial", "spectral",
+    "spectral_arrangement_rate", "spot_volume", "summarize_ensemble", "synthesize",
+    "write_line_list", "write_spectrum",
+]
+
+
+def test_package_exports_load_on_first_use():
+    script = textwrap.dedent(
+        """
+        import json, sys
+
+        import emitternet
+
+        out = {
+            "numpy_after_import": "numpy" in sys.modules,
+            "all": emitternet.__all__,
+            "public_dir": [n for n in dir(emitternet) if not n.startswith("_")],
+        }
+        try:
+            emitternet.no_such_name
+        except AttributeError as exc:
+            out["missing"] = str(exc)
+        # the benchmark's tracer wraps all eight layers right after this import
+        import emitternet.cli
+        layers = "cli config spectral lineio overlap spatial ple register".split()
+        out["layers"] = [name for name in layers if f"emitternet.{name}" in sys.modules]
+        namespace = {}
+        exec("from emitternet import *", namespace)
+        out["star"] = sorted(set(namespace) - {"__builtins__"})
+        out["submodules"] = sorted(
+            name for name, value in namespace.items()
+            if value is sys.modules.get(f"emitternet.{name}")
+        )
+        print(json.dumps(out))
+        """
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
+        check=True,
+    )
+    out = json.loads(run.stdout)
+    assert out["numpy_after_import"] is False
+    assert out["all"] == PACKAGE_ALL
+    assert out["public_dir"] == PACKAGE_ALL
+    assert out["missing"] == "module 'emitternet' has no attribute 'no_such_name'"
+    assert out["star"] == PACKAGE_ALL
+    assert out["submodules"] == [
+        "config", "errors", "lineio", "overlap", "ple", "register", "seeding", "spatial",
+        "spectral",
+    ]
+    assert len(out["layers"]) == 8

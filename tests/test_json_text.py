@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emitternet import cli
+from emitternet import _front, cli
 from emitternet.cli import main
 
 
@@ -134,13 +134,13 @@ def test_amplitude_rows_take_the_fast_path(protocol_run, monkeypatch):
     # 13 states of 4096 [re, im] pairs: about 160k values on the generic path
     assert sum(len(b["amplitudes"]) for b in doc["results"]["branches"]) == 12 * 4096
     calls = 0
-    generic = cli._json_value
+    generic = _front._json_value
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return generic(*args)
 
-    monkeypatch.setattr(cli, "_json_value", counted)
+    monkeypatch.setattr(_front, "_json_value", counted)
     assert cli._json_text(doc) == _stdlib(doc)
     assert calls <= 300

@@ -565,6 +565,12 @@ FIXED_FILES = [
     f"{HEADER}\ne1,0,1,300,300\ne2,0,1,300\ne3,0,1,300,300\ne4,0,1,300,300,7\n",
     f"{HEADER}\ne1,0,1\ne2,0,1\ne3,0,1\ne1,0,1\ne5,0,1\n",
     f"{HEADER}\ne1,0,1\ne2,0,1\ne3,0,1\ne4,0,1\ne3,0,1\n",
+    # blank widths, taken in bulk as NaN: whitespace blanks, a literal nan or
+    # a junk cell among blanks, a 0 beside a blank
+    f"{HEADER}\ne1,0,1,,\ne2,0,1, ,\t\ne3,0,1,300,\ne4,0,1,\xa0,5\n",
+    f"{HEADER}\ne1,0,1,,\ne2,0,1,nan,\ne3,0,1,,\n",
+    f"{HEADER}\ne1,0,1,,\ne2,0,1,,x\ne3,0,1,,\n",
+    f"{HEADER}\ne1,0,1,,0\ne2,0,1,,\n",
 ]
 
 
@@ -577,3 +583,21 @@ def test_parser_matches_per_row_oracle_on_fixed_files(text):
 def test_parser_matches_per_row_oracle_on_fixed_files_in_blocks_of_2(text):
     with patch.object(emitternet.lineio, "_READ_BLOCK", 2):
         assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
+
+
+def test_blank_widths_stay_on_the_bulk_path(monkeypatch):
+    # a file with blank widths was read row by row from its first blank width
+    monkeypatch.setattr(emitternet.lineio, "_READ_BLOCK", 64)
+    rows = [f"e{i},{i * 0.01!r},{i * 0.01 + 1.027!r},," for i in range(5 * 64 + 7)]
+    rows[150] = "e150,1.5,2.527,300.5,310.25"
+    text = f"{HEADER}\n" + "\n".join(rows) + "\n"
+    taken = []
+    take = emitternet.lineio._take_block
+
+    def spy(*args):
+        taken.append(take(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(emitternet.lineio, "_take_block", spy)
+    assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
+    assert taken == [True] * 6

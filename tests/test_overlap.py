@@ -564,6 +564,17 @@ class TestHistogram:
         with pytest.raises(DomainError, match="do not increase"):
             histogram(values, width, origin)
 
+    @pytest.mark.parametrize(
+        "values, origin",
+        [([2.0**53 + 2], 2.0**53), ([-(2.0**53) - 2], -(2.0**53))],
+        ids=["origin-2^53", "origin-minus-2^53"],
+    )
+    def test_bins_wider_than_asked_refused(self, values, origin):
+        # a bin index of 2 from an origin whose doubles are 2 apart: the one
+        # bin came out (2^53 + 2, 2^53 + 4), 2 wide
+        with pytest.raises(DomainError, match="round to widths from 2 to 2"):
+            histogram(values, 1.0, origin)
+
     def test_span_at_the_limit_is_built(self):
         result = histogram([0.5, MAX_HISTOGRAM_BINS - 0.5], 1.0)
         assert len(result.counts) == MAX_HISTOGRAM_BINS
