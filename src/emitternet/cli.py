@@ -205,10 +205,12 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
         ],
     }
     if section["classify"]:
+        # the ZFS prior is the ensemble's ZFS law
+        model = cfg.ensemble_model()
         assignment = classify_pair_spectrum(
             fit,
-            prior_mean_ghz=section["prior_mean_ghz"],
-            prior_sigma_ghz=section["prior_sigma_ghz"],
+            prior_mean_ghz=model.zfs_mean_ghz,
+            prior_sigma_ghz=model.zfs_sigma_ghz,
             n_sigma=section["n_sigma"],
         )
         results["pair_assignment"] = {

@@ -87,8 +87,6 @@ _SCHEMA: dict[str, Any] = {
     "fit_ple": {
         "n_peaks": _Field("integer", 2),
         "classify": _Field("boolean", False),
-        "prior_mean_ghz": _Field("number", 1.027),
-        "prior_sigma_ghz": _Field("number", 0.075),
         "n_sigma": _Field("number", 3.0),
     },
     "protocol": {

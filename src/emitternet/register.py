@@ -79,22 +79,16 @@ def init_pumped(n: int) -> SpinRegisterState:
     return basis_state("".join("u" if k % 2 == 0 else "d" for k in range(n)))
 
 
-def _apply_single_qubit(amps: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    tensor = amps.reshape([2] * n)
-    tensor = np.moveaxis(tensor, qubit, -1)
-    tensor = tensor @ matrix.T
-    return np.moveaxis(tensor, -1, qubit).reshape(-1)
-
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-
 def hadamard_all(state: SpinRegisterState) -> SpinRegisterState:
     """Common pi/2 rotation: up -> (up+down)/sqrt2, down -> (up-down)/sqrt2 on every qubit."""
+    c = 1.0 / math.sqrt(2)
     amps = state.amplitudes
     for q in range(state.n):
-        amps = _apply_single_qubit(amps, _HADAMARD, q, state.n)
-    return SpinRegisterState(n=state.n, amplitudes=amps)
+        up, down = amps.reshape(2**q, 2, -1).transpose(1, 0, 2)
+        # the leading 0.0 + starts each sum from zero, as a matrix product does,
+        # so that the signs of zero amplitudes come out the same
+        amps = np.stack(((0.0 + up * c) + down * c, (0.0 + up * c) + down * (-c)), axis=1)
+    return SpinRegisterState(n=state.n, amplitudes=amps.reshape(-1))
 
 
 class HeraldOutcome(NamedTuple):
@@ -122,12 +116,12 @@ def _photon_counts(n: int, i: int, j: int) -> np.ndarray:
     return ((idx >> (n - 1 - i)) & 1) + 1 - ((idx >> (n - 1 - j)) & 1)
 
 
-def _project(state: SpinRegisterState, mask: np.ndarray) -> HeraldOutcome:
-    kept = np.where(mask, state.amplitudes, 0.0)
-    prob = float(np.sum(np.abs(kept) ** 2))
-    if prob <= NORM_TOLERANCE:
-        return HeraldOutcome(prob, None)
-    return HeraldOutcome(prob, SpinRegisterState(n=state.n, amplitudes=kept / math.sqrt(prob)))
+def _split(
+    amps: np.ndarray, photons: np.ndarray, counts: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each amplitude row's parts that emit each of ``counts`` photons, and their masses."""
+    kept = np.where(photons == np.array(counts), amps[..., None, :], 0.0)
+    return kept, np.sum(np.abs(kept) ** 2, axis=-1)
 
 
 def herald_pair(state: SpinRegisterState, i: int, j: int) -> HeraldOutcomes:
@@ -142,8 +136,14 @@ def herald_pair(state: SpinRegisterState, i: int, j: int) -> HeraldOutcomes:
         raise DomainError("herald requires two distinct qubits")
     if not (0 <= i < state.n and 0 <= j < state.n):
         raise DomainError(f"qubit indices ({i}, {j}) out of range for n={state.n}")
-    photons = _photon_counts(state.n, i, j)
-    return HeraldOutcomes(*(_project(state, photons == m) for m in range(3)))
+    kept, probs = _split(state.amplitudes, _photon_counts(state.n, i, j), [[0], [1], [2]])
+    outcomes = (
+        HeraldOutcome(p, SpinRegisterState(state.n, part / math.sqrt(p)))
+        if p > NORM_TOLERANCE
+        else HeraldOutcome(p, None)
+        for part, p in zip(kept, probs.tolist())
+    )
+    return HeraldOutcomes(*outcomes)
 
 
 @dataclass(frozen=True)
@@ -269,28 +269,25 @@ def run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainResult:
     eta = loss.eta
     if eta == 0.0:
         raise DomainError("conditioning on clicks is impossible at zero detection efficiency")
-    branches = [(1.0, hadamard_all(init_pumped(n)))]
+    # the branches as rows of one amplitude array, with their weights
+    amps = hadamard_all(init_pumped(n)).amplitudes[None, :]
+    weights = np.ones(1)
+    click_effs = np.array([eta, 2.0 * eta * (1.0 - eta)])
     step_probs = []
     for q in range(n - 1):
-        photons = _photon_counts(n, q, q + 1)
-        clicks = ((photons == 1, eta), (photons == 2, 2.0 * eta * (1.0 - eta)))
-        grown: list[tuple[float, SpinRegisterState]] = []
-        for weight, state in branches:
-            for mask, click_eff in clicks:
-                prob, post = _project(state, mask)
-                if post is None or click_eff == 0.0:
-                    continue
-                w = weight * (click_eff * prob)
-                # a subnormal weight has lost its precision, and zero means no click at all
-                if w < sys.float_info.min:
-                    raise ProtocolError(
-                        f"click weight on pair ({q}, {q + 1}) underflows at eta = {eta!r}"
-                    )
-                grown.append((w, post))
-        total = sum(w for w, _ in grown)
-        branches = [(w / total, s) for w, s in grown]
+        kept, probs = _split(amps, _photon_counts(n, q, q + 1), [[1], [2]])
+        # C order keeps branch by branch, the one-photon part before the two-photon part
+        keep = (probs > NORM_TOLERANCE) & (click_effs != 0.0)
+        grown = (weights[:, None] * (click_effs * probs))[keep]
+        # a subnormal weight has lost its precision, and zero means no click at all
+        if np.any(grown < sys.float_info.min):
+            raise ProtocolError(f"click weight on pair ({q}, {q + 1}) underflows at eta = {eta!r}")
+        amps = kept[keep] / np.sqrt(probs[keep])[:, None]
+        total = sum(grown.tolist())
+        weights = grown / total
         step_probs.append(total)
-    mixture = MixedOutcome(branches=tuple(WeightedState(w, s) for w, s in branches))
+    states = (SpinRegisterState(n=n, amplitudes=a) for a in amps)
+    mixture = MixedOutcome(branches=tuple(map(WeightedState, weights.tolist(), states)))
     return LossyChainResult(
         mixture=mixture,
         fidelity=ghz_fidelity(mixture, n),

@@ -408,13 +408,13 @@ class EnsembleSummary:
     detuning_max_ghz: float
 
 
-def _field_stats(values: np.ndarray) -> FieldStats:
-    return FieldStats(
-        mean=float(values.mean()),
-        std=float(values.std(ddof=1)),
-        min=float(values.min()),
-        max=float(values.max()),
-    )
+def _field_stats(values: np.ndarray, name: str) -> FieldStats:
+    # huge values overflow the sum or the squared spread to inf: both are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(values.mean()), float(values.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DomainError(f"{name}: mean or standard deviation is beyond the range of a double")
+    return FieldStats(mean=mean, std=std, min=float(values.min()), max=float(values.max()))
 
 
 def summarize_ensemble(emitters: LineTable) -> EnsembleSummary:
@@ -426,9 +426,9 @@ def summarize_ensemble(emitters: LineTable) -> EnsembleSummary:
     fwhm = np.column_stack([emitters.fwhm_a1_mhz, emitters.fwhm_a2_mhz]).ravel()
     return EnsembleSummary(
         n_emitters=len(emitters),
-        zfs_ghz=_field_stats(emitters.zfs_ghz),
-        center_ghz=_field_stats(0.5 * (a1 + a2)),
-        fwhm_mhz=_field_stats(fwhm),
+        zfs_ghz=_field_stats(emitters.zfs_ghz, "zfs_ghz"),
+        center_ghz=_field_stats(0.5 * (a1 + a2), "center_ghz"),
+        fwhm_mhz=_field_stats(fwhm, "fwhm_mhz"),
         detuning_min_ghz=float(a1.min()),
         detuning_max_ghz=float(a2.max()),
     )

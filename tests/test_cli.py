@@ -324,6 +324,18 @@ class TestFitPleCommand:
         assert assignment["shared_peak"] == 1
         assert assignment["zfs1_ghz"] == pytest.approx(1.027, abs=0.03)
 
+    def test_classification_prior_follows_the_ensemble_zfs(self, tmp_path):
+        # peaks drawn 1.5 GHz apart are judged against the same 1.5 GHz law
+        (tmp_path / "cfg.json").write_text(json.dumps({"ensemble": {"zfs_mean_ghz": 1.5}}))
+        code = main(
+            ["fit-ple", "--synthetic", "--k", "3", "--classify", "--seed", "1",
+             "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        summary = _read_summary(tmp_path / "out", "fit_ple")
+        assert summary["results"]["pair_assignment"]["zfs1_ghz"] == pytest.approx(1.5, abs=0.03)
+        assert set(summary["config"]["fit_ple"]) == {"n_peaks", "classify", "n_sigma"}
+
     def test_fit_beyond_jacobian_limit_exit_2(self, tmp_path, capsys):
         # 18000 points x 901 parameters; k = 2000 would need a 5.4 GiB Jacobian
         code = main(["fit-ple", "--synthetic", "--k", "300", "--out", str(tmp_path)])
@@ -598,7 +610,7 @@ class TestRefusedRunWritesNothing:
         "fit-ple-classify": (
             [["fit-ple", "--synthetic", "--k", "3", "--classify"]],
             ["fit-ple", "--synthetic", "--k", "3", "--classify"],
-            {"fit_ple": {"prior_sigma_ghz": 0.0001}}, None, "ClassificationError",
+            {"ensemble": {"zfs_sigma_ghz": 0.0001}}, None, "ClassificationError",
         ),
         "report-invalid-json": (
             [["birthday", "--q", "0.0098"], ["report"]],
@@ -625,6 +637,12 @@ class TestRefusedRunWritesNothing:
             [["sample", "--n", "10"]],
             ["sample", "--n", "10"],
             {"ensemble": {"center": {"half_width_ghz": 1e308}}}, None, "DomainError",
+        ),
+        "sample-spread-overflow": (
+            [["sample", "--n", "10"]],
+            ["sample", "--n", "10"],
+            # widths drawn near 1e300 overflow the squared spread of their summary
+            {"ensemble": {"fwhm_sigma_mhz": 1e300}}, None, "DomainError",
         ),
         "overlap-window-sums": (
             [["overlap", "--n", "2", "--window-mhz", "29"]],

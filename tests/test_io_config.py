@@ -293,7 +293,13 @@ class TestRunConfig:
             RunConfig.from_json('{"seed": 1' + "0" * 5000 + "}")
 
     def test_removed_keys_rejected(self):
-        for mapping in ({"threads": 2}, {"overlap": {"fill_fwhm_mhz": 316.0}}):
+        for mapping in (
+            {"threads": 2},
+            {"overlap": {"fill_fwhm_mhz": 316.0}},
+            # the classifier's ZFS prior is ensemble.zfs_mean_ghz and zfs_sigma_ghz
+            {"fit_ple": {"prior_mean_ghz": 1.027}},
+            {"fit_ple": {"prior_sigma_ghz": 0.075}},
+        ):
             with pytest.raises(ConfigError, match="unknown key"):
                 RunConfig.from_mapping(mapping)
 

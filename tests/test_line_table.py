@@ -482,8 +482,9 @@ BREAK_NOISE = st.sampled_from(
     ["", "   ", "# comment", "#,a,b", "#e,1,2,300,300", "  #e,1,2", "\r", "\r\n", "\x85"]
     + ["\u2028", "\v", "# c\r# d", " \x85 #e"]
 )
-# appended to an id, it makes a field over the csv limit
-LONG_TAIL = "1" * csv.field_size_limit()
+# appended to an id, it makes a field over the csv limit, an empty id too:
+# csv.reader takes a field of exactly the limit
+LONG_TAIL = "1" * (csv.field_size_limit() + 1)
 
 
 @st.composite

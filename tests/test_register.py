@@ -69,6 +69,27 @@ def _random_state(n: int, seed: int) -> SpinRegisterState:
     return SpinRegisterState(n=n, amplitudes=amps / np.linalg.norm(amps))
 
 
+# The start state's rotation as it was before it became one reshape per
+# qubit, verbatim: a matrix product on each qubit's moved axis. The
+# references below start from it, not from the library's hadamard_all.
+def _apply_single_qubit(amps: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    tensor = amps.reshape([2] * n)
+    tensor = np.moveaxis(tensor, qubit, -1)
+    tensor = tensor @ matrix.T
+    return np.moveaxis(tensor, -1, qubit).reshape(-1)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def _reference_hadamard_all(state: SpinRegisterState) -> SpinRegisterState:
+    """Common pi/2 rotation: up -> (up+down)/sqrt2, down -> (up-down)/sqrt2 on every qubit."""
+    amps = state.amplitudes
+    for q in range(state.n):
+        amps = _apply_single_qubit(amps, _HADAMARD, q, state.n)
+    return SpinRegisterState(n=state.n, amplitudes=amps)
+
+
 # The chain as it was before it became one lossy walk, kept as the
 # reference: both chain functions verbatim, over the per-sector masks and
 # the projection they used.
@@ -94,7 +115,7 @@ def _reference_herald_pair(state, i, j):
 
 
 def _reference_run_ghz_chain(n: int) -> ChainResult:
-    state = hadamard_all(init_pumped(n))
+    state = _reference_hadamard_all(init_pumped(n))
     probs = []
     for q in range(n - 1):
         outcome = _reference_herald_pair(state, q, q + 1).one
@@ -113,7 +134,7 @@ def _reference_run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainRes
     if loss.eta == 0.0:
         raise DomainError("conditioning on clicks is impossible at zero detection efficiency")
     eta = loss.eta
-    branches = [(1.0, hadamard_all(init_pumped(n)))]
+    branches = [(1.0, _reference_hadamard_all(init_pumped(n)))]
     step_probs = []
     for q in range(n - 1):
         grown: list[tuple[float, SpinRegisterState]] = []
@@ -171,6 +192,19 @@ class TestHadamardAll:
             state = basis_state(pattern)
             twice = hadamard_all(hadamard_all(state))
             np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_on_pumped_state_bit_for_bit(self, n):
+        got = hadamard_all(init_pumped(n)).amplitudes
+        assert got.tobytes() == _reference_hadamard_all(init_pumped(n)).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_on_basis_states_bit_for_bit(self, n):
+        # tobytes, unlike ==, tells -0.0 from 0.0
+        for index in range(2**n):
+            state = basis_state(format(index, f"0{n}b").replace("0", "u").replace("1", "d"))
+            got = hadamard_all(state).amplitudes
+            assert got.tobytes() == _reference_hadamard_all(state).amplitudes.tobytes()
 
     def test_norm_preserved_on_random_states(self):
         for seed in range(5):

@@ -286,3 +286,12 @@ class TestSummarizeEnsemble:
     def test_requires_two(self):
         with pytest.raises(DomainError):
             summarize_ensemble(LineTable.from_rows([make_emitter(0, 0.0)]))
+
+    def test_overflowing_statistics_refused(self):
+        # widths near 1e300 overflow the squared spread, ZFS near 1e308 the sum
+        wide = [make_emitter(i, 0.0, fwhm_a1_mhz=1e300 * (i + 1)) for i in range(2)]
+        with pytest.raises(DomainError, match="fwhm_mhz"):
+            summarize_ensemble(LineTable.from_rows(wide))
+        far = [make_emitter(i, 0.0, zfs_ghz=1.5e308) for i in range(2)]
+        with pytest.raises(DomainError, match="zfs_ghz"):
+            summarize_ensemble(LineTable.from_rows(far))
