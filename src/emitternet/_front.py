@@ -17,8 +17,9 @@ writes its summary (and, for ``fit-ple --synthetic``, the spectrum) before
 the error.
 """
 # This module imports no numpy: ``--version``, argument errors and ``report``
-# run from it alone. The computing subcommands live in :mod:`emitternet.cli`,
-# which :func:`main` imports only for them.
+# run from it alone. The computing subcommands live in
+# :mod:`emitternet._commands`, which :func:`main` imports only for them, and
+# each of them loads only the analysis modules it uses.
 from __future__ import annotations
 
 import argparse
@@ -189,9 +190,10 @@ def _json_rows(rows: list | tuple, indent: str) -> str | None:
     return "[" + row_indent + "[" + cell_indent + body + row_indent + "]" + indent + "]"
 
 
-def _json_value(value: Any, indent: str, markers: set[int]) -> str:
-    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
-    at the nesting level whose line break and indent is ``indent``.
+def _json_value(value: Any, indent: str, markers: set[int], out: list[str]) -> None:
+    """Append to ``out`` the pieces of ``value`` as ``json.dumps(...,
+    sort_keys=True, indent=2)`` writes it at the nesting level whose line
+    break and indent is ``indent``.
 
     Only non-empty lists, tuples and dicts with str keys are walked here, in
     the stdlib's order, so that row lists deeper down reach :func:`_json_rows`.
@@ -202,24 +204,38 @@ def _json_value(value: Any, indent: str, markers: set[int]) -> str:
         isinstance(value, dict) and all(isinstance(key, str) for key in value)
     )
     if not (walked and value):
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", indent))
+        return
     if id(value) in markers:
         raise ValueError("Circular reference detected")
     markers.add(id(value))
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json_value(item, inner, markers)}"
-            for key, item in sorted(value.items())
-        ]
-        text = "{" + inner + ("," + inner).join(items) + indent + "}"
+        out.append("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            out.append(f"{',' if i else ''}{inner}{encode_basestring_ascii(key)}: ")
+            _json_value(item, inner, markers, out)
+        out.append(indent + "}")
     else:
-        text = _json_rows(value, indent)
-        if text is None:
-            items = [_json_value(item, inner, markers) for item in value]
-            text = "[" + inner + ("," + inner).join(items) + indent + "]"
+        rows = _json_rows(value, indent)
+        if rows is not None:
+            out.append(rows)
+        else:
+            out.append("[")
+            for i, item in enumerate(value):
+                out.append(("," if i else "") + inner)
+                _json_value(item, inner, markers, out)
+            out.append(indent + "]")
     markers.remove(id(value))
-    return text
+
+
+def _json_pieces(doc: Any) -> list[str]:
+    """The text of :func:`_json_text` as a list of pieces, to be written
+    one after another."""
+    out: list[str] = []
+    _json_value(doc, "\n", set(), out)
+    out.append("\n")
+    return out
 
 
 def _json_text(doc: Any) -> str:
@@ -230,10 +246,12 @@ def _json_text(doc: Any) -> str:
     instead to the C encoder (:func:`_json_rows`); every other value is
     written by ``json.dumps`` itself (:func:`_json_value`).
     """
-    return _json_value(doc, "\n", set()) + "\n"
+    return "".join(_json_pieces(doc))
 
 
-def _summary_text(command: str, cfg: RunConfig, seed: SeedSpec, results: dict[str, Any]) -> str:
+def _summary_pieces(
+    command: str, cfg: RunConfig, seed: SeedSpec, results: dict[str, Any]
+) -> list[str]:
     doc = {
         "tool": "emitternet",
         "version": __version__,
@@ -244,7 +262,7 @@ def _summary_text(command: str, cfg: RunConfig, seed: SeedSpec, results: dict[st
         "generated_at": _utc_now(),
         "results": results,
     }
-    return _json_text(doc)
+    return _json_pieces(doc)
 
 
 def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
@@ -256,7 +274,8 @@ def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
 
 
 # A command writes nothing: it returns its results (None for ``report``), its files
-# by name (LineTable, PleSpectrum, (header, rows) or text) and its exit code.
+# by name (LineTable, PleSpectrum, (header, rows) or text as a list of pieces) and
+# its exit code.
 _Outcome = tuple[dict[str, Any] | None, dict[str, Any], int]
 
 
@@ -328,7 +347,8 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
         lines.append(f"[{command}] (from {info['file']}, seed {info['seed']['seed']})")
         lines.extend(f"  {key}: {value}" for key, value in _scalar_results(info["results"]))
         lines.append("")
-    return None, {"report.json": _json_text(report), "report.txt": "\n".join(lines)}, 0
+    files = {"report.json": _json_pieces(report), "report.txt": ["\n".join(lines)]}
+    return None, files, 0
 
 
 def _print_error(exc: BaseException, code: int) -> None:
@@ -362,17 +382,20 @@ def _write_staged(out_dir: Path, files: dict[str, Any], comments: list[str]) -> 
     try:
         for name, data in files.items():
             path = staging / name
-            if isinstance(data, str):
-                path.write_text(data, encoding="utf-8")
+            if isinstance(data, list):
+                with open(path, "w", encoding="utf-8") as out:
+                    out.writelines(data)
                 continue
-            # only the computing commands, which have loaded numpy, return tables
+            # only the computing commands, which have loaded numpy, return
+            # tables; a LineTable or a PleSpectrum exists only once its module
+            # is loaded, so no module is loaded here to test for one
             from .lineio import write_line_list, write_spectrum, write_table
-            from .ple import PleSpectrum
-            from .spectral import LineTable
 
-            if isinstance(data, LineTable):
+            spectral = sys.modules.get(f"{__package__}.spectral")
+            ple = sys.modules.get(f"{__package__}.ple")
+            if spectral is not None and isinstance(data, spectral.LineTable):
                 write_line_list(path, data, comments)
-            elif isinstance(data, PleSpectrum):
+            elif ple is not None and isinstance(data, ple.PleSpectrum):
                 write_spectrum(path, data, comments)
             else:
                 write_table(path, *data, comments)
@@ -400,14 +423,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "report":
             command = _cmd_report
         else:
-            from . import cli
+            from . import _commands
 
-            command = cli._COMMANDS[args.command]
+            command = _commands._COMMANDS[args.command]
         results, files, code = command(cfg, seed, args)
         # The one output stage: a command that raised has written nothing.
         if results is not None:
             summary = f"{args.command.replace('-', '_')}_summary.json"
-            files[summary] = _summary_text(args.command, cfg, seed, results)
+            files[summary] = _summary_pieces(args.command, cfg, seed, results)
         _write_files(_out_dir(cfg), files, _csv_comments(cfg, seed))
     except UsageError as exc:
         _print_error(exc, 1)

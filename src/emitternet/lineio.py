@@ -27,13 +27,15 @@ import math
 from array import array
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .errors import LineListError
-from .ple import PleSpectrum
-from .spectral import _LINE_COLUMNS, LineTable
+
+if TYPE_CHECKING:  # imported where used, so that writing a table loads neither
+    from .ple import PleSpectrum
+    from .spectral import LineTable
 
 LINE_LIST_HEADER = ["emitter_id", "f_a1_ghz", "f_a2_ghz", "fwhm_a1_mhz", "fwhm_a2_mhz"]
 _WIDTH_COLUMNS = LINE_LIST_HEADER[3:]
@@ -155,6 +157,8 @@ def parse_line_list(data: bytes | str) -> LineTable:
     bulk by :func:`_take_block` while it can be; from the first block that
     cannot, the rows are read one at a time, which alone raises errors.
     """
+    from .spectral import _LINE_COLUMNS, LineTable
+
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     first_seen: dict[str, int] = {}  # emitter id -> file row, in file order
@@ -234,7 +238,7 @@ def _take_block(
     cells = text.split(",")
     ids = list(map(str.strip, cells[0::k]))
     new = dict(zip(ids, range(block[0][1], block[0][1] + n)))
-    if not all(ids) or len(new) < n or not new.keys().isdisjoint(first_seen):
+    if not all(ids) or len(new) < n or not new.keys().isdisjoint(first_seen.keys()):
         return False
     try:
         x1, x2 = (np.fromiter(map(float, cells[j::k]), float, n) for j in (1, 2))
@@ -348,6 +352,8 @@ def _float_texts(values: np.ndarray) -> list[str]:
 
 def _line_list_blocks(records: LineTable) -> Iterator[list[list[str]]]:
     """The columns of a table's rows, formatted one block of :data:`_WRITE_BLOCK` at a time."""
+    from .spectral import _LINE_COLUMNS
+
     for s in range(0, len(records), _WRITE_BLOCK):
         block = records[s : s + _WRITE_BLOCK]
         yield [block.ids.tolist(), *(_float_texts(getattr(block, name)) for name in _LINE_COLUMNS)]
@@ -392,6 +398,8 @@ def write_spectrum(path: Path | str, spectrum: PleSpectrum, comments: Sequence[s
 def read_spectrum(path: Path | str) -> PleSpectrum:
     """Read a spectrum CSV and its ``.meta.json`` sidecar (dwell time 1 s
     without one). Errors give 1-based file rows, as for line lists."""
+    from .ple import PleSpectrum
+
     path = Path(path)
     freqs, counts = array("d"), array("d")
     rows = _data_rows(_numbered_lines(path.read_text(encoding="utf-8")), SPECTRUM_HEADER)

@@ -168,7 +168,9 @@ def initial_guess(spectrum: PleSpectrum, k: int) -> list[LorentzianPeak]:
     background = float(np.median(counts))
     width = EnsembleModel().fwhm_mean_mhz
     step_ghz = float(np.median(np.diff(spectrum.frequencies_ghz)))
-    distance = max(1, int(round(0.5 * width * 1e-3 / step_ghz)))
+    # a reach of the spectrum's length drops what any longer one drops; the
+    # cap keeps the reach of a very fine grid within an index
+    distance = max(1, int(round(min(0.5 * width * 1e-3 / step_ghz, len(counts)))))
     idx = _find_peaks(counts, np.nextafter(background, np.inf), distance)
     if len(idx) < k:
         raise PeakDetectionError(requested=k, found=len(idx))

@@ -255,6 +255,54 @@ class LossyChainResult:
     step_click_probabilities: tuple[float, ...]
 
 
+def _walk(
+    n: int, etas: list[float], refused: Exception | None = None
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """The lossy chain walked once for every efficiency of ``etas`` (none zero).
+
+    The branches are the rows of one amplitude array, each eta's weights a
+    row of a ``(len(etas), branches)`` array. A branch is kept while some
+    eta gives it a nonzero weight; an eta that does not reach it holds an
+    exact zero there, which changes no sum and no later weight, so each eta
+    gets its own walk's weights, branches and step totals bit for bit.
+
+    Returns the amplitude rows, the weights and each eta's step totals.
+    Errors are a loop's over the etas in order: an eta whose click weight
+    underflows is dropped with every eta after it, and at the end the first
+    eta's error in list order is raised, ``refused`` (the error of an eta
+    after the last of ``etas``) included.
+    """
+    amps = hadamard_all(init_pumped(n)).amplitudes[None, :]
+    weights = np.ones((len(etas), 1))
+    click_effs = np.array([[eta, 2.0 * eta * (1.0 - eta)] for eta in etas])[:, None, :]
+    steps: list[list[float]] = [[] for _ in etas]
+    for q in range(n - 1):
+        kept, probs = _split(amps, _photon_counts(n, q, q + 1), [[1], [2]])
+        grown = weights[:, :, None] * (click_effs * probs)
+        live = (weights[:, :, None] != 0.0) & (probs > NORM_TOLERANCE) & (click_effs != 0.0)
+        # a subnormal weight has lost its precision, and zero means no click at all
+        under = np.flatnonzero(np.any(live & (grown < sys.float_info.min), axis=(1, 2)))
+        if under.size:
+            m = int(under[0])
+            refused = ProtocolError(
+                f"click weight on pair ({q}, {q + 1}) underflows at eta = {etas[m]!r}"
+            )
+            if m == 0:
+                raise refused
+            etas, grown, click_effs, steps = etas[:m], grown[:m], click_effs[:m], steps[:m]
+        # C order keeps branch by branch, the one-photon part before the two-photon part
+        keep = (probs > NORM_TOLERANCE) & np.any(grown != 0.0, axis=0)
+        amps = kept[keep] / np.sqrt(probs[keep])[:, None]
+        grown = grown[:, keep]
+        totals = [sum(row) for row in grown.tolist()]
+        weights = grown / np.array(totals)[:, None]
+        for step, total in zip(steps, totals):
+            step.append(total)
+    if refused is not None:
+        raise refused
+    return amps, weights, steps
+
+
 def run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainResult:
     """Chain of lossy heralds with exact branch tracking.
 
@@ -266,28 +314,11 @@ def run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainResult:
     is renormalized, i.e. the result is conditioned on a click at every
     step. A click weight too small for a normal float is refused.
     """
-    eta = loss.eta
-    if eta == 0.0:
+    if loss.eta == 0.0:
         raise DomainError("conditioning on clicks is impossible at zero detection efficiency")
-    # the branches as rows of one amplitude array, with their weights
-    amps = hadamard_all(init_pumped(n)).amplitudes[None, :]
-    weights = np.ones(1)
-    click_effs = np.array([eta, 2.0 * eta * (1.0 - eta)])
-    step_probs = []
-    for q in range(n - 1):
-        kept, probs = _split(amps, _photon_counts(n, q, q + 1), [[1], [2]])
-        # C order keeps branch by branch, the one-photon part before the two-photon part
-        keep = (probs > NORM_TOLERANCE) & (click_effs != 0.0)
-        grown = (weights[:, None] * (click_effs * probs))[keep]
-        # a subnormal weight has lost its precision, and zero means no click at all
-        if np.any(grown < sys.float_info.min):
-            raise ProtocolError(f"click weight on pair ({q}, {q + 1}) underflows at eta = {eta!r}")
-        amps = kept[keep] / np.sqrt(probs[keep])[:, None]
-        total = sum(grown.tolist())
-        weights = grown / total
-        step_probs.append(total)
+    amps, weights, (step_probs,) = _walk(n, [loss.eta])
     states = (SpinRegisterState(n=n, amplitudes=a) for a in amps)
-    mixture = MixedOutcome(branches=tuple(map(WeightedState, weights.tolist(), states)))
+    mixture = MixedOutcome(branches=tuple(map(WeightedState, weights[0].tolist(), states)))
     return LossyChainResult(
         mixture=mixture,
         fidelity=ghz_fidelity(mixture, n),
@@ -310,15 +341,32 @@ def fidelity_vs_eta_sweep(n: int, etas: Sequence[float]) -> tuple[FidelitySweepR
     """Published-model and branch-enumeration fidelities over a detection grid.
 
     Both columns equal 1 at eta = 1 and are monotone in eta; at eta < 1
-    they diverge by the reported (not reconciled) discrepancy.
+    they diverge by the reported (not reconciled) discrepancy. One chain
+    walk serves every eta, and each fidelity is that of
+    :func:`run_ghz_chain_with_loss`, bit for bit, summed over the branches
+    in the same order. An error is the one a loop over the etas in order
+    would raise first.
     """
-    rows = []
+    columns: list[tuple[float, float]] = []  # (eta, fidelity_published) of each eta
+    refused = None
     for eta in etas:
-        rows.append(
-            FidelitySweepRow(
-                eta=float(eta),
-                fidelity_published=published_model_fidelity(n, eta),
-                fidelity_enumeration=run_ghz_chain_with_loss(n, LossModel(eta)).fidelity,
-            )
-        )
+        try:
+            columns.append((float(eta), published_model_fidelity(n, eta)))
+        except Exception as exc:  # re-raised below, after the walk of the etas before it
+            refused = exc
+            break
+    walked = list(etas)[: len(columns)]
+    if not walked:
+        if refused is not None:
+            raise refused
+        return ()
+    amps, weights, _ = _walk(n, walked, refused)
+    target = ghz_target(n).amplitudes
+    overlaps = [abs(np.vdot(target, row)) ** 2 for row in amps]
+    rows = []
+    for (eta, fidelity_published), eta_weights in zip(columns, weights.tolist()):
+        fidelity = 0.0
+        for weight, overlap in zip(eta_weights, overlaps):
+            fidelity += weight * overlap  # an exact zero off this eta's branches
+        rows.append(FidelitySweepRow(eta, fidelity_published, float(fidelity)))
     return tuple(rows)

@@ -27,7 +27,12 @@ def lifetime_limited_linewidth(lifetime_ns: float) -> float:
     """Fourier-limited emission linewidth 1/(2*pi*tau), returned in MHz."""
     if not (lifetime_ns > 0) or not math.isfinite(lifetime_ns):
         raise DomainError(f"lifetime must be positive and finite, got {lifetime_ns}")
-    return 1e3 / (2.0 * math.pi * lifetime_ns)
+    linewidth = 1e3 / (2.0 * math.pi * lifetime_ns)
+    if not math.isfinite(linewidth):
+        raise DomainError(
+            f"lifetime of {lifetime_ns} ns gives a linewidth beyond the range of a double"
+        )
+    return linewidth
 
 
 @dataclass(frozen=True)
@@ -210,6 +215,7 @@ class EnsembleModel:
             raise DomainError("distribution sigmas must be non-negative")
         if not self.lifetime_ns > 0:
             raise DomainError("lifetime must be positive")
+        lifetime_limited_linewidth(self.lifetime_ns)  # refuses one whose linewidth overflows
 
     @property
     def gamma_mhz(self) -> float:

@@ -397,8 +397,10 @@ class TestFitPleCommand:
         assert not out.exists()
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the command takes the fit from its module when it runs
         monkeypatch.setattr(
-            cli, "fit_multi_lorentzian", functools.partial(fit_multi_lorentzian, max_iterations=1)
+            "emitternet.ple.fit_multi_lorentzian",
+            functools.partial(fit_multi_lorentzian, max_iterations=1),
         )
         code = main(["fit-ple", "--synthetic", "--k", "2", "--seed", "3", "--out", str(tmp_path)])
         assert code == 3
@@ -676,6 +678,24 @@ class TestRefusedRunWritesNothing:
             ["fit-ple", "--synthetic"],
             {"ensemble": {"zfs_mean_ghz": 1.7e308}}, None, "DomainError",
         ),
+        "fit-ple-width-beyond-double": (
+            [["fit-ple", "--synthetic", "--k", "3"]],
+            ["fit-ple", "--synthetic", "--k", "3"],
+            # the peaks' squared half-width overflowed into an OverflowError
+            {"ensemble": {"fwhm_mean_mhz": 1e300}}, None, "DomainError",
+        ),
+        "fit-ple-grid-below-double": (
+            [["fit-ple", "--synthetic", "--k", "3"]],
+            ["fit-ple", "--synthetic", "--k", "3"],
+            # a grid step of 3e-302 GHz: its square underflows
+            {"ensemble": {"zfs_mean_ghz": 1e-300}}, None, "DomainError",
+        ),
+        "sample-linewidth-overflow": (
+            [["sample", "--n", "10"]],
+            ["sample", "--n", "10"],
+            # 1/(2 pi tau) overflowed and the summary read Infinity
+            {"ensemble": {"lifetime_ns": 1e-320}}, None, "DomainError",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -936,6 +956,42 @@ def test_version_and_report_load_no_numpy(tmp_path, monkeypatch):
         assert "emitternet._front" in imported
         assert not {m for m in imported if m.split(".")[0] == "numpy"}, argv
     assert {name: _stripped_bytes(demo / name) for name in written} == written
+
+
+# The analysis modules each command may load: a command loads only its own.
+ANALYSIS_LAYERS = {"cli", "spectral", "lineio", "overlap", "spatial", "ple", "_trf", "register"}
+COMMAND_LAYERS = {
+    "sample": {"spectral", "overlap", "lineio"},
+    "overlap": {"spectral", "overlap", "lineio"},
+    "birthday": {"spectral", "overlap", "lineio"},
+    "fit-ple": {"spectral", "ple", "_trf", "lineio"},
+    "protocol": {"register", "lineio", "spectral"},
+    "spatial": {"spectral", "spatial", "lineio"},
+    "report": set(),
+}
+
+
+def test_each_command_loads_only_its_own_layers(tmp_path):
+    # each README command in a fresh interpreter under -X importtime; the
+    # modules loaded are those it times and those left in sys.modules
+    script = (
+        "import sys\n"
+        "from emitternet._front import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(' '.join(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(COMMAND_LAYERS)
+    for argv in commands:
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", script, *argv],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True, check=True,
+        )
+        loaded = _imported(run.stderr) | set(run.stdout.split())
+        layers = {m.split(".", 1)[1] for m in loaded if m.startswith("emitternet.")}
+        assert layers & ANALYSIS_LAYERS <= COMMAND_LAYERS[argv[0]], argv
+    assert (tmp_path / "runs" / "demo" / "report.json").exists()
 
 
 PACKAGE_ALL = [

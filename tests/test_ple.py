@@ -127,6 +127,20 @@ class TestInitialGuess:
         assert guess[0].center_ghz == pytest.approx(-1.0, abs=0.02)
         assert guess[1].center_ghz == pytest.approx(1.0, abs=0.02)
 
+    def test_grid_finer_than_an_index_reach(self):
+        # half the seed width spans 1.6e19 steps of 1e-20 GHz, beyond an int64:
+        # that reach overflowed in _find_peaks, and now keeps the tallest maximum
+        i = np.arange(200)
+        counts = 5.0 + 100.0 * np.exp(-(((i - 60) / 10.0) ** 2)) + 80.0 * np.exp(
+            -(((i - 140) / 10.0) ** 2)
+        )
+        spec = PleSpectrum(frequencies_ghz=i * 1e-20, counts=counts)
+        (guess,) = initial_guess(spec, 1)
+        assert guess.center_ghz == 60 * 1e-20
+        with pytest.raises(PeakDetectionError) as err:
+            initial_guess(spec, 2)
+        assert err.value.found == 1
+
     def test_flat_spectrum_detection_error(self):
         spec = PleSpectrum(frequencies_ghz=np.linspace(-1, 1, 50), counts=np.full(50, 3.0))
         with pytest.raises(PeakDetectionError) as err:

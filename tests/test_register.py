@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from emitternet import (
     ChainResult,
     DomainError,
+    FidelitySweepRow,
     LossModel,
     LossyChainResult,
     MixedOutcome,
@@ -27,6 +29,7 @@ from emitternet import (
     run_ghz_chain,
     run_ghz_chain_with_loss,
 )
+from emitternet.register import NORM_TOLERANCE, _photon_counts, _split
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -157,6 +160,138 @@ def _reference_run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainRes
         fidelity=ghz_fidelity(mixture, n),
         step_click_probabilities=tuple(step_probs),
     )
+
+
+# The lossy chain and the sweep as they were before one walk served every
+# eta, verbatim: one walk per eta, and the sweep a loop over the etas.
+def _parent_run_ghz_chain_with_loss(n: int, loss: LossModel) -> LossyChainResult:
+    eta = loss.eta
+    if eta == 0.0:
+        raise DomainError("conditioning on clicks is impossible at zero detection efficiency")
+    # the branches as rows of one amplitude array, with their weights
+    amps = hadamard_all(init_pumped(n)).amplitudes[None, :]
+    weights = np.ones(1)
+    click_effs = np.array([eta, 2.0 * eta * (1.0 - eta)])
+    step_probs = []
+    for q in range(n - 1):
+        kept, probs = _split(amps, _photon_counts(n, q, q + 1), [[1], [2]])
+        # C order keeps branch by branch, the one-photon part before the two-photon part
+        keep = (probs > NORM_TOLERANCE) & (click_effs != 0.0)
+        grown = (weights[:, None] * (click_effs * probs))[keep]
+        # a subnormal weight has lost its precision, and zero means no click at all
+        if np.any(grown < sys.float_info.min):
+            raise ProtocolError(f"click weight on pair ({q}, {q + 1}) underflows at eta = {eta!r}")
+        amps = kept[keep] / np.sqrt(probs[keep])[:, None]
+        total = sum(grown.tolist())
+        weights = grown / total
+        step_probs.append(total)
+    states = (SpinRegisterState(n=n, amplitudes=a) for a in amps)
+    mixture = MixedOutcome(branches=tuple(map(WeightedState, weights.tolist(), states)))
+    return LossyChainResult(
+        mixture=mixture,
+        fidelity=ghz_fidelity(mixture, n),
+        step_click_probabilities=tuple(step_probs),
+    )
+
+
+def _parent_fidelity_vs_eta_sweep(n, etas):
+    rows = []
+    for eta in etas:
+        rows.append(
+            FidelitySweepRow(
+                eta=float(eta),
+                fidelity_published=published_model_fidelity(n, eta),
+                fidelity_enumeration=_parent_run_ghz_chain_with_loss(n, LossModel(eta)).fidelity,
+            )
+        )
+    return tuple(rows)
+
+
+def _outcome(function, *args):
+    """The result, or the type and message of the error."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the CLI's default sweep grid, and three more
+SWEEP_ETAS = [0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0, 0.3, 0.999, 1e-3]
+
+
+class TestOneWalkForEveryEta:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_chain_matches_parent_bit_for_bit(self, n):
+        for eta in SWEEP_ETAS:
+            got = run_ghz_chain_with_loss(n, LossModel(eta))
+            ref = _parent_run_ghz_chain_with_loss(n, LossModel(eta))
+            assert [p.hex() for p in got.step_click_probabilities] == [
+                p.hex() for p in ref.step_click_probabilities
+            ]
+            assert got.fidelity.hex() == ref.fidelity.hex()
+            assert [b.weight.hex() for b in got.mixture.branches] == [
+                b.weight.hex() for b in ref.mixture.branches
+            ]
+            assert [b.state.amplitudes.tobytes() for b in got.mixture.branches] == [
+                b.state.amplitudes.tobytes() for b in ref.mixture.branches
+            ]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sweep_matches_parent_bit_for_bit(self, n):
+        def bits(rows):
+            return [
+                (r.eta.hex(), r.fidelity_published.hex(), r.fidelity_enumeration.hex())
+                for r in rows
+            ]
+
+        for etas in (SWEEP_ETAS, SWEEP_ETAS[::-1], [1.0], [1.0, 1.0], [0.85, 1, 0.85]):
+            assert bits(fidelity_vs_eta_sweep(n, etas)) == bits(
+                _parent_fidelity_vs_eta_sweep(n, etas)
+            )
+
+    @pytest.mark.parametrize(
+        "etas",
+        [
+            [0.9, 1e-308, 1.5],
+            [0.9, 1.5, 1e-308],
+            [1e-308, 0.9],
+            [0.9, 5e-324, 1e-310],
+            [0.9, 1e-310, 0.0],
+            [0.5, math.nan],
+            [0.5, "0.5"],
+            [1e-310],
+            [],
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 4, 13])
+    def test_sweep_errors_are_the_parent_loops(self, n, etas):
+        got = _outcome(fidelity_vs_eta_sweep, n, etas)
+        ref = _outcome(_parent_fidelity_vs_eta_sweep, n, etas)
+        assert got == ref
+        if n == 4 and etas[:3] == [0.9, 1e-308, 1.5]:
+            assert got == (ProtocolError, "click weight on pair (0, 1) underflows at eta = 1e-308")
+        if n == 4 and etas[:3] == [0.9, 1.5, 1e-308]:
+            assert got[0] is DomainError and "1.5" in got[1]
+
+    def test_first_eta_refused_late_wins_over_a_later_eta_refused_early(self):
+        # at n = 12 the first eta's click weight underflows on pair (10, 11),
+        # the second's on pair (0, 1); a loop over the etas meets the first
+        etas = [4.8329302385716535e-307, 1e-308]
+        got = _outcome(fidelity_vs_eta_sweep, 12, etas)
+        assert got == _outcome(_parent_fidelity_vs_eta_sweep, 12, etas)
+        assert got == (
+            ProtocolError, f"click weight on pair (10, 11) underflows at eta = {etas[0]!r}"
+        )
+
+    @pytest.mark.parametrize("eta", [1e-310, 5e-324, 0.0, 1e-300])
+    def test_chain_errors_are_the_parents(self, eta):
+        for n in (2, 4, 12):
+            got = _outcome(run_ghz_chain_with_loss, n, LossModel(eta))
+            ref = _outcome(_parent_run_ghz_chain_with_loss, n, LossModel(eta))
+            if isinstance(ref, tuple):
+                assert got == ref
+            else:
+                assert got.fidelity == ref.fidelity
 
 
 class TestInitPumped:

@@ -194,6 +194,13 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             EnsembleModel(lifetime_ns=0.0)
 
+    def test_lifetime_whose_linewidth_overflows_rejected(self):
+        # 1/(2 pi tau) of a subnormal lifetime is beyond the range of a double
+        with pytest.raises(DomainError, match="linewidth beyond the range"):
+            EnsembleModel(lifetime_ns=1e-320)
+        with pytest.raises(DomainError, match="linewidth beyond the range"):
+            lifetime_limited_linewidth(1e-320)
+
 
 class TestMinPairSeparation:
     def test_identical_emitters(self):
