@@ -25,20 +25,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import os
+import re
 import shutil
 import sys
-import tempfile
-from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from . import __version__
-from .config import RunConfig
 from .errors import ConfigError, EmitterNetError, SummaryError, UsageError
-from .seeding import SeedSpec
+
+# ``--version`` and a usage error need neither the config, the seeds nor
+# json: each is imported where the code that uses it runs
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .seeding import SeedSpec
 
 SEED_ENV_VAR = "EMITTERNET_SEED"
 
@@ -55,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _utc_now() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -125,6 +129,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args) -> RunConfig:
+    from .config import RunConfig
+
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
@@ -148,6 +154,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _resolve_seed(cfg: RunConfig) -> SeedSpec:
+    from .seeding import SeedSpec
+
     if cfg.data["seed"] is not None:
         return cfg.seed_spec()
     env = os.environ.get(SEED_ENV_VAR)
@@ -171,8 +179,10 @@ def _json_rows(rows: list | tuple, indent: str) -> str | None:
     Without strings, dicts or nested lists, every ``,`` separates two cells
     or two rows and every ``[`` opens a row, so two replacements indent it.
     """
-    if not all(isinstance(row, (list, tuple)) for row in rows):
+    if not all(map(isinstance, rows, repeat((list, tuple)))):
         return None
+    import json
+
     compact = json.dumps(rows, separators=(",", ":"))
     if (
         '"' in compact
@@ -200,6 +210,9 @@ def _json_value(value: Any, indent: str, markers: set[int], out: list[str]) -> N
     Every other value is the stdlib's own text: it writes no raw line break
     inside a string, so re-indenting its level-0 text places it here.
     """
+    import json
+    from json.encoder import encode_basestring_ascii
+
     walked = isinstance(value, (list, tuple)) or (
         isinstance(value, dict) and all(isinstance(key, str) for key in value)
     )
@@ -290,6 +303,8 @@ def _scalar_results(results: dict, prefix: str = "") -> Iterator[tuple[str, Any]
 
 def _load_summary(path: Path) -> dict[str, Any]:
     """A command summary, refused unless it holds every field ``report`` reads."""
+    import json
+
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # invalid UTF-8 or invalid JSON
@@ -351,9 +366,34 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     return None, files, 0
 
 
+# the characters ``json.dumps`` escapes (its ensure_ascii rule), and the short escapes
+_JSON_ESCAPED = re.compile(r'([\\"]|[^\ -~])')
+_JSON_SHORT = {
+    "\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+
+
+def _json_char(match: re.Match) -> str:
+    char = match.group()
+    if char in _JSON_SHORT:
+        return _JSON_SHORT[char]
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000  # a surrogate pair
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _json_str(text: str) -> str:
+    """``json.dumps(text)`` for a str, without loading json."""
+    return '"' + _JSON_ESCAPED.sub(_json_char, text) + '"'
+
+
 def _print_error(exc: BaseException, code: int) -> None:
-    payload = {"error": str(exc), "type": type(exc).__name__, "exit_code": code}
-    print(json.dumps(payload), file=sys.stderr)
+    """``json.dumps`` of the error, its type and the exit code, on stderr;
+    written without json, which a usage error would otherwise load only here."""
+    error, name = _json_str(str(exc)), _json_str(type(exc).__name__)
+    print(f'{{"error": {error}, "type": {name}, "exit_code": {code}}}', file=sys.stderr)
 
 
 def _write_files(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:
@@ -378,6 +418,8 @@ def _write_files(out_dir: Path, files: dict[str, Any], comments: list[str]) -> N
 
 def _write_staged(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:
     """The writes of :func:`_write_files` into the existing ``out_dir``."""
+    import tempfile
+
     staging = Path(tempfile.mkdtemp(prefix=".emitternet-", dir=out_dir))
     try:
         for name, data in files.items():

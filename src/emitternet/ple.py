@@ -46,10 +46,24 @@ class LorentzianPeak:
 
 
 def lorentzian_value(peak: LorentzianPeak, frequency_ghz):
-    """L(nu) = A * (w/2)^2 / ((nu - nu0)^2 + (w/2)^2); A at center, A/2 at nu0 +- w/2."""
+    """L(nu) = A * (w/2)^2 / ((nu - nu0)^2 + (w/2)^2); A at center, A/2 at nu0 +- w/2.
+
+    A peak whose A * (w/2)^2 is beyond the range of a double is refused
+    with :class:`DomainError`.
+    """
     nu = np.asarray(frequency_ghz, dtype=float)
     half_ghz = peak.fwhm_mhz * 1e-3 / 2.0
-    out = peak.amplitude * half_ghz**2 / ((nu - peak.center_ghz) ** 2 + half_ghz**2)
+    try:
+        half_sq = half_ghz**2
+        scale = peak.amplitude * half_sq
+    except OverflowError:  # a Python float's ** raises where * gives inf
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise DomainError(
+            f"peak of FWHM {peak.fwhm_mhz} MHz and amplitude {peak.amplitude}: its "
+            "amplitude times squared half-width is beyond the range of a double"
+        )
+    out = scale / ((nu - peak.center_ghz) ** 2 + half_sq)
     return float(out) if np.isscalar(frequency_ghz) else out
 
 
@@ -100,7 +114,8 @@ def synthesize(
     """Evaluate background + sum of Lorentzians on a grid.
 
     With ``shot_noise`` each point is replaced by a Poisson draw with that
-    expectation (deterministic under ``seed``).
+    expectation (deterministic under ``seed``); an expectation beyond
+    numpy's Poisson range (about 9.2e18) is refused with :class:`DomainError`.
     """
     if not 0 <= background < math.inf:
         raise DomainError(f"background must be non-negative and finite, got {background}")
@@ -115,10 +130,32 @@ def synthesize(
     if shot_noise:
         if seed is None:
             raise DomainError("shot noise requires a seed for reproducibility")
-        counts = as_seed(seed).rng().poisson(expected).astype(float)
+        rng = as_seed(seed).rng()
+        try:
+            counts = rng.poisson(expected).astype(float)
+        except ValueError:  # the only ValueError an expectation of 0 or above raises
+            raise DomainError(
+                f"expected counts up to {expected.max():.3g} are beyond the range "
+                "of a Poisson draw"
+            ) from None
     else:
         counts = expected
     return PleSpectrum(frequencies_ghz=grid, counts=counts, dwell_time_s=dwell_time_s)
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a non-empty 1-d float array, bit for bit.
+
+    np.median imports ``numpy.ma`` for its NaN check, 18 ms at start-up.
+    This partitions at np.median's own kth list, the middle index or
+    indices and then -1, so a NaN, which sorts last, is the last entry.
+    """
+    n = len(values)
+    middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    part = np.partition(values, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[middle[0] : n // 2 + 1]))
 
 
 def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
@@ -165,9 +202,9 @@ def initial_guess(spectrum: PleSpectrum, k: int) -> list[LorentzianPeak]:
     if len(spectrum.counts) < 5 * k:
         raise DomainError(f"need at least {5 * k} points to guess {k} peaks")
     counts = spectrum.counts
-    background = float(np.median(counts))
+    background = _median(counts)
     width = EnsembleModel().fwhm_mean_mhz
-    step_ghz = float(np.median(np.diff(spectrum.frequencies_ghz)))
+    step_ghz = _median(np.diff(spectrum.frequencies_ghz))
     # a reach of the spectrum's length drops what any longer one drops; the
     # cap keeps the reach of a very fine grid within an index
     distance = max(1, int(round(min(0.5 * width * 1e-3 / step_ghz, len(counts)))))
@@ -215,10 +252,12 @@ def _model_and_jacobian(theta: np.ndarray, nu: np.ndarray, k: int):
 
 
 def _check_fit_size(n_points: int, k: int) -> None:
-    """Refuse k < 1 peaks, and a fit of ``n_points`` points whose Jacobian
-    would hold more than :data:`MAX_FIT_JACOBIAN_ENTRIES` entries."""
+    """Refuse k < 1 peaks, an empty spectrum, and a fit of ``n_points`` points
+    whose Jacobian would hold more than :data:`MAX_FIT_JACOBIAN_ENTRIES` entries."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
+    if n_points < 1:
+        raise DomainError("cannot fit an empty spectrum")
     entries = n_points * (3 * k + 1)
     if entries > MAX_FIT_JACOBIAN_ENTRIES:
         # an int beyond the double range has no float for ".3g"
@@ -263,7 +302,7 @@ def fit_multi_lorentzian(
     nu = spectrum.frequencies_ghz
     counts = spectrum.counts
     theta0 = np.empty(1 + 3 * k)
-    theta0[0] = max(float(np.median(counts)), 0.0)
+    theta0[0] = max(_median(counts), 0.0)
     for p, peak in enumerate(guess):
         theta0[1 + 3 * p] = peak.center_ghz
         theta0[2 + 3 * p] = peak.fwhm_mhz * 1e-3

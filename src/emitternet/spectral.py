@@ -372,7 +372,8 @@ def separation_mhz(
     """
     sep = None
     for ci, cj in (c.value for c in combos):
-        d = np.abs(x[ci] - y[cj])
+        d = np.subtract(x[ci], y[cj])
+        np.abs(d, out=d)
         sep = d if sep is None else np.minimum(sep, d, out=sep)
     return np.multiply(sep, 1e3, out=sep)
 

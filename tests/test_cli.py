@@ -991,7 +991,41 @@ def test_each_command_loads_only_its_own_layers(tmp_path):
         loaded = _imported(run.stderr) | set(run.stdout.split())
         layers = {m.split(".", 1)[1] for m in loaded if m.startswith("emitternet.")}
         assert layers & ANALYSIS_LAYERS <= COMMAND_LAYERS[argv[0]], argv
+        if argv[0] == "fit-ple":
+            # np.median would load numpy.ma for its NaN check, 18 ms
+            assert "numpy.ma" not in loaded, argv
     assert (tmp_path / "runs" / "demo" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"), [(["--version"], 0), (["bogus"], 1), (["sample", "--n", "x"], 1)]
+)
+def test_version_and_usage_errors_load_no_config_or_json(tmp_path, argv, code):
+    # neither needs a config, a seed or a JSON encoder; site may load
+    # other modules before the program starts, so only these are checked
+    script = (
+        "import sys\n"
+        "from emitternet._front import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(' '.join(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", script, *argv],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+    )
+    assert run.returncode == code, run.stderr
+    loaded = _imported(run.stderr) | set(run.stdout.split())
+    assert "emitternet._front" in loaded
+    unwanted = {"emitternet.config", "emitternet.seeding", "json", "dataclasses", "numpy"}
+    assert not loaded & unwanted, argv
+    if code:
+        (line,) = [line for line in run.stderr.splitlines() if line.startswith('{"error"')]
+        error = json.loads(line)
+        assert error["type"] == "UsageError" and error["exit_code"] == 1
 
 
 PACKAGE_ALL = [

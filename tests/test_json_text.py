@@ -1,4 +1,6 @@
 """The summary writer ``cli._json_text`` against ``json.dumps`` as oracle."""
+import contextlib
+import io
 import json
 import math
 
@@ -144,3 +146,14 @@ def test_amplitude_rows_take_the_fast_path(protocol_run, monkeypatch):
     monkeypatch.setattr(_front, "_json_value", counted)
     assert cli._json_text(doc) == _stdlib(doc)
     assert calls <= 300
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts, st.sampled_from([1, 2, 3]))
+@example("\ud800 lone surrogate", 2)
+def test_error_line_equals_the_stdlib_text(message, code):
+    # written without json, so that a usage error does not load it
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        _front._print_error(ValueError(message), code)
+    payload = {"error": message, "type": "ValueError", "exit_code": code}
+    assert err.getvalue() == json.dumps(payload) + "\n"

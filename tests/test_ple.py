@@ -62,6 +62,26 @@ class TestLorentzianValue:
         with pytest.raises(DomainError):
             LorentzianPeak(center_ghz=0.0, fwhm_mhz=100.0, amplitude=0.0)
 
+    @pytest.mark.parametrize(
+        ("fwhm_mhz", "amplitude"),
+        [(1e300, 1.0), (1e157, 100.0), (3e5, 1e305)],
+        ids=["squared-half-width", "height-times-squared-half-width", "tall"],
+    )
+    def test_overflowing_peak_is_a_domain_error(self, fwhm_mhz, amplitude):
+        # the first raised OverflowError from a Python float's **, the others
+        # gave an infinite value
+        peak = LorentzianPeak(0.0, fwhm_mhz, amplitude)
+        for frequency in (0.0, np.linspace(-1.0, 1.0, 5)):
+            with pytest.raises(DomainError, match="beyond the range of a double"):
+                lorentzian_value(peak, frequency)
+
+    def test_widest_finite_peak_is_evaluated(self):
+        # (w/2)^2 is the largest double below the overflow: A / 2 one half-width out
+        half_ghz = math.sqrt(np.finfo(float).max) * 0.5
+        peak = LorentzianPeak(0.0, 2.0 * half_ghz * 1e3, 1.0)
+        assert lorentzian_value(peak, 0.0) == 1.0
+        assert lorentzian_value(peak, half_ghz) == pytest.approx(0.5)
+
 
 class TestSynthesize:
     def test_background_only(self):
@@ -97,6 +117,23 @@ class TestSynthesize:
         b = synthesize(peaks, 5.0, grid, shot_noise=True, seed=12)
         assert a == b
 
+    @pytest.mark.parametrize("shot_noise", [False, True])
+    def test_overflowing_peak_is_a_domain_error(self, shot_noise):
+        # with shot noise this raised numpy's "lam value too large"
+        peaks = [LorentzianPeak(0.0, 1e157, 100.0)]
+        with pytest.raises(DomainError, match="beyond the range of a double"):
+            synthesize(peaks, 5.0, np.linspace(-1, 1, 50), shot_noise=shot_noise, seed=1)
+
+    def test_expectation_beyond_a_poisson_draw(self):
+        # finite counts, but above numpy's largest Poisson mean (about 9.2e18)
+        peaks = [LorentzianPeak(0.0, 300.0, 1e19)]
+        grid = np.linspace(-1, 1, 50)
+        assert np.all(np.isfinite(synthesize(peaks, 5.0, grid).counts))
+        with pytest.raises(DomainError, match="beyond the range of a Poisson draw"):
+            synthesize(peaks, 5.0, grid, shot_noise=True, seed=1)
+        peaks = [LorentzianPeak(0.0, 300.0, 1e18)]
+        assert synthesize(peaks, 5.0, grid, shot_noise=True, seed=1).counts.max() > 9e17
+
     def test_validation(self):
         grid = np.linspace(-1, 1, 10)
         with pytest.raises(DomainError):
@@ -105,6 +142,43 @@ class TestSynthesize:
             synthesize([], background=1.0, grid_ghz=[0.0, 0.0, 1.0])
         with pytest.raises(DomainError):
             synthesize([], background=1.0, grid_ghz=grid, shot_noise=True)
+
+
+def _float_bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestMedian:
+    """``ple._median`` is ``np.median`` bit for bit, without loading numpy.ma."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_np_median(self, values):
+        x = np.array(values)
+        with np.errstate(all="ignore"):  # the mean of inf and -inf
+            assert _float_bits(ple._median(x)) == _float_bits(np.median(x))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, -0.0], [-0.0, 0.0], [-0.0], [1.0, math.nan, 2.0], [math.nan], [3.0, 1.0, 2.0, 4.0]],
+    )
+    def test_signed_zeros_and_nan(self, values):
+        x = np.array(values)
+        assert _float_bits(ple._median(x)) == _float_bits(np.median(x))
+
+    def test_leaves_its_input_as_it_was(self):
+        x = np.array([3.0, 1.0, 2.0])
+        ple._median(x)
+        np.testing.assert_array_equal(x, [3.0, 1.0, 2.0])
 
 
 class TestInitialGuess:
@@ -282,6 +356,11 @@ class TestFitMultiLorentzian:
         spec = synthesize([LorentzianPeak(0.0, 300.0, 1e200)], 0.0, np.linspace(-2, 2, 200))
         with pytest.raises(DomainError, match="not finite"):
             fit_multi_lorentzian(spec, 1)
+
+    def test_empty_spectrum_refused(self):
+        spec = PleSpectrum(np.array([]), np.array([]))
+        with pytest.raises(DomainError, match="empty spectrum"):
+            fit_multi_lorentzian(spec, 1, guess=[LorentzianPeak(0.0, 300.0, 1.0)])
 
     def test_spectrum_too_narrow_for_the_fwhm_bounds(self):
         # the FWHM bounds [1e-9, 100 x span] GHz are empty below a 1e-11 GHz span

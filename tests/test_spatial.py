@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from emitternet import (
     ConfocalPsf,
     DomainError,
     EnsembleModel,
+    LineCombo,
     NormalCenters,
     occupancy_stats,
     poisson_multi_occupancy,
@@ -17,7 +19,9 @@ from emitternet import (
     spectral_arrangement_rate,
     spot_volume,
 )
-from emitternet.spatial import MAX_SPATIAL_POINTS, _has_chain
+from emitternet.seeding import as_seed
+from emitternet.spatial import CHAIN_BLOCK_BYTES, MAX_SPATIAL_POINTS, _has_chain
+from emitternet.spectral import sample_line_positions, separation_mhz
 
 
 def _chain_exists(adjacency: np.ndarray) -> np.ndarray:
@@ -276,6 +280,97 @@ class TestSpectralArrangementRate:
     def test_window_must_be_positive(self, window_mhz):
         with pytest.raises(DomainError, match="chain window must be positive"):
             spectral_arrangement_rate(EnsembleModel(), 3, window_mhz, 10_000, 1)
+
+
+def _chunked_rate(model, k, window_mhz, trials, seed):
+    """The chain rate as it was computed when each chunk held its float gaps
+    in full: the loop of that spectral_arrangement_rate, verbatim."""
+    rng = as_seed(seed).rng()
+    chunk = max(1024, min(trials, 1 << 22 >> k))
+    hits = 0
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        lines = [x.reshape(m, k) for x in sample_line_positions(model, m * k, rng)]
+        # adjacency[t, u, v]: the A2 line of u lies within the window of the A1 line of v
+        u, v = [x[:, :, None] for x in lines], [x[:, None, :] for x in lines]
+        adjacency = separation_mhz(u, v, [LineCombo.A2_A1]) < window_mhz
+        idx = np.arange(k)
+        adjacency[:, idx, idx] = False
+        hits += int(np.count_nonzero(_has_chain(adjacency)))
+        done += m
+    return hits / trials
+
+
+UNIFORM = EnsembleModel()
+NORMAL = EnsembleModel(centers=NormalCenters(sigma_ghz=0.3))
+
+
+def _block(k):
+    return CHAIN_BLOCK_BYTES // (8 * k * k)
+
+
+class TestChainRateByBlocks:
+    """The rate filled a block of trials at a time equals the rate of the
+    whole-chunk loop, ``==``."""
+
+    # from no trial a hit, through rates in between, to every trial a hit
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("window_mhz", [1e-3, 1000.0, 3000.0, math.inf])
+    def test_equals_whole_chunk_loop(self, k, window_mhz):
+        rate = spectral_arrangement_rate(UNIFORM, k, window_mhz, 10_000, k)
+        assert rate == _chunked_rate(UNIFORM, k, window_mhz, 10_000, k)
+        if window_mhz == 1e-3:
+            assert rate == 0.0
+        if window_mhz == math.inf:
+            assert rate == 1.0
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 11])
+    @pytest.mark.parametrize("window_mhz", [300.0, 1000.0, 3000.0])
+    def test_normal_centers(self, k, window_mhz):
+        rate = spectral_arrangement_rate(NORMAL, k, window_mhz, 10_000, 20 + k)
+        assert rate == _chunked_rate(NORMAL, k, window_mhz, 10_000, 20 + k)
+
+    # k = 2: one chunk of three blocks, the last of one trial; k = 8: two
+    # whole chunks and a third that spills one trial past a block; k = 10
+    # and 12: chunks whose size is not a multiple of the block
+    @pytest.mark.parametrize(
+        ("k", "trials"), [(2, 2 * _block(2) + 1), (8, 2 * 16384 + _block(8) + 1),
+                          (10, 3 * 4096 + 1), (12, 10_001)],
+    )
+    @pytest.mark.parametrize("model", [UNIFORM, NORMAL], ids=["uniform", "normal"])
+    def test_trial_counts_across_chunks_and_blocks(self, k, trials, model):
+        rate = spectral_arrangement_rate(model, k, 1000.0, trials, 7)
+        assert rate == _chunked_rate(model, k, 1000.0, trials, 7)
+
+    def test_traced_peak_at_k8(self):
+        model = EnsembleModel()
+        tracemalloc.start()
+        try:
+            spectral_arrangement_rate(model, 8, model.gamma_mhz, 100_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 19 MB while a chunk's (16384, 8, 8) float gaps were held in full
+        assert peak < 10e6
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+        st.sets(st.sampled_from(list(LineCombo)), min_size=1),
+    )
+    def test_separation_equals_two_temporary_form(self, n, m, seed, combos):
+        rng = np.random.default_rng(seed)
+        x = tuple(rng.normal(0.0, 10.0, size=(n, 1)) for _ in range(2))
+        y = tuple(rng.normal(0.0, 10.0, size=(1, m)) for _ in range(2))
+        # a zero gap between signed zeros
+        x[0][0, 0], y[1][0, 0] = -0.0, 0.0
+        sep = None
+        for ci, cj in (c.value for c in combos):
+            d = np.abs(x[ci] - y[cj])
+            sep = d if sep is None else np.minimum(sep, d, out=sep)
+        expected = np.multiply(sep, 1e3, out=sep)
+        assert separation_mhz(x, y, combos).tobytes() == expected.tobytes()
 
 
 class TestPoissonTailHelper:
