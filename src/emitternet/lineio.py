@@ -5,10 +5,15 @@ frequency, never absolute THz. CSV files written by this tool start with
 ``#`` comment lines carrying the config hash; parsers skip such lines, so
 the documented header row is always the first non-comment line.
 
-Rows move a block at a time. A writer formats :data:`_WRITE_BLOCK` rows
-into columns of cell texts and, where ``csv.writer`` would quote none of
-them, writes the block as one ``"".join`` of the cells interleaved with
-their separators; any other block goes row by row through ``csv.writer``.
+Rows move a block at a time. The line-list and spectrum writers format
+each float column of :data:`_WRITE_BLOCK` rows as a matrix of NUL-padded
+bytes that equals ``repr`` byte for byte (:func:`_float_cells`): a cell
+is decided in numpy, by an exact test on the shortest decimal that reads
+back, else written by ``repr``. Where ``csv.writer`` would quote no cell,
+the block's text is its id and float matrices joined with their
+separators in one byte matrix, the padding dropped by one compress; any
+other block goes row by row through ``csv.writer``, with the same float
+texts. Other tables join their cell texts in one ``"".join`` a block.
 The parsers split the text into lines a piece of :data:`_SPLIT_CHARS` at
 a time, each piece ending just after a line feed, so the rows keep the
 numbers of ``text.splitlines()`` without that whole list being held.
@@ -42,7 +47,7 @@ _WIDTH_COLUMNS = LINE_LIST_HEADER[3:]
 
 # Rows formatted at a time when writing, which bounds the memory the cell
 # texts take.
-_WRITE_BLOCK = 4096
+_WRITE_BLOCK = 8192
 # Characters of text split into lines at a time, and data lines a parser
 # checks and takes in bulk at a time: together they bound the memory that
 # the line texts take.
@@ -275,28 +280,28 @@ def _width_column(cells: list[str]) -> np.ndarray | None:
 def _write_csv(
     out: TextIO,
     header: Sequence[str],
-    blocks: Iterable[Sequence[Sequence]],
+    blocks: Iterable[str | Sequence[Sequence]],
     comments: Sequence[str],
 ) -> None:
     """Write CSV to ``out``: a ``#`` line per comment, the header, then the
-    rows of each block, a block being a list of columns of equal length. A
-    block that :func:`_plain_text` can write goes in one piece; any other
-    goes row by row through ``csv.writer``, where a row whose first field
-    starts with ``#`` (after spaces) has every field quoted, so that it is
-    not read back as a comment line."""
+    rows of each block. A block is either its finished text or a list of
+    columns of equal length. Columns that :func:`_plain_text` can write go
+    in one piece; any others go row by row through ``csv.writer``, where a
+    row whose first field starts with ``#`` (after spaces) has every field
+    quoted, so that it is not read back as a comment line."""
     for comment in comments:
         out.write(f"# {comment}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(header))
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for columns in blocks:
-        text = _plain_text(columns)
+    for block in blocks:
+        text = block if isinstance(block, str) else _plain_text(block)
         if text is not None:
             out.write(text)
         else:
-            for hashed, group in itertools.groupby(zip(*columns), key=_starts_with_hash):
+            for hashed, group in itertools.groupby(zip(*block), key=_starts_with_hash):
                 (quoted if hashed else writer).writerows(group)
-        del columns, text  # so that one block at a time is held
+        del block, text  # so that one block at a time is held
 
 
 def _plain_text(columns: Sequence[Sequence]) -> str | None:
@@ -329,7 +334,7 @@ def _plain_text(columns: Sequence[Sequence]) -> str | None:
 def _write_csv_file(
     path: Path | str,
     header: Sequence[str],
-    blocks: Iterable[Sequence[Sequence]],
+    blocks: Iterable[str | Sequence[Sequence]],
     comments: Sequence[str],
 ) -> None:
     """:func:`_write_csv` into the file at ``path``, block by block as
@@ -342,21 +347,216 @@ def _starts_with_hash(row: Sequence) -> bool:
     return str(row[0]).lstrip().startswith("#")
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
-    """``repr`` of each value, as line lists have always been written; NaN is blank."""
-    texts = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        texts[i] = ""
-    return texts
+# Bytes of a formatted float cell: the longest ``repr`` of a double, such
+# as "-2.2250738585072014e-308", has 24 characters.
+_CELL = 24
+# 10**k for k <= 22 is an exact double, here also split in two halves of
+# 26 bits for Dekker's product.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLIT = float(2**27 + 1)
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# The four ASCII digits of each of 0000 to 9999, as one uint32.
+_QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+_QUADS = _QUADS.view(np.uint32).ravel()
 
 
-def _line_list_blocks(records: LineTable) -> Iterator[list[list[str]]]:
-    """The columns of a table's rows, formatted one block of :data:`_WRITE_BLOCK` at a time."""
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``s = fl(a + b)`` and the rounding error ``a + b - s``, exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _nearest(
+    a: np.ndarray, k: np.ndarray, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For positive ``a`` with ``frexp`` exponent ``e``: the integer ``d``
+    nearest to ``y = a * 10**k``; whether ``d / 10**k`` reads back as
+    ``a``; and where this test cannot tell, a tie.
+
+    Dekker's product gives y exactly as ``hi + lo``, and two sums give the
+    residual ``y - d`` exactly as ``u + w`` with ``u = fl(u + w)``. The
+    decimals that read back as ``a`` (not a power of two) lie strictly
+    within half its gap ``2**(e - 53)`` of it, which in units of y is
+    ``half = 10**k * 2**(e - 54)``, an exact double. Where ``|u|`` is 1/2
+    (two integers equally near, or one beyond ``d`` nearer) the test cannot
+    tell. A residual is never on the half-gap itself: ``y ± half`` is an
+    integer only where ``half >= 1``, beyond any residual."""
+    t = _POW10[k]
+    hi = a * t
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    t_hi, t_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * t_hi - hi) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+    d = np.rint(hi)  # hi - d is exact, and so is s - carry below
+    s, err = _two_sum(hi - d, lo)
+    carry = np.rint(s)
+    u, w = _two_sum(s - carry, err)
+    half = np.ldexp(t, e - 54)
+    size = np.abs(u)
+    tie = size == 0.5
+    inside = (size < half) | ((size == half) & (np.copysign(w, u) < 0))
+    return d.astype(np.int64) + carry.astype(np.int64), inside & ~tie, tie
+
+
+def _shortest(a: np.ndarray, k: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits ``d`` and scale ``k`` of the decimal ``d / 10**k`` that
+    ``repr`` writes for each positive ``a`` (``frexp`` exponent ``e``),
+    given ``k`` for 16 significant digits, and a mask of the values
+    decided. ``k`` is changed in place.
+
+    ``repr`` takes the fewest significant digits that read back as ``a``,
+    and of those the decimal nearest to it. The gap around ``a`` is
+    symmetric, so the nearest decimal of p digits reads back whenever any
+    of p digits does: 16 digits are tried first, 17 (which always read
+    back) where 16 do not, and where 16 do, one digit fewer at a time until
+    that fails or ``k`` is 0. A value with a tie at any step is not
+    decided."""
+    d, good, tie = _nearest(a, k, e)
+    more = np.flatnonzero(~good & ~tie)
+    k[more] += 1
+    d[more], good[more], tie[more] = _nearest(a[more], k[more], e[more])
+    fewer = np.flatnonzero(good & (k > 0))
+    while len(fewer):
+        d_less, took, tied = _nearest(a[fewer], k[fewer] - 1, e[fewer])
+        tie[fewer[tied]] = True
+        fewer = fewer[took]
+        d[fewer] = d_less[took]
+        k[fewer] -= 1
+        fewer = fewer[k[fewer] > 0]
+    return d, good & ~tie
+
+
+def _fixed_cells(
+    cells: np.ndarray,
+    rows: np.ndarray,
+    negative: np.ndarray,
+    d: np.ndarray,
+    k: np.ndarray,
+    whole: np.ndarray,
+) -> None:
+    """Write into ``cells[rows]``: ``-`` where ``negative``, the ``whole``
+    integer digits of ``d / 10**k`` (``0`` where there are none), ``.``
+    and its ``k`` fraction digits (``0`` where ``k`` is 0). ``d`` has at
+    most 20 digits, which :data:`_QUADS` writes four at a time. The rows
+    are grouped by sign, ``whole`` and ``k``, so that each group copies
+    static slices."""
+    key = ((negative * 32 + whole) * 32 + k).astype(np.int16)  # int16 sorts by radix
+    order = np.argsort(key, kind="stable")
+    key, d = key[order], d[order]
+    digits = np.empty((len(d), 24), np.uint8)  # 20 digits, "0", then whole uint32s
+    quads = d[:, None] // np.array([10**16, 10**12, 10**8, 10**4, 1]) % 10_000
+    digits[:, :20].view(np.uint32)[:] = _QUADS[quads]
+    digits[:, 20] = ord("0")
+    sorted_cells = np.zeros((len(d), _CELL), np.uint8)
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    for start, stop in zip(starts, [*starts[1:], len(d)]):
+        sign, rest = divmod(int(key[start]), 32 * 32)
+        n_whole, n_frac = divmod(rest, 32)
+        out, source = sorted_cells[start:stop], digits[start:stop]
+        if sign:
+            out[:, 0] = ord("-")
+        j = sign + max(n_whole, 1)
+        zero = source[:, 20:21]
+        out[:, sign:j] = source[:, 20 - n_frac - n_whole : 20 - n_frac] if n_whole else zero
+        out[:, j] = ord(".")
+        out[:, j + 1 : j + 1 + max(n_frac, 1)] = source[:, 20 - n_frac : 20] if n_frac else zero
+    cells[rows[order]] = sorted_cells
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float as a NUL-padded row of :data:`_CELL` ASCII
+    bytes, as line lists and spectra have always been written; NaN is
+    blank.
+
+    A value whose magnitude lies in [1e-4, 1e15), where ``repr`` writes
+    fixed notation without an exponent, is decided in numpy by
+    :func:`_shortest`, unless its ``log10`` is within 1e-9 of an integer
+    (so that its count of integer digits is in doubt) or it is a power of
+    two (whose gap below is half that above). ``repr`` writes any value not
+    decided there: ±0, ±inf and every value outside that range too."""
+    x = np.asarray(values, dtype=float)
+    cells = np.zeros((len(x), _CELL), np.uint8)
+    a = np.abs(x)
+    mantissa, e = np.frexp(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log10(a)
+        clear = np.abs(lg - np.rint(lg)) > 1e-9
+    rows = np.flatnonzero((a >= 1e-4) & (a < 1e15) & clear & (mantissa != 0.5))
+    point = np.floor(lg[rows]).astype(np.intp)  # decimal exponent of each value
+    k = 15 - point
+    d, decided = _shortest(a[rows], k, e[rows])
+    rows, point = rows[decided], point[decided]
+    if len(rows):
+        negative = (x[rows] < 0).astype(np.intp)
+        _fixed_cells(cells, rows, negative, d[decided], k[decided], np.maximum(point + 1, 0))
+    rest = np.ones(len(x), bool)
+    rest[rows] = False
+    rest &= ~np.isnan(x)
+    texts = list(map(str.encode, map(repr, x[rest].tolist())))
+    if texts:
+        cells[rest] = np.array(texts, f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    return cells
+
+
+def _cell_texts(cells: np.ndarray) -> list[str]:
+    """The text of each row of a cell matrix of :func:`_float_cells`."""
+    return cells.view(f"S{_CELL}").ravel().astype(f"U{_CELL}").tolist()
+
+
+def _plain_ids(ids: list) -> bool:
+    """Whether :func:`_plain_text` would write a block whose first column
+    is ``ids`` and whose other cells are float texts (which hold none of
+    the characters it tests): every id a ``str`` without ``,``, ``"``, CR,
+    LF or NUL, and none that starts with ``#`` after spaces."""
+    try:
+        text = "".join(ids)
+    except TypeError:  # an id that is not a str
+        return False
+    if "," in text or '"' in text or "\r" in text or "\n" in text or "\0" in text:
+        return False
+    return "#" not in text or not any(cell.lstrip().startswith("#") for cell in ids)
+
+
+def _byte_rows(fields: Sequence[np.ndarray]) -> str:
+    """The CSV text of rows whose fields are the NUL-padded UTF-8 byte rows
+    of ``fields`` (one ``(rows, width)`` uint8 matrix a column): each row's
+    fields joined by ``,`` and ended by a line feed, built as one byte
+    matrix from which a single boolean compress drops the padding."""
+    n = len(fields[0])
+    rows = np.full((n, sum(f.shape[1] + 1 for f in fields)), ord(","), np.uint8)
+    j = 0
+    for f in fields:
+        rows[:, j : j + f.shape[1]] = f
+        j += f.shape[1] + 1
+    rows[:, -1] = ord("\n")
+    flat = rows.reshape(-1)
+    return str(flat[flat != 0], "utf-8", "surrogatepass")
+
+
+def _id_bytes(ids: list[str]) -> np.ndarray:
+    """The UTF-8 bytes of each id, none of which holds a NUL, as a
+    NUL-padded row of a uint8 matrix. A lone surrogate passes, as it does
+    into a ``str``, so that only writing the text to a file refuses it."""
+    encoded = np.array("\0".join(ids).encode("utf-8", "surrogatepass").split(b"\0"))
+    return encoded.view(np.uint8).reshape(len(ids), -1)
+
+
+def _line_list_blocks(records: LineTable) -> Iterator[str | list[list]]:
+    """The text of a table's rows, or where :func:`_plain_ids` refuses the
+    ids, their columns of cell texts, one block of :data:`_WRITE_BLOCK`
+    rows at a time."""
     from .spectral import _LINE_COLUMNS
 
     for s in range(0, len(records), _WRITE_BLOCK):
-        block = records[s : s + _WRITE_BLOCK]
-        yield [block.ids.tolist(), *(_float_texts(getattr(block, name)) for name in _LINE_COLUMNS)]
+        ids = records.ids[s : s + _WRITE_BLOCK].tolist()
+        cells = [_float_cells(getattr(records, n)[s : s + _WRITE_BLOCK]) for n in _LINE_COLUMNS]
+        if _plain_ids(ids):
+            yield _byte_rows([_id_bytes(ids), *cells])
+        else:
+            yield [ids, *map(_cell_texts, cells)]
 
 
 def serialize_line_list(records: LineTable, comments: Sequence[str] = ()) -> str:
@@ -384,7 +584,7 @@ def write_spectrum(path: Path | str, spectrum: PleSpectrum, comments: Sequence[s
     path = Path(path)
     columns = spectrum.frequencies_ghz, spectrum.counts
     blocks = (
-        [list(map(repr, x[s : s + _WRITE_BLOCK].tolist())) for x in columns]
+        _byte_rows([_float_cells(x[s : s + _WRITE_BLOCK]) for x in columns])
         for s in range(0, len(columns[0]), _WRITE_BLOCK)
     )
     _write_csv_file(path, SPECTRUM_HEADER, blocks, comments)

@@ -63,7 +63,9 @@ def lorentzian_value(peak: LorentzianPeak, frequency_ghz):
             f"peak of FWHM {peak.fwhm_mhz} MHz and amplitude {peak.amplitude}: its "
             "amplitude times squared half-width is beyond the range of a double"
         )
-    out = scale / ((nu - peak.center_ghz) ** 2 + half_sq)
+    with np.errstate(over="ignore"):  # a detuning this far out squares to inf, and L to 0
+        detuning_sq = (nu - peak.center_ghz) ** 2
+    out = scale / (detuning_sq + half_sq)
     return float(out) if np.isscalar(frequency_ghz) else out
 
 

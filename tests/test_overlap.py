@@ -459,6 +459,28 @@ class TestMonteCarloThreshold:
             monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 1000, 1, max_emitters=max_emitters)
 
 
+class TestQuantiles:
+    """``overlap._quantiles`` is ``np.quantile`` bit for bit on stopping
+    times, without loading numpy.ma."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(2, 400), max_size=60),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_equals_np_quantile(self, stops, qs):
+        x = np.array(stops, dtype=np.int64)
+        qs = [0.25, 0.5, 0.75, *qs]
+        got = overlap._quantiles(x, qs)
+        want = [float(np.quantile(x, q)) if len(x) else float("nan") for q in qs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_leaves_its_input_as_it_was(self):
+        x = np.array([5, 2, 9, 3])
+        overlap._quantiles(x, [0.25, 0.5, 0.75])
+        np.testing.assert_array_equal(x, [5, 2, 9, 3])
+
+
 class TestHistogram:
     def test_empty(self):
         result = histogram([], 1.0)

@@ -82,6 +82,24 @@ class TestLorentzianValue:
         assert lorentzian_value(peak, 0.0) == 1.0
         assert lorentzian_value(peak, half_ghz) == pytest.approx(0.5)
 
+    def test_far_detuning_is_zero_without_a_warning(self):
+        # (nu - nu0)^2 overflows beyond about 1.3e154 GHz; numpy warned,
+        # which the tests' RuntimeWarning filter turns into an error
+        peak = LorentzianPeak(0.0, 300.0, 1.0)
+        assert lorentzian_value(peak, 1e160) == 0.0
+        assert lorentzian_value(peak, -1.7e308) == 0.0
+        far = np.array([-1e300, -1e160, 1e160, 1.7e308])
+        np.testing.assert_array_equal(lorentzian_value(peak, far), np.zeros(4))
+
+    def test_finite_values_unchanged_bit_for_bit(self):
+        # the formula as written before the overflow was let through
+        peak = LorentzianPeak(0.3, 250.0, 80.0)
+        nu = np.concatenate([np.linspace(-3.0, 3.0, 101), [1e150, -1e153, 1e154]])
+        half_sq = (peak.fwhm_mhz * 1e-3 / 2.0) ** 2
+        want = peak.amplitude * half_sq / ((nu - peak.center_ghz) ** 2 + half_sq)
+        assert lorentzian_value(peak, nu).tobytes() == want.tobytes()
+        assert [lorentzian_value(peak, float(v)) for v in nu] == want.tolist()
+
 
 class TestSynthesize:
     def test_background_only(self):
