@@ -22,18 +22,19 @@ from .seeding import SeedSpec
 
 
 def _cmd_sample(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
+    from .lineio import write_line_list, write_table
     from .overlap import histogram
     from .spectral import sample_ensemble, summarize_ensemble
 
     model = cfg.ensemble_model()
     n = cfg.data["sample"]["n_emitters"]
     emitters = sample_ensemble(model, n, seed)
-    files: dict[str, Any] = {"line_list.csv": emitters}
+    files: dict[str, Any] = {"line_list.csv": (write_line_list, emitters)}
     lines = np.concatenate([emitters.a1_ghz, emitters.a2_ghz])
     for name, values, width in (("zfs", emitters.zfs_ghz, 0.025), ("line", lines, 1.0)):
         hist = histogram(values, width)
-        rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
-        files[f"{name}_histogram.csv"] = (["bin_low", "bin_high", "count"], rows)
+        columns = [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts]
+        files[f"{name}_histogram.csv"] = (write_table, ["bin_low", "bin_high", "count"], columns)
     summary = summarize_ensemble(emitters) if n >= 2 else None
     results = {
         "n_emitters": n,
@@ -52,7 +53,7 @@ def _cmd_sample(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
 
 
 def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
-    from .lineio import read_line_list
+    from .lineio import read_line_list, write_table
     from .overlap import fit_slope_through_origin, overlap_curve
     from .spectral import sample_ensemble
 
@@ -73,8 +74,9 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     slope = fit_slope_through_origin(curve, gamma)
     files = {
         "overlap_curve.csv": (
+            write_table,
             ["window_mhz", "probability", "std_error"],
-            zip(curve.windows_mhz, curve.probabilities, curve.std_errors),
+            [curve.windows_mhz, curve.probabilities, curve.std_errors],
         )
     }
     results = {
@@ -95,6 +97,7 @@ def _cmd_overlap(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
 
 
 def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
+    from .lineio import write_table
     from .overlap import birthday_threshold, monte_carlo_threshold
 
     section = cfg.data["birthday"]
@@ -111,7 +114,8 @@ def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
                 "curve_csv": "birthday_curve.csv",
             }
         )
-        files["birthday_curve.csv"] = (["n_emitters", "collision_probability"], threshold.curve)
+        header = ["n_emitters", "collision_probability"]
+        files["birthday_curve.csv"] = (write_table, header, list(zip(*threshold.curve)))
     elif not section["monte_carlo"]:
         raise ConfigError("birthday requires --q (or birthday.q) unless --mc is given")
     if section["monte_carlo"]:
@@ -129,14 +133,13 @@ def _cmd_birthday(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
             "n_censored": mc.n_censored,
             "curve_csv": "birthday_mc_curve.csv",
         }
-        files["birthday_mc_curve.csv"] = (
-            ["n_emitters", "empirical_collision_probability"], mc.curve
-        )
+        header = ["n_emitters", "empirical_collision_probability"]
+        files["birthday_mc_curve.csv"] = (write_table, header, list(zip(*mc.curve)))
     return results, files, 0
 
 
 def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
-    from .lineio import read_spectrum
+    from .lineio import read_spectrum, write_spectrum
     from .ple import (
         LorentzianPeak,
         _check_fit_size,
@@ -171,24 +174,17 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
                 f"synthetic spectrum grid of {k} peaks {zfs} GHz apart is too fine: its "
                 "squared step is below the range of a double"
             )
-        # a peak's height times its squared half-width must be finite too
-        height, half_ghz = 100.0, model.fwhm_mean_mhz * 1e-3 / 2.0
-        if not math.isfinite(height * (half_ghz * half_ghz)):
-            raise DomainError(
-                f"synthetic peak width {model.fwhm_mean_mhz} MHz is too wide: its squared "
-                "half-width times the peak height is beyond the range of a double"
-            )
         peaks = [
             LorentzianPeak(
                 center_ghz=(i - (k - 1) / 2.0) * zfs,
                 fwhm_mhz=model.fwhm_mean_mhz,
-                amplitude=height,
+                amplitude=100.0,
             )
             for i in range(k)
         ]
         grid = np.linspace(-span, span, n_points)
         spectrum = synthesize(peaks, background=5.0, grid_ghz=grid, shot_noise=True, seed=seed)
-        files["ple_spectrum.csv"] = spectrum
+        files["ple_spectrum.csv"] = (write_spectrum, spectrum)
         source = "synthetic"
     else:
         raise ConfigError("fit-ple requires --input or --synthetic")
@@ -265,12 +261,14 @@ def _cmd_protocol(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     }
     files: dict[str, Any] = {}
     if args.sweep:
+        from .lineio import write_table
+
         header = ["eta", "fidelity_published", "fidelity_enumeration", "discrepancy"]
         sweep = fidelity_vs_eta_sweep(n, section["eta_sweep"])
-        rows = [[getattr(r, key) for key in header] for r in sweep]
-        files["fidelity_sweep.csv"] = (header, rows)
+        columns = [[getattr(r, key) for r in sweep] for key in header]
+        files["fidelity_sweep.csv"] = (write_table, header, columns)
         results["sweep_csv"] = "fidelity_sweep.csv"
-        results["sweep"] = [dict(zip(header, row)) for row in rows]
+        results["sweep"] = [dict(zip(header, row)) for row in zip(*columns)]
     return results, files, 0
 
 
@@ -301,8 +299,10 @@ def _cmd_spatial(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     }
     files: dict[str, Any] = {}
     if args.export_scene:
+        from .lineio import write_table
+
         scene = sample_scene(density, section["box_um"], seed)
-        files["scene.csv"] = (["x_um", "y_um", "z_um"], scene.positions.tolist())
+        files["scene.csv"] = (write_table, ["x_um", "y_um", "z_um"], scene.positions.T)
         results["scene"] = {
             "box_um": list(scene.box_um),
             "count": scene.count,

@@ -287,8 +287,9 @@ def _csv_comments(cfg: RunConfig, seed: SeedSpec) -> list[str]:
 
 
 # A command writes nothing: it returns its results (None for ``report``), its files
-# by name (LineTable, PleSpectrum, (header, rows) or text as a list of pieces) and
-# its exit code.
+# by name and its exit code. A file is its text as a list of pieces, or a
+# ``(writer, *args)`` tuple that the output stage calls as
+# ``writer(path, *args, comments)``, such as ``(write_table, header, columns)``.
 _Outcome = tuple[dict[str, Any] | None, dict[str, Any], int]
 
 
@@ -427,20 +428,9 @@ def _write_staged(out_dir: Path, files: dict[str, Any], comments: list[str]) -> 
             if isinstance(data, list):
                 with open(path, "w", encoding="utf-8") as out:
                     out.writelines(data)
-                continue
-            # only the computing commands, which have loaded numpy, return
-            # tables; a LineTable or a PleSpectrum exists only once its module
-            # is loaded, so no module is loaded here to test for one
-            from .lineio import write_line_list, write_spectrum, write_table
-
-            spectral = sys.modules.get(f"{__package__}.spectral")
-            ple = sys.modules.get(f"{__package__}.ple")
-            if spectral is not None and isinstance(data, spectral.LineTable):
-                write_line_list(path, data, comments)
-            elif ple is not None and isinstance(data, ple.PleSpectrum):
-                write_spectrum(path, data, comments)
             else:
-                write_table(path, *data, comments)
+                writer, *args = data
+                writer(path, *args, comments)
         names = sorted(os.listdir(staging))
         # a rename onto a directory fails, so refuse before the first rename
         for target in (out_dir / name for name in names):

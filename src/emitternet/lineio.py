@@ -5,15 +5,18 @@ frequency, never absolute THz. CSV files written by this tool start with
 ``#`` comment lines carrying the config hash; parsers skip such lines, so
 the documented header row is always the first non-comment line.
 
-Rows move a block at a time. The line-list and spectrum writers format
-each float column of :data:`_WRITE_BLOCK` rows as a matrix of NUL-padded
-bytes that equals ``repr`` byte for byte (:func:`_float_cells`): a cell
-is decided in numpy, by an exact test on the shortest decimal that reads
-back, else written by ``repr``. Where ``csv.writer`` would quote no cell,
-the block's text is its id and float matrices joined with their
-separators in one byte matrix, the padding dropped by one compress; any
-other block goes row by row through ``csv.writer``, with the same float
-texts. Other tables join their cell texts in one ``"".join`` a block.
+Rows move a block at a time. Every table, line lists and spectra too,
+is written by one loop over its columns (:func:`_write_csv`), a block of
+:data:`_WRITE_BLOCK` rows at a time. Each float64 column of a block is
+formatted as a matrix of NUL-padded bytes that equals ``repr`` byte for
+byte (:func:`_float_cells`): a cell is decided in numpy, by an exact test
+on the shortest decimal that reads back, else written by ``repr``, which
+also writes every cell of a column shorter than :data:`_NUMPY_CELLS`,
+where it is quicker. Every other column is taken as its list of cells.
+Where ``csv.writer`` would quote no cell, the block's text is its text
+and float matrices joined with their separators in one byte matrix, the
+padding dropped by one compress; any other block goes row by row through
+``csv.writer``, with the same float texts.
 The parsers split the text into lines a piece of :data:`_SPLIT_CHARS` at
 a time, each piece ending just after a line feed, so the rows keep the
 numbers of ``text.splitlines()`` without that whole list being held.
@@ -278,69 +281,46 @@ def _width_column(cells: list[str]) -> np.ndarray | None:
 
 
 def _write_csv(
-    out: TextIO,
-    header: Sequence[str],
-    blocks: Iterable[str | Sequence[Sequence]],
-    comments: Sequence[str],
+    out: TextIO, header: Sequence[str], columns: Iterable[Sequence], comments: Sequence[str]
 ) -> None:
     """Write CSV to ``out``: a ``#`` line per comment, the header, then the
-    rows of each block. A block is either its finished text or a list of
-    columns of equal length. Columns that :func:`_plain_text` can write go
-    in one piece; any others go row by row through ``csv.writer``, where a
-    row whose first field starts with ``#`` (after spaces) has every field
-    quoted, so that it is not read back as a comment line."""
+    rows of ``columns`` (see :func:`_column`), one block of
+    :data:`_WRITE_BLOCK` rows at a time. In a block, each float column is
+    formatted by :func:`_float_cells` (``repr``, NaN blank) and every other
+    column is taken as its list of cells. Where there are two columns or
+    more and the text cells pass :func:`_plain_ids`, the block is one
+    :func:`_byte_rows` matrix; any other block goes row by row through
+    ``csv.writer``, where a row whose first field starts with ``#`` (after
+    spaces) has every field quoted, so that it is not read back as a
+    comment line."""
+    columns = list(map(_column, columns))
+    floats = [column.dtype == np.float64 for column in columns]
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError("table columns must have one length")
     for comment in comments:
         out.write(f"# {comment}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(header))
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for block in blocks:
-        text = block if isinstance(block, str) else _plain_text(block)
-        if text is not None:
-            out.write(text)
+    for s in range(0, n, _WRITE_BLOCK):
+        block = [column[s : s + _WRITE_BLOCK] for column in columns]
+        cells = [_float_cells(c) if f else c.tolist() for c, f in zip(block, floats)]
+        if len(cells) > 1 and all(f or _plain_ids(c) for c, f in zip(cells, floats)):
+            out.write(_byte_rows([c if f else _id_bytes(c) for c, f in zip(cells, floats)]))
         else:
-            for hashed, group in itertools.groupby(zip(*block), key=_starts_with_hash):
+            rows = zip(*(_cell_texts(c) if f else c for c, f in zip(cells, floats)))
+            for hashed, group in itertools.groupby(rows, key=_starts_with_hash):
                 (quoted if hashed else writer).writerows(group)
-        del block, text  # so that one block at a time is held
+        del block, cells  # so that one block at a time is held
 
 
-def _plain_text(columns: Sequence[Sequence]) -> str | None:
-    """The CSV text of the rows of ``columns``, built by one ``"".join``
-    over the cells interleaved with their separators; or None where
-    ``csv.writer`` would write it otherwise or quote a row: a cell that is
-    not a ``str`` or holds ``,``, ``"``, CR, LF or NUL, fewer than two
-    columns, or a first field that starts with ``#`` after spaces."""
-    k = len(columns)
-    if k < 2:
-        return None
-    first, n = columns[0], len(columns[0])
-    try:
-        if "#" in "".join(first) and any(cell.lstrip().startswith("#") for cell in first):
-            return None
-        flat = [","] * (2 * k * n)
-        flat[2 * k - 1 :: 2 * k] = itertools.repeat("\n", n)
-        for j, column in enumerate(columns):
-            flat[2 * j :: 2 * k] = column
-        text = "".join(flat)
-    except TypeError:  # a cell that is not a str
-        return None
-    if text.count(",") != (k - 1) * n or text.count("\n") != n:
-        return None
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    return text
-
-
-def _write_csv_file(
-    path: Path | str,
-    header: Sequence[str],
-    blocks: Iterable[str | Sequence[Sequence]],
-    comments: Sequence[str],
-) -> None:
-    """:func:`_write_csv` into the file at ``path``, block by block as
-    ``blocks`` yields them."""
-    with open(path, "w", encoding="utf-8") as out:
-        _write_csv(out, header, blocks, comments)
+def _column(values: Sequence) -> np.ndarray:
+    """A table column: ``values`` as a float64 array where ``np.asarray``
+    makes one (a list that mixes ints and floats too), else as an object
+    array of its cells, which keeps each ``str`` whole."""
+    column = np.asarray(values)
+    return column if column.dtype == np.float64 else np.asarray(values, dtype=object)
 
 
 def _starts_with_hash(row: Sequence) -> bool:
@@ -350,6 +330,12 @@ def _starts_with_hash(row: Sequence) -> bool:
 # Bytes of a formatted float cell: the longest ``repr`` of a double, such
 # as "-2.2250738585072014e-308", has 24 characters.
 _CELL = 24
+# Fewest values of a column that :func:`_float_cells` decides in numpy. Its
+# numpy steps cost about 0.2 ms a column before the first value, and ``repr``
+# about 0.65 us a value of 16 or 17 digits (2-core host, numpy 2.4.6): on
+# such values the two meet between 512 and 768 values, so a shorter column
+# is quicker in ``repr`` alone.
+_NUMPY_CELLS = 1024
 # 10**k for k <= 22 is an exact double, here also split in two halves of
 # 26 bits for Dekker's product.
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -476,25 +462,26 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     :func:`_shortest`, unless its ``log10`` is within 1e-9 of an integer
     (so that its count of integer digits is in doubt) or it is a power of
     two (whose gap below is half that above). ``repr`` writes any value not
-    decided there: ±0, ±inf and every value outside that range too."""
+    decided there: ±0, ±inf and every value outside that range too, and
+    every value of a column shorter than :data:`_NUMPY_CELLS`."""
     x = np.asarray(values, dtype=float)
     cells = np.zeros((len(x), _CELL), np.uint8)
-    a = np.abs(x)
-    mantissa, e = np.frexp(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.log10(a)
-        clear = np.abs(lg - np.rint(lg)) > 1e-9
-    rows = np.flatnonzero((a >= 1e-4) & (a < 1e15) & clear & (mantissa != 0.5))
-    point = np.floor(lg[rows]).astype(np.intp)  # decimal exponent of each value
-    k = 15 - point
-    d, decided = _shortest(a[rows], k, e[rows])
-    rows, point = rows[decided], point[decided]
-    if len(rows):
-        negative = (x[rows] < 0).astype(np.intp)
-        _fixed_cells(cells, rows, negative, d[decided], k[decided], np.maximum(point + 1, 0))
-    rest = np.ones(len(x), bool)
-    rest[rows] = False
-    rest &= ~np.isnan(x)
+    rest = ~np.isnan(x)
+    if len(x) >= _NUMPY_CELLS:
+        a = np.abs(x)
+        mantissa, e = np.frexp(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lg = np.log10(a)
+            clear = np.abs(lg - np.rint(lg)) > 1e-9
+        rows = np.flatnonzero((a >= 1e-4) & (a < 1e15) & clear & (mantissa != 0.5))
+        point = np.floor(lg[rows]).astype(np.intp)  # decimal exponent of each value
+        k = 15 - point
+        d, decided = _shortest(a[rows], k, e[rows])
+        rows, point = rows[decided], point[decided]
+        if len(rows):
+            negative = (x[rows] < 0).astype(np.intp)
+            _fixed_cells(cells, rows, negative, d[decided], k[decided], np.maximum(point + 1, 0))
+        rest[rows] = False
     texts = list(map(str.encode, map(repr, x[rest].tolist())))
     if texts:
         cells[rest] = np.array(texts, f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
@@ -507,10 +494,11 @@ def _cell_texts(cells: np.ndarray) -> list[str]:
 
 
 def _plain_ids(ids: list) -> bool:
-    """Whether :func:`_plain_text` would write a block whose first column
-    is ``ids`` and whose other cells are float texts (which hold none of
-    the characters it tests): every id a ``str`` without ``,``, ``"``, CR,
-    LF or NUL, and none that starts with ``#`` after spaces."""
+    """Whether ``csv.writer`` writes the cells of ``ids`` as they are in
+    rows of two fields or more, none of them quoted, where the other cells
+    are float texts (which hold none of the characters tested here): every
+    cell a ``str`` without ``,``, ``"``, CR, LF or NUL, and none that starts
+    with ``#`` after spaces, which would quote its row if it led it."""
     try:
         text = "".join(ids)
     except TypeError:  # an id that is not a str
@@ -544,25 +532,14 @@ def _id_bytes(ids: list[str]) -> np.ndarray:
     return encoded.view(np.uint8).reshape(len(ids), -1)
 
 
-def _line_list_blocks(records: LineTable) -> Iterator[str | list[list]]:
-    """The text of a table's rows, or where :func:`_plain_ids` refuses the
-    ids, their columns of cell texts, one block of :data:`_WRITE_BLOCK`
-    rows at a time."""
-    from .spectral import _LINE_COLUMNS
-
-    for s in range(0, len(records), _WRITE_BLOCK):
-        ids = records.ids[s : s + _WRITE_BLOCK].tolist()
-        cells = [_float_cells(getattr(records, n)[s : s + _WRITE_BLOCK]) for n in _LINE_COLUMNS]
-        if _plain_ids(ids):
-            yield _byte_rows([_id_bytes(ids), *cells])
-        else:
-            yield [ids, *map(_cell_texts, cells)]
+def _line_columns(records: LineTable) -> list[np.ndarray]:
+    return [records.ids, records.a1_ghz, records.a2_ghz, records.fwhm_a1_mhz, records.fwhm_a2_mhz]
 
 
 def serialize_line_list(records: LineTable, comments: Sequence[str] = ()) -> str:
     """Line-list CSV text of a table, one row per emitter; NaN widths are blank."""
     out = io.StringIO()
-    _write_csv(out, LINE_LIST_HEADER, _line_list_blocks(records), comments)
+    _write_csv(out, LINE_LIST_HEADER, _line_columns(records), comments)
     return out.getvalue()
 
 
@@ -573,7 +550,8 @@ def read_line_list(path: Path | str) -> LineTable:
 def write_line_list(path: Path | str, records: LineTable, comments: Sequence[str] = ()) -> None:
     """Write the text of :func:`serialize_line_list` to ``path``, one block
     of rows at a time."""
-    _write_csv_file(path, LINE_LIST_HEADER, _line_list_blocks(records), comments)
+    with open(path, "w", encoding="utf-8") as out:
+        _write_csv(out, LINE_LIST_HEADER, _line_columns(records), comments)
 
 
 SPECTRUM_HEADER = ["frequency_ghz", "counts"]
@@ -582,12 +560,8 @@ SPECTRUM_HEADER = ["frequency_ghz", "counts"]
 def write_spectrum(path: Path | str, spectrum: PleSpectrum, comments: Sequence[str] = ()) -> None:
     """Two-column spectrum CSV plus a .meta.json sidecar with the dwell time."""
     path = Path(path)
-    columns = spectrum.frequencies_ghz, spectrum.counts
-    blocks = (
-        _byte_rows([_float_cells(x[s : s + _WRITE_BLOCK]) for x in columns])
-        for s in range(0, len(columns[0]), _WRITE_BLOCK)
-    )
-    _write_csv_file(path, SPECTRUM_HEADER, blocks, comments)
+    with open(path, "w", encoding="utf-8") as out:
+        _write_csv(out, SPECTRUM_HEADER, [spectrum.frequencies_ghz, spectrum.counts], comments)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(
         json.dumps({"dwell_time_s": spectrum.dwell_time_s}, sort_keys=True) + "\n",
@@ -625,10 +599,12 @@ def read_spectrum(path: Path | str) -> PleSpectrum:
 
 
 def write_table(
-    path: Path | str, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()
+    path: Path | str,
+    header: Sequence[str],
+    columns: Iterable[Sequence],
+    comments: Sequence[str] = (),
 ) -> None:
-    """Generic plot-ready CSV table with leading comment lines; the rows
-    have one length."""
-    rows = ([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
-    blocks = iter(lambda: list(zip(*itertools.islice(rows, _WRITE_BLOCK), strict=True)), [])
-    _write_csv_file(path, header, blocks, comments)
+    """Plot-ready CSV table of ``columns``, of one length, under leading
+    comment lines: :func:`_write_csv` into the file at ``path``."""
+    with open(path, "w", encoding="utf-8") as out:
+        _write_csv(out, header, columns, comments)

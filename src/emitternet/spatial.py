@@ -27,8 +27,10 @@ CHAIN_BLOCK_BYTES = 1 << 20
 
 def _check_point_count(what: str, count: float) -> None:
     if count > MAX_SPATIAL_POINTS:
+        # an int beyond the double range has no float for ".4g"
+        size = f"{count:.4g}" if count < 1e300 else f"over {1e300:.0e}"
         raise DomainError(
-            f"{what} {count:.4g} exceeds the spatial draw limit of {MAX_SPATIAL_POINTS:.0e}"
+            f"{what} {size} exceeds the spatial draw limit of {MAX_SPATIAL_POINTS:.0e}"
         )
 
 

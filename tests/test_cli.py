@@ -668,6 +668,12 @@ class TestRefusedRunWritesNothing:
             ["spatial", "--lateral-fwhm-um", "0.5", "--export-scene"],
             {"spatial": {"box_um": [20.0, 10**400, 10.0]}}, None, "ConfigError",
         ),
+        "spatial-trials-beyond-double": (
+            [["spatial", "--lateral-fwhm-um", "0.5", "--export-scene"]],
+            # the refusal's message formatted the count as a float, an OverflowError
+            ["spatial", "--lateral-fwhm-um", "0.5", "--export-scene", "--trials", str(10**400)],
+            None, None, "DomainError",
+        ),
         "fit-ple-peaks-beyond-int64": (
             [["fit-ple", "--synthetic"]],
             ["fit-ple", "--synthetic"],
@@ -996,6 +1002,26 @@ def test_each_command_loads_only_its_own_layers(tmp_path):
             assert "numpy.ma" not in loaded, argv
     assert any(argv[0] == "birthday" and "--mc" in argv for argv in commands)
     assert (tmp_path / "runs" / "demo" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["protocol", "--n", "4"], ["spatial", "--lateral-fwhm-um", "0.5"]]
+)
+def test_a_run_that_writes_no_table_loads_no_lineio(tmp_path, argv):
+    # each writer is imported only where the command makes its file
+    script = (
+        "import sys\n"
+        "from emitternet._front import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(' '.join(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path)],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, check=True,
+    )
+    assert "emitternet.lineio" not in run.stdout.split()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,18 @@
-"""The numpy float formatter of ``lineio`` and the line-list writer built on it.
+"""The numpy float formatter of ``lineio`` and the table writer built on it.
 
 ``_float_cells`` must give ``repr`` byte for byte, and the writer must give
-the text of the former writer, which formatted each float with ``repr``
-and joined Python strings. That writer is kept below verbatim as the
-oracle, apart from its imports and its block size, which is a parameter.
+the text of the former writers, which formatted each float with ``repr``
+and joined Python strings. The former line-list writer and the former
+``write_table`` are kept below verbatim as the oracles, apart from their
+imports, the name of ``write_table`` and their block size, which is a
+parameter.
 """
 import csv
 import io
 import itertools
 import math
 import struct
+from pathlib import Path
 from typing import Iterator, Sequence, TextIO, Iterable
 from unittest.mock import patch
 
@@ -20,7 +23,15 @@ from hypothesis import strategies as st
 
 import emitternet.lineio
 from emitternet import EnsembleModel, LineTable, sample_ensemble, serialize_line_list
-from emitternet.lineio import LINE_LIST_HEADER, _cell_texts, _float_cells, write_spectrum
+from emitternet.lineio import (
+    LINE_LIST_HEADER,
+    _NUMPY_CELLS,
+    _cell_texts,
+    _float_cells,
+    write_spectrum,
+    write_table,
+)
+from emitternet.overlap import birthday_threshold, histogram, overlap_curve
 from emitternet.ple import PleSpectrum
 from emitternet.spectral import _LINE_COLUMNS
 
@@ -110,6 +121,28 @@ def _former_line_list(records: LineTable, comments: Sequence[str] = ()) -> str:
     return out.getvalue()
 
 
+def _write_csv_file(
+    path: Path | str,
+    header: Sequence[str],
+    blocks: Iterable[str | Sequence[Sequence]],
+    comments: Sequence[str],
+) -> None:
+    """:func:`_write_csv` into the file at ``path``, block by block as
+    ``blocks`` yields them."""
+    with open(path, "w", encoding="utf-8") as out:
+        _write_csv(out, header, blocks, comments)
+
+
+def _former_write_table(
+    path: Path | str, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()
+) -> None:
+    """Generic plot-ready CSV table with leading comment lines; the rows
+    have one length."""
+    rows = ([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    blocks = iter(lambda: list(zip(*itertools.islice(rows, _WRITE_BLOCK), strict=True)), [])
+    _write_csv_file(path, header, blocks, comments)
+
+
 # --- the formatter ------------------------------------------------------
 
 
@@ -118,8 +151,11 @@ def _repr_texts(values) -> list[str]:
 
 
 def _assert_cells_are_repr(values) -> None:
+    """The cells of ``values`` equal ``repr``, each decided in numpy where it
+    can be, however short the column."""
     x = np.asarray(values, dtype=float)
-    cells = _float_cells(x)
+    with patch.object(emitternet.lineio, "_NUMPY_CELLS", 0):
+        cells = _float_cells(x)
     assert cells.shape == (len(x), 24) and cells.dtype == np.uint8
     got, want = _cell_texts(cells), _repr_texts(x)
     wrong = [(v.hex(), g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
@@ -199,6 +235,23 @@ class TestFloatCells:
 
     def test_empty_column(self):
         assert _float_cells(np.array([])).shape == (0, 24)
+
+    @pytest.mark.parametrize("kind", ["long-digits", "counts"])
+    def test_both_sides_of_the_threshold(self, kind):
+        rng = np.random.default_rng(11)
+        for n in (1, 10, _NUMPY_CELLS - 1, _NUMPY_CELLS, _NUMPY_CELLS + 1, 3 * _NUMPY_CELLS):
+            x = rng.uniform(-3.0, 3.0, n) if kind == "long-digits" else rng.poisson(50.0, n) * 1.0
+            got = _cell_texts(_float_cells(x))
+            assert got == [repr(v) for v in x.tolist()], n
+
+    def test_a_short_column_is_left_to_repr(self):
+        # below the threshold no value reaches the numpy steps
+        x = np.random.default_rng(12).uniform(-3.0, 3.0, _NUMPY_CELLS - 1)
+        with patch.object(emitternet.lineio, "_shortest", side_effect=AssertionError):
+            got = _cell_texts(_float_cells(x))
+            with pytest.raises(AssertionError):
+                _float_cells(np.append(x, 1.5))
+        assert got == [repr(v) for v in x.tolist()]
 
 
 # --- the writer ---------------------------------------------------------
@@ -283,6 +336,113 @@ class TestWriterEqualsFormerWriter:
         with patch.object(emitternet.lineio, "_WRITE_BLOCK", block):
             text = serialize_line_list(table)
         assert text == _former_line_list(table)
+
+
+def _assert_table_is_former(tmp_path, header, columns, rows, block=None) -> str:
+    """``write_table`` of ``columns`` writes the bytes that the former
+    ``write_table`` wrote of ``rows``; returns that text."""
+    comments = ["emitternet 0.1.0", "config_hash=x"]
+    _former_write_table(tmp_path / "former.csv", header, rows, comments)
+    with patch.object(emitternet.lineio, "_WRITE_BLOCK", block or emitternet.lineio._WRITE_BLOCK):
+        write_table(tmp_path / "table.csv", header, columns, comments)
+    want = (tmp_path / "former.csv").read_bytes()
+    assert (tmp_path / "table.csv").read_bytes() == want
+    return want.decode("utf-8")
+
+
+class TestTableEqualsFormerTable:
+    def test_histogram(self, tmp_path):
+        # float, float, int: the int column sends each block through csv.writer
+        table = sample_ensemble(EnsembleModel(), 3000, 2)
+        hist = histogram(table.zfs_ghz, 0.001)
+        assert len(hist.counts) > 100
+        edges = hist.bin_edges
+        columns = [edges[:-1], edges[1:], hist.counts]
+        rows = zip(edges, edges[1:], hist.counts)
+        _assert_table_is_former(tmp_path, ["bin_low", "bin_high", "count"], columns, rows)
+
+    def test_int_and_float_curve(self, tmp_path):
+        curve = birthday_threshold(1e-6, 0.99).curve
+        assert len(curve) > 2 * _NUMPY_CELLS
+        header = ["n_emitters", "collision_probability"]
+        _assert_table_is_former(tmp_path, header, list(zip(*curve)), curve)
+
+    def test_float_curve(self, tmp_path):
+        table = sample_ensemble(EnsembleModel(), 200, 3)
+        curve = overlap_curve(table, [10.0, 29.0, 60.0], bootstrap_resamples=100, seed=1)
+        columns = [curve.windows_mhz, curve.probabilities, curve.std_errors]
+        header = ["window_mhz", "probability", "std_error"]
+        _assert_table_is_former(tmp_path, header, columns, zip(*columns))
+
+    def test_scene(self, tmp_path):
+        positions = np.random.default_rng(4).uniform(0.0, 1.0, (1720, 3)) * [20.0, 20.0, 10.0]
+        header = ["x_um", "y_um", "z_um"]
+        _assert_table_is_former(tmp_path, header, positions.T, positions.tolist())
+
+    def test_blocks_across_the_threshold(self, tmp_path):
+        # blocks of 1500, 1500 and 1000 rows: the last one is below the threshold
+        rng = np.random.default_rng(5)
+        n = 4000
+        long_digits = rng.uniform(-1e3, 1e3, n)
+        counts = rng.poisson(20.0, n) * 1.0
+        steps = np.arange(n) * 0.025 - 7.0
+        ints = rng.integers(-(2**40), 2**40, n)
+        columns = [long_digits, counts, steps, ints]
+        rows = zip(*(c.tolist() for c in columns))
+        assert 1000 < _NUMPY_CELLS < 1500
+        text = _assert_table_is_former(tmp_path, ["a", "b", "c", "d"], columns, rows, 1500)
+        assert text.count("\n") == n + 3
+        _assert_table_is_former(tmp_path, ["a", "b", "c"], columns[:3], zip(*columns[:3]), 1500)
+
+    def test_empty_table(self, tmp_path):
+        # no rows, as a sweep over an empty list of etas gives: the columns
+        # are built per header key, since zip(*rows) would give none
+        header = ["eta", "fidelity_published", "fidelity_enumeration", "discrepancy"]
+        columns = [[] for _ in header]
+        text = _assert_table_is_former(tmp_path, header, columns, [])
+        assert text.endswith("\n" + ",".join(header) + "\n")
+
+    def test_text_columns(self, tmp_path):
+        # text cells that csv.writer quotes, rows it quotes whole, and a
+        # trailing NUL, which a numpy str array would drop
+        names = ["a", "#b", " #c", "d,e", 'f"g', "h\ni", "", "é", "x#", "j\0"] * 300
+        values = np.random.default_rng(6).uniform(0.0, 1.0, len(names))
+        rows = list(zip(names, values.tolist(), names[::-1]))
+        columns = [names, values, names[::-1]]
+        _assert_table_is_former(tmp_path, ["name", "value", "other"], columns, rows, 1024)
+        plain = [f"e{i}" for i in range(len(names))]
+        columns = [plain, values, plain]
+        _assert_table_is_former(tmp_path, ["name", "value", "other"], columns, zip(*columns), 1024)
+
+    def test_one_column(self, tmp_path):
+        # csv.writer quotes an empty field that is a row's only one
+        names = ["a", "", "b"]
+        _assert_table_is_former(tmp_path, ["name"], [names], zip(names))
+        values = np.random.default_rng(7).uniform(0.0, 1.0, 2 * _NUMPY_CELLS)
+        _assert_table_is_former(tmp_path, ["value"], [values], zip(values.tolist()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(st.sampled_from('ab#, "é\r\n'), max_size=3),
+                st.floats(allow_nan=False),
+                st.integers(-(2**70), 2**70),
+            ),
+            max_size=12,
+        ),
+        st.integers(1, 5),
+        st.sampled_from([0, 4, _NUMPY_CELLS]),
+    )
+    def test_generated_tables(self, tmp_path_factory, rows, block, threshold):
+        tmp_path = tmp_path_factory.mktemp("table")
+        columns = [[row[j] for row in rows] for j in range(3)]
+        with patch.object(emitternet.lineio, "_NUMPY_CELLS", threshold):
+            _assert_table_is_former(tmp_path, ["t", "x", "n"], columns, rows, block)
+
+    def test_columns_of_two_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "table.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
 def test_spectrum_is_written_as_repr(tmp_path):
