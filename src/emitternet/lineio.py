@@ -20,10 +20,9 @@ padding dropped by one compress; any other block goes row by row through
 The parsers split the text into lines a piece of :data:`_SPLIT_CHARS` at
 a time, each piece ending just after a line feed, so the rows keep the
 numbers of ``text.splitlines()`` without that whole list being held.
-Below the header, :func:`parse_line_list` takes :data:`_READ_BLOCK` lines
-at a time in bulk while a block holds only plain data rows that pass
-every check; from the first block that does not, it reads row by row,
-and that loop alone decides every error.
+:func:`parse_line_list` reads a file whose data rows are all plain and
+valid in one bulk pass, a piece's rows at once; it reads any other file in
+one pass row by row, which alone decides every error.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ import itertools
 import json
 import math
 from array import array
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
@@ -51,42 +49,33 @@ _WIDTH_COLUMNS = LINE_LIST_HEADER[3:]
 # Rows formatted at a time when writing, which bounds the memory the cell
 # texts take.
 _WRITE_BLOCK = 8192
-# Characters of text split into lines at a time, and data lines a parser
-# checks and takes in bulk at a time: together they bound the memory that
-# the line texts take.
+# Characters of text split into lines at a time: it bounds the line texts held.
 _SPLIT_CHARS = 1 << 20
-_READ_BLOCK = 8192
 
 
-def _numbered_lines(text: str) -> Iterator[tuple[str, int]]:
-    """Each line of ``text.splitlines()`` with its 1-based file row. The
-    text is split a piece at a time, and each piece ends just after a line
-    feed, so no CR LF pair is cut in two and every other line break of
-    ``str.splitlines`` is kept."""
-
-    def pieces() -> Iterator[list[str]]:
-        start = 0
-        while start < len(text):
-            end = text.find("\n", start + _SPLIT_CHARS) + 1 or len(text)
-            yield text[start:end].splitlines()
-            start = end
-
-    rows = itertools.count(1)
-    return itertools.chain.from_iterable(zip(lines, rows) for lines in pieces())
+def _pieces(text: str) -> Iterator[list[str]]:
+    """The lines of ``text.splitlines()``, one list a piece of the text. A
+    piece ends just after the first line feed from :data:`_SPLIT_CHARS`
+    characters on, so no CR LF pair is cut in two and every other line
+    break of ``str.splitlines`` is kept."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SPLIT_CHARS) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
 
 
-def _csv_rows(numbered: Iterator[tuple[str, int]]) -> Iterator[tuple[int, list[str]]]:
-    """1-based file row and CSV fields of each line of ``numbered`` that is
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """1-based file row and CSV fields of each line of ``text`` that is
     neither blank nor a ``#`` comment. One lazy ``csv.reader`` reads them
     all, so a quoted field left open at the end of a line, which would run
     on into the next, is refused, naming the row's first line; so is a row
     the reader refuses, such as one with a field above
-    ``csv.field_size_limit()``. The reader takes no line beyond the row it
-    yields, so after each row ``numbered`` stands at the next line."""
+    ``csv.field_size_limit()``."""
     taken: list[int] = []  # file rows of the lines read for the current row
 
     def lines() -> Iterator[str]:
-        for line, row in numbered:
+        for row, line in enumerate(itertools.chain.from_iterable(_pieces(text)), 1):
             if line.lstrip()[:1] not in ("", "#"):
                 taken.append(row)
                 yield line
@@ -109,14 +98,11 @@ def _drain(rows: Iterator) -> None:
         pass
 
 
-def _data_rows(
-    numbered: Iterator[tuple[str, int]], header: list[str]
-) -> Iterator[tuple[int, list[str]]]:
-    """Check that the first row of ``numbered`` is ``header`` and return
-    the rows below it, with ``numbered`` standing just after the header
-    line. A caller that raises while reading them calls :func:`_drain`
-    first."""
-    rows = _csv_rows(numbered)
+def _data_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Check that the first row of ``text`` is ``header`` and return the
+    rows below it. A caller that raises while reading them calls
+    :func:`_drain` first."""
+    rows = _csv_rows(text)
     row, fields = next(rows, (None, None))
     if fields is None:
         raise LineListError("file contains no header row")
@@ -153,31 +139,32 @@ def parse_line_list(data: bytes | str) -> LineTable:
 
     The header row must be exactly ``emitter_id,f_a1_ghz,f_a2_ghz,
     fwhm_a1_mhz,fwhm_a2_mhz``; a data row has 3 or 5 fields, and a blank
-    width is NaN. One pass reads the rows in order and raises the first
-    failing check (with its 1-based file row, comment and header lines
-    counted). A row's checks go: field count, id (non-empty, unique), each
-    position (a finite number), f_a2_ghz > f_a1_ghz, each width (a finite
-    number or blank). Only a file passing all of these is checked for
-    widths that are not positive. The values go straight into float
-    columns, so the field strings of one block of lines at a time are held.
+    width is NaN. The rows are read in order and the first failing check is
+    raised (with its 1-based file row, comment and header lines counted). A
+    row's checks go: field count, id (non-empty, unique), each position (a
+    finite number), f_a2_ghz > f_a1_ghz, each width (a finite number or
+    blank). Only a file passing all of these is checked for widths that are
+    not positive.
 
-    Below the header, each block of :data:`_READ_BLOCK` lines is taken in
-    bulk by :func:`_take_block` while it can be; from the first block that
-    cannot, the rows are read one at a time, which alone raises errors.
+    The bulk pass (:func:`_bulk_pass`) reads a file whose data rows are all
+    plain and valid. Any other file is read from its start by the row pass
+    (:func:`_row_pass`), which alone raises errors.
     """
-    from .spectral import _LINE_COLUMNS, LineTable
-
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    table = _bulk_pass(data)
+    return _row_pass(data) if table is None else table
+
+
+def _row_pass(text: str) -> LineTable:
+    """The table of ``text``, read row by row into float columns, or the
+    first error of :func:`parse_line_list`."""
+    from .spectral import LineTable
+
     first_seen: dict[str, int] = {}  # emitter id -> file row, in file order
-    a1, a2, w1, w2 = columns = [array("d") for _ in _LINE_COLUMNS]
+    a1, a2, w1, w2 = columns = [array("d") for _ in range(4)]
     nonpositive = None  # (row, column, cell) of the first width not above 0
-    numbered = _numbered_lines(data)
-    rows = _data_rows(numbered, LINE_LIST_HEADER)
-    for block in iter(lambda: list(itertools.islice(numbered, _READ_BLOCK)), []):
-        if not _take_block(block, first_seen, columns):
-            rows = _csv_rows(itertools.chain(block, numbered))
-            break
+    rows = _data_rows(text, LINE_LIST_HEADER)
     try:
         for row, fields in rows:
             if len(fields) not in (3, 5):
@@ -221,48 +208,52 @@ def parse_line_list(data: bytes | str) -> LineTable:
     return LineTable(np.fromiter(first_seen, dtype=object, count=len(first_seen)), *columns)
 
 
-def _take_block(
-    block: list[tuple[str, int]], first_seen: dict[str, int], columns: list[array]
-) -> bool:
-    """Add the ``(line, row)`` pairs of ``block`` to ``first_seen`` and
-    ``columns`` in bulk, as the row-by-row loop of :func:`parse_line_list`
-    would, and return True; or change nothing and return False. A block is
-    taken only if every line is a data row that ``csv.reader`` splits at
-    each comma and that passes every check, a positive width included: no
-    ``"``, ``#`` or NUL, no line longer than ``csv.field_size_limit()``,
-    5 fields on every line or 3 on every line, ids non-empty after strip
-    and new, and numbers that ``float`` parses, finite, with f_a2_ghz >
-    f_a1_ghz and each width blank or above 0."""
-    lines = list(map(itemgetter(0), block))
-    text = ",".join(lines)
-    if '"' in text or "#" in text or "\0" in text:
-        return False
-    if max(map(len, lines)) > csv.field_size_limit():
-        return False
-    commas = set(map(str.count, lines, itertools.repeat(",")))
-    if commas != {4} and commas != {2}:
-        return False
-    k, n = commas.pop() + 1, len(lines)
-    cells = text.split(",")
-    ids = list(map(str.strip, cells[0::k]))
-    new = dict(zip(ids, range(block[0][1], block[0][1] + n)))
-    if not all(ids) or len(new) < n or not new.keys().isdisjoint(first_seen.keys()):
-        return False
-    try:
-        x1, x2 = (np.fromiter(map(float, cells[j::k]), float, n) for j in (1, 2))
-    except ValueError:
-        return False
-    widths = [_width_column(cells[j::k]) for j in range(3, k)]
-    if not (np.isfinite([x1, x2]).all() and (x2 > x1).all()) or any(w is None for w in widths):
-        return False
-    first_seen.update(new)
-    for column, x in zip(columns, (x1, x2, *(widths or [np.full(n, np.nan)] * 2))):
-        column.frombytes(x.tobytes())
-    return True
+def _bulk_pass(text: str) -> LineTable | None:
+    """The table of ``text`` as :func:`_row_pass` reads it, a piece of lines
+    at a time, where every line but blank and ``#`` comment lines is the
+    header or a plain data row that passes every check; else None. A plain
+    row is one that ``csv.reader`` splits at each comma (no ``"`` or NUL, no
+    line above ``csv.field_size_limit()``), with 5 fields in every row or 3
+    in every row. It raises nothing, so it holds no row numbers."""
+    from .spectral import LineTable
+
+    limit = csv.field_size_limit()
+    header, commas = None, set()  # commas: the counts of the data rows
+    ids: list[str] = []
+    columns = [array("d") for _ in range(4)]
+    for lines in _pieces(text):
+        lines = [line for line in lines if line.lstrip()[:1] not in ("", "#")]
+        if max(map(len, lines), default=0) > limit:
+            return None
+        if header is None and lines:
+            header = lines.pop(0)
+            if [h.strip() for h in header.split(",")] != LINE_LIST_HEADER:
+                return None
+        if not lines:
+            continue
+        commas.update(map(str.count, lines, itertools.repeat(",")))
+        joined = ",".join(lines)
+        if commas not in ({4}, {2}) or '"' in joined or "\0" in joined:
+            return None
+        k, n, cells = min(commas) + 1, len(lines), joined.split(",")
+        ids += map(str.strip, cells[0::k])
+        try:
+            x1, x2 = (np.fromiter(map(float, cells[j::k]), float, n) for j in (1, 2))
+        except ValueError:
+            return None
+        widths = [_width_column(cells[j::k]) for j in range(3, k)]
+        if not (np.isfinite([x1, x2]).all() and (x2 > x1).all()) or any(w is None for w in widths):
+            return None
+        for column, x in zip(columns, (x1, x2, *(widths or [np.full(n, np.nan)] * 2))):
+            column.frombytes(x.tobytes())
+    unique = set(ids)
+    if header is None or "" in unique or len(unique) < len(ids):
+        return None
+    return LineTable(ids, *columns)
 
 
 def _width_column(cells: list[str]) -> np.ndarray | None:
-    """A block's cells of one width column as :func:`_number` reads them,
+    """A piece's cells of one width column as :func:`_number` reads them,
     NaN for a blank cell (empty after strip); None unless every other cell
     is a finite number above 0."""
     given = slice(None)
@@ -316,11 +307,15 @@ def _write_csv(
 
 
 def _column(values: Sequence) -> np.ndarray:
-    """A table column: ``values`` as a float64 array where ``np.asarray``
-    makes one (a list that mixes ints and floats too), else as an object
-    array of its cells, which keeps each ``str`` whole."""
-    column = np.asarray(values)
-    return column if column.dtype == np.float64 else np.asarray(values, dtype=object)
+    """A table column: a float64 array where ``values`` is one or holds
+    floats only, else an object array of its cells, which keeps each
+    ``str`` whole and each int at any size (``np.asarray([0, 2**63])`` is
+    float64)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values
+    if all(map(isinstance, values, itertools.repeat(float))):
+        return np.asarray(values, dtype=float)
+    return np.asarray(values, dtype=object)
 
 
 def _starts_with_hash(row: Sequence) -> bool:
@@ -576,7 +571,7 @@ def read_spectrum(path: Path | str) -> PleSpectrum:
 
     path = Path(path)
     freqs, counts = array("d"), array("d")
-    rows = _data_rows(_numbered_lines(path.read_text(encoding="utf-8")), SPECTRUM_HEADER)
+    rows = _data_rows(path.read_text(encoding="utf-8"), SPECTRUM_HEADER)
     try:
         for row, fields in rows:
             if len(fields) != 2:

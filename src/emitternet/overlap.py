@@ -105,18 +105,20 @@ def _close_pairs(
                 f"overlap search needs {total} candidate line pairs, above the limit of "
                 f"{MAX_CANDIDATE_PAIRS}; use fewer emitters or narrower windows"
             )
-    # p: the flat positions whose line is within the window of the line d places on
-    gap = np.diff(xs, axis=1)
-    p = np.flatnonzero(np.multiply(gap, 1e3, out=gap) < window_mhz)
-    p += p // (2 * n)  # from the (rows, 2n) gaps to the flat (rows, 2n + 1) lines
-    xs, owner = xs.ravel(), (order % n + n * np.arange(rows)[:, None]).ravel()
-    keys, d = [], 1
-    while p.size:
-        u, v = owner[p], owner[p + d]
-        keys.append(np.minimum(u, v) * (rows * n) + np.maximum(u, v))
-        d += 1
-        gap = xs[p + d] - xs[p]
-        p = p[np.multiply(gap, 1e3, out=gap) < window_mhz]
+    # p: the flat positions whose line is within the window of the line d places on;
+    # a gap beyond the range of a double is inf, which no window reaches
+    with np.errstate(over="ignore"):
+        gap = np.diff(xs, axis=1)
+        p = np.flatnonzero(np.multiply(gap, 1e3, out=gap) < window_mhz)
+        p += p // (2 * n)  # from the (rows, 2n) gaps to the flat (rows, 2n + 1) lines
+        xs, owner = xs.ravel(), (order % n + n * np.arange(rows)[:, None]).ravel()
+        keys, d = [], 1
+        while p.size:
+            u, v = owner[p], owner[p + d]
+            keys.append(np.minimum(u, v) * (rows * n) + np.maximum(u, v))
+            d += 1
+            gap = xs[p + d] - xs[p]
+            p = p[np.multiply(gap, 1e3, out=gap) < window_mhz]
     keys = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
     # One emitter pair can be met through up to four line pairs. Sort and
     # drop repeats; np.unique does the same but far slower on numpy 2.x.
@@ -591,9 +593,15 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
         lo, hi = np.floor((np.array([vals.min(), vals.max()]) - origin) / bin_width)
         span = hi - lo
     if not span < MAX_HISTOGRAM_BINS:
+        # a span beyond the range of a double is inf, or nan (inf - inf)
+        need = (
+            f"needs about {span + 1:.4g} bins of width {bin_width}"
+            if math.isfinite(span)
+            else f"span in bins of width {bin_width} is beyond the range of a double"
+        )
         raise DomainError(
-            f"histogram needs about {span + 1:.4g} bins of width {bin_width}, above the limit "
-            f"of {MAX_HISTOGRAM_BINS}; use a wider bin or a narrower ensemble"
+            f"histogram {need}, above the limit of {MAX_HISTOGRAM_BINS}; "
+            "use a wider bin or a narrower ensemble"
         )
     if not (-(2.0**53) < lo and hi < 2.0**53):
         raise DomainError(

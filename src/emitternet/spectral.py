@@ -369,13 +369,15 @@ def separation_mhz(
     ``x`` and ``y`` are ``(a1, a2)`` pairs of GHz arrays that broadcast
     together. Every pair statistic compares this, strictly, with its
     window: two emitters overlap when ``separation_mhz(...) < window_mhz``.
+    A gap beyond the range of a double is inf, which no window reaches.
     """
     sep = None
-    for ci, cj in (c.value for c in combos):
-        d = np.subtract(x[ci], y[cj])
-        np.abs(d, out=d)
-        sep = d if sep is None else np.minimum(sep, d, out=sep)
-    return np.multiply(sep, 1e3, out=sep)
+    with np.errstate(over="ignore"):
+        for ci, cj in (c.value for c in combos):
+            d = np.subtract(x[ci], y[cj])
+            np.abs(d, out=d)
+            sep = d if sep is None else np.minimum(sep, d, out=sep)
+        return np.multiply(sep, 1e3, out=sep)
 
 
 def min_pair_separation(

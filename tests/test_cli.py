@@ -229,6 +229,36 @@ class TestOverlapCommand:
         assert err["type"] == "LineListError"
         assert "x" in err["error"]
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["overlap", "--input", "two.csv"], None),
+            (["overlap"], {"ensemble": {"zfs_mean_ghz": 1e307, "zfs_sigma_ghz": 0}}),
+            (
+                ["birthday", "--q", "0.01", "--mc", "--trials", "1000"],
+                {"ensemble": {"center": {"kind": "normal", "sigma_ghz": 1e307}}},
+            ),
+            (
+                ["spatial", "--lateral-fwhm-um", "0.5", "--chain-k", "3", "--trials", "10000"],
+                {"ensemble": {"center": {"kind": "normal", "sigma_ghz": 1e307}}},
+            ),
+        ],
+        ids=["input-list", "zfs", "birthday-mc", "spatial-chain"],
+    )
+    def test_gaps_beyond_double_exit_0(self, tmp_path, argv, config):
+        # a gap that overflows when scaled to MHz is inf; under pytest's
+        # error::RuntimeWarning filter its overflow warning ended the run
+        header = "emitter_id,f_a1_ghz,f_a2_ghz,fwhm_a1_mhz,fwhm_a2_mhz"
+        (tmp_path / "two.csv").write_text(f"{header}\ne1,-1e308,1e308,,\ne2,0,1e-300,,\n")
+        argv = [tmp_path / a if a == "two.csv" else a for a in argv]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", tmp_path / "cfg.json"]
+        assert main([*map(str, argv), "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+        if argv[0] == "overlap" and config is None:
+            results = _read_summary(tmp_path / "out", "overlap")["results"]
+            assert set(results["probabilities"]) == {0}
+
     def test_bootstrap_beyond_limit_exit_2(self, tmp_path, capsys):
         # 10 default windows x 1e9 resamples: a 74.5 GiB value array
         code = main(["overlap", "--n", "50", "--bootstrap", "1000000000", "--out", str(tmp_path)])

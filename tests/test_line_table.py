@@ -275,23 +275,26 @@ def test_writer_matches_csv_writer(table, block):
     assert text == _csv_writer_text(table, comments=["config_hash=x"])
 
 
-def _padded_line_list(n: int, quoted_first: bool) -> str:
-    """n rows of about 1000 characters each, padded with spaces before a width."""
+def _padded_line_list(n: int, quoted: int | None) -> str:
+    """n rows of about 1000 characters each, padded with spaces before a
+    width; the id of row ``quoted`` (an index) quoted."""
     pad = " " * 950
     rows = [f"e{i},{i}.0,{i}.5,{pad}300,300" for i in range(n)]
-    if quoted_first:
-        rows[0] = '"e0"' + rows[0][2:]
+    if quoted is not None:
+        name = rows[quoted].split(",")[0]
+        rows[quoted] = f'"{name}"' + rows[quoted][len(name) :]
     return "\n".join(["# c", HEADER, *rows]) + "\n"
 
 
-@pytest.mark.parametrize("quoted_first", [False, True], ids=["bulk", "row-by-row"])
-def test_parse_holds_one_piece_of_lines(monkeypatch, quoted_first):
+@pytest.mark.parametrize(
+    "quoted", [None, 0, -1], ids=["bulk", "row-by-row", "row-by-row-after-bulk"]
+)
+def test_parse_holds_one_piece_of_lines(monkeypatch, quoted):
     # the whole splitlines() list of these 5 MB of text takes 5 MB; a piece of
-    # 16k characters and a block of 64 lines take about 0.2 MB, beside the
-    # parsed ids and values, about 0.5 MB for 5000 rows
+    # 16k characters takes about 0.2 MB, beside the parsed ids and values,
+    # about 0.5 MB for 5000 rows, which the bulk pass drops when it refuses
     monkeypatch.setattr(emitternet.lineio, "_SPLIT_CHARS", 1 << 14)
-    monkeypatch.setattr(emitternet.lineio, "_READ_BLOCK", 64)
-    text = _padded_line_list(5000, quoted_first)
+    text = _padded_line_list(5000, quoted)
     tracemalloc.start()
     try:
         table = parse_line_list(text)
@@ -474,7 +477,7 @@ def test_parser_matches_per_row_oracle(text):
     assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
 
 
-# --- the same files, cut into blocks of 3 lines ------------------------------
+# --- the same files, split a few lines a piece -------------------------------
 
 # every line break of str.splitlines that a lazy splitter could get wrong
 BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\v"])
@@ -500,9 +503,9 @@ def plain_row(draw, index: int, n_fields: int) -> str:
 
 @st.composite
 def block_files(draw) -> str:
-    """Up to 40 rows, most of them plain, so that clean blocks hand over to
-    the row-by-row loop at many places; every line break, blank and comment
-    lines, quoted fields, 3-field rows and faults in later blocks; and in
+    """Up to 40 rows, most of them plain, so that the bulk pass refuses a
+    file at many places, in many pieces; every line break, blank and comment
+    lines, quoted fields, 3-field rows and faults in later pieces; and in
     some files one field over the csv limit."""
     lines = draw(st.lists(BREAK_NOISE, max_size=2)) + [HEADER]
     ids: list[str] = []
@@ -527,9 +530,7 @@ def block_files(draw) -> str:
 @settings(max_examples=300, deadline=None)
 @given(block_files())
 def test_parser_matches_per_row_oracle_across_blocks(text):
-    with patch.object(emitternet.lineio, "_READ_BLOCK", 3), patch.object(
-        emitternet.lineio, "_SPLIT_CHARS", 16
-    ):
+    with patch.object(emitternet.lineio, "_SPLIT_CHARS", 16):
         got = outcome(parse_line_list, text)
     long_rows = [row for row, line in enumerate(text.splitlines(), 1) if LONG_TAIL in line]
     if long_rows:
@@ -557,7 +558,7 @@ FIXED_FILES = [
     f"{HEADER}\ne1,0,1,300,0\ne2,0,1,-5,300\n",
     f"{HEADER}\ne1,0,1,-0.0,300\ne2,0,1\ne3,0,x\n",
     f"{HEADER}\ne1,0,1,300, -1e-3 \ne2,0,1,300\n",
-    # rows that a block taken in bulk would get wrong: comment lines with the
+    # rows that a bulk pass could get wrong: comment lines with the
     # data rows' comma count, blank ids, 4 and 6 fields, an id seen before
     f"{HEADER}\ne1,0,1,300,300\n#e2,0,1,300,300\ne3,0,1,300,300\n",
     f"{HEADER}\ne1,0,1\n  #e2,0,1\ne3,0,1\n",
@@ -581,24 +582,95 @@ def test_parser_matches_per_row_oracle_on_fixed_files(text):
 
 
 @pytest.mark.parametrize("text", FIXED_FILES)
-def test_parser_matches_per_row_oracle_on_fixed_files_in_blocks_of_2(text):
-    with patch.object(emitternet.lineio, "_READ_BLOCK", 2):
+def test_parser_matches_per_row_oracle_on_fixed_files_in_pieces_of_a_line(text):
+    # a piece ends at the first line feed from 1 character on: at the end of
+    # its first line, or of the line after where that one is empty
+    with patch.object(emitternet.lineio, "_SPLIT_CHARS", 1):
         assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
+
+
+def _spy_on_bulk_pass(monkeypatch) -> list:
+    """The results of every bulk pass from now on, in a list."""
+    results = []
+    bulk_pass = emitternet.lineio._bulk_pass
+
+    def spy(text):
+        results.append(bulk_pass(text))
+        return results[-1]
+
+    monkeypatch.setattr(emitternet.lineio, "_bulk_pass", spy)
+    return results
 
 
 def test_blank_widths_stay_on_the_bulk_path(monkeypatch):
     # a file with blank widths was read row by row from its first blank width
-    monkeypatch.setattr(emitternet.lineio, "_READ_BLOCK", 64)
+    monkeypatch.setattr(emitternet.lineio, "_SPLIT_CHARS", 1 << 10)
     rows = [f"e{i},{i * 0.01!r},{i * 0.01 + 1.027!r},," for i in range(5 * 64 + 7)]
     rows[150] = "e150,1.5,2.527,300.5,310.25"
     text = f"{HEADER}\n" + "\n".join(rows) + "\n"
-    taken = []
-    take = emitternet.lineio._take_block
-
-    def spy(*args):
-        taken.append(take(*args))
-        return taken[-1]
-
-    monkeypatch.setattr(emitternet.lineio, "_take_block", spy)
+    assert len(list(emitternet.lineio._pieces(text))) > 6
+    results = _spy_on_bulk_pass(monkeypatch)
     assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
-    assert taken == [True] * 6
+    assert len(results) == 1 and results[0] == emitternet.lineio._row_pass(text)
+
+
+def test_a_repeated_last_id_is_the_row_pass_error(monkeypatch):
+    # the bulk pass finds the repeat only at the end, and reports nothing
+    rows = [f"e{i},{i}.0,{i}.5,300,300" for i in range(3000)] + ["e7,0.0,0.5,300,300"]
+    text = "# c\n" + "\n".join([HEADER, *rows]) + "\n"
+    results = _spy_on_bulk_pass(monkeypatch)
+    with pytest.raises(LineListError) as err:
+        parse_line_list(text)
+    assert str(err.value) == "row 3003: duplicate emitter_id 'e7' (first seen at row 10)"
+    assert (err.value.row, err.value.column) == (3003, "emitter_id")
+    assert results == [None]
+    assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
+
+
+# --- the bulk pass alone: nothing or the row pass's table ---------------------
+
+
+@st.composite
+def noisy_plain_files(draw) -> str:
+    """Plain rows, all of 3 fields or all of 5, ids with an inner ``#`` now
+    and then, and blank and ``#`` comment lines between them: files that the
+    bulk pass takes, unless a row is quoted."""
+    n_fields = draw(st.sampled_from([3, 5]))
+    lines = draw(st.lists(BREAK_NOISE, max_size=2)) + [HEADER]
+    for index in range(draw(st.integers(0, 30))):
+        lines += draw(st.lists(BREAK_NOISE, max_size=2))
+        line = draw(plain_row(index, n_fields))
+        if draw(st.integers(0, 4)) == 0:
+            line = line.replace(",", f"#{index},", 1)  # e3#3: an inner "#" in the id
+        lines.append(line)
+    ends = draw(st.lists(BREAKS, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _row_pass_outcome(text):
+    try:
+        return emitternet.lineio._row_pass(text)
+    except LineListError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(line_list_files(), block_files(), noisy_plain_files()),
+    st.sampled_from([1, 16, 64, 1 << 20]),
+)
+def test_bulk_pass_is_nothing_or_the_row_pass_table(text, split_chars):
+    with patch.object(emitternet.lineio, "_SPLIT_CHARS", split_chars):
+        bulk = emitternet.lineio._bulk_pass(text)
+        row = _row_pass_outcome(text)
+    # where the row pass raises, the bulk pass must have refused the file
+    assert bulk is None or (row is not None and bulk == row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(noisy_plain_files(), st.sampled_from([1, 16, 1 << 20]))
+def test_bulk_pass_takes_plain_files_between_comment_lines(text, split_chars):
+    with patch.object(emitternet.lineio, "_SPLIT_CHARS", split_chars):
+        bulk = emitternet.lineio._bulk_pass(text)
+    if '"' not in text:
+        assert bulk is not None and bulk == _row_pass_outcome(text)

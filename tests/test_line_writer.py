@@ -421,6 +421,20 @@ class TestTableEqualsFormerTable:
         values = np.random.default_rng(7).uniform(0.0, 1.0, 2 * _NUMPY_CELLS)
         _assert_table_is_former(tmp_path, ["value"], [values], zip(values.tolist()))
 
+    @pytest.mark.parametrize("ints", [[0, 2**63], [-1, 2**63]])
+    def test_ints_beyond_int64(self, tmp_path, ints):
+        # np.asarray makes float64 of these lists, which wrote 0.0 and 9.223372036854776e+18
+        text = _assert_table_is_former(tmp_path, ["n"], [ints], zip(ints))
+        assert text.endswith("\nn\n" + "".join(f"{n}\n" for n in ints))
+
+    def test_floats_among_ints(self, tmp_path):
+        # a float64 column before, which wrote 1.0 and 3.0; csv.writer writes
+        # a numpy float as the repr of a float
+        column = [1, np.float64(2.5), 3]
+        columns = [column, ["a", "b", "c"]]
+        text = _assert_table_is_former(tmp_path, ["x", "t"], columns, zip(*columns))
+        assert text.endswith("\nx,t\n1,a\n2.5,b\n3,c\n")
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(

@@ -12,6 +12,7 @@ from emitternet import (
     DomainError,
     EnsembleModel,
     LineCombo,
+    LineTable,
     NormalCenters,
     OverlapCurve,
     analytic_homogeneous_slope,
@@ -481,6 +482,32 @@ class TestQuantiles:
         np.testing.assert_array_equal(x, [5, 2, 9, 3])
 
 
+class TestGapsBeyondDouble:
+    # finite lines whose gap in GHz, or its scaling to MHz, overflows: the gap
+    # is inf, which no window reaches, and no overflow warning is raised
+    TABLES = {
+        "gap-in-mhz": LineTable(["e1", "e2"], [-1e308, 0.0], [1e308, 1e-300]),
+        "gap-in-ghz": LineTable(["e1", "e2"], [-1.5e308, 1e308], [-1e308, 1.5e308]),
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_overlap_curve(self, name):
+        table = self.TABLES[name]
+        curve = overlap_curve(table, [29.0, 290.0], bootstrap_resamples=100, seed=1)
+        assert curve.probabilities == (0.0, 0.0)
+        assert min_pair_separation(table[0], table[1]) == np.inf
+
+    def test_monte_carlo_of_centers_beyond_double(self):
+        model = EnsembleModel(centers=NormalCenters(sigma_ghz=1e307))
+        result = monte_carlo_threshold(model, 29.0, 0.5, 1000, seed=1, max_emitters=64)
+        assert result.n_censored == 1000 and result.pairwise_q == 0.0
+
+    def test_overlap_curve_of_zfs_beyond_double(self):
+        table = sample_ensemble(EnsembleModel(zfs_mean_ghz=1e307, zfs_sigma_ghz=0.0), 50, 1)
+        curve = overlap_curve(table, [29.0, 290.0])
+        assert all(0.0 <= p <= 1.0 for p in curve.probabilities)
+
+
 class TestHistogram:
     def test_empty(self):
         result = histogram([], 1.0)
@@ -529,6 +556,13 @@ class TestHistogram:
     def test_domain(self):
         with pytest.raises(DomainError):
             histogram([1.0], 0.0)
+
+    def test_span_beyond_double_is_named(self):
+        # (1e307 - 0) / 0.025 is inf for both ends, and their span inf - inf
+        with pytest.raises(DomainError) as err:
+            histogram([1e307] * 3, 0.025)
+        assert "nan" not in str(err.value)
+        assert "beyond the range of a double" in str(err.value)
 
     def test_bin_limit_refused_before_bins_are_built(self):
         tracemalloc.start()

@@ -240,6 +240,11 @@ class TestSpectralArrangementRate:
     def test_infinite_window(self):
         assert spectral_arrangement_rate(EnsembleModel(), 3, math.inf, 10_000, 1) == 1.0
 
+    def test_centers_beyond_double(self):
+        # gaps that overflow when scaled to MHz are inf, with no overflow warning
+        model = EnsembleModel(centers=NormalCenters(sigma_ghz=1e307))
+        assert spectral_arrangement_rate(model, 3, 29.0, 10_000, 1) == 0.0
+
     def test_zero_spread_blocks_chains_below_zfs(self):
         model = EnsembleModel(centers=NormalCenters(sigma_ghz=0.0), zfs_sigma_ghz=0.0)
         assert spectral_arrangement_rate(model, 2, 1000.0, 10_000, 2) == 0.0
