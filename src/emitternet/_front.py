@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import errno
 import os
-import re
 import shutil
 import sys
 from itertools import repeat
@@ -36,8 +35,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 from . import __version__
 from .errors import ConfigError, EmitterNetError, SummaryError, UsageError
 
-# ``--version`` and a usage error need neither the config, the seeds nor
-# json: each is imported where the code that uses it runs
+# ``--version`` needs neither the config, the seeds nor json, and a usage
+# error needs only json: each is imported where the code that uses it runs
 if TYPE_CHECKING:
     from .config import RunConfig
     from .seeding import SeedSpec
@@ -367,34 +366,12 @@ def _cmd_report(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     return None, files, 0
 
 
-# the characters ``json.dumps`` escapes (its ensure_ascii rule), and the short escapes
-_JSON_ESCAPED = re.compile(r'([\\"]|[^\ -~])')
-_JSON_SHORT = {
-    "\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-}
-
-
-def _json_char(match: re.Match) -> str:
-    char = match.group()
-    if char in _JSON_SHORT:
-        return _JSON_SHORT[char]
-    code = ord(char)
-    if code < 0x10000:
-        return f"\\u{code:04x}"
-    code -= 0x10000  # a surrogate pair
-    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-
-
-def _json_str(text: str) -> str:
-    """``json.dumps(text)`` for a str, without loading json."""
-    return '"' + _JSON_ESCAPED.sub(_json_char, text) + '"'
-
-
 def _print_error(exc: BaseException, code: int) -> None:
-    """``json.dumps`` of the error, its type and the exit code, on stderr;
-    written without json, which a usage error would otherwise load only here."""
-    error, name = _json_str(str(exc)), _json_str(type(exc).__name__)
-    print(f'{{"error": {error}, "type": {name}, "exit_code": {code}}}', file=sys.stderr)
+    """The error, its type and the exit code as one line of JSON on stderr."""
+    import json
+
+    error = {"error": str(exc), "type": type(exc).__name__, "exit_code": code}
+    print(json.dumps(error), file=sys.stderr)
 
 
 def _write_files(out_dir: Path, files: dict[str, Any], comments: list[str]) -> None:

@@ -22,7 +22,8 @@ a time, each piece ending just after a line feed, so the rows keep the
 numbers of ``text.splitlines()`` without that whole list being held.
 :func:`parse_line_list` reads a file whose data rows are all plain and
 valid in one bulk pass, a piece's rows at once; it reads any other file in
-one pass row by row, which alone decides every error.
+one pass row by row, which alone decides every error. A text holding a
+``"`` or NUL anywhere goes to the row pass before any bulk work.
 """
 from __future__ import annotations
 
@@ -147,7 +148,8 @@ def parse_line_list(data: bytes | str) -> LineTable:
     not positive.
 
     The bulk pass (:func:`_bulk_pass`) reads a file whose data rows are all
-    plain and valid. Any other file is read from its start by the row pass
+    plain and valid and whose text holds no ``"`` or NUL, not even in a
+    comment line. Any other file is read from its start by the row pass
     (:func:`_row_pass`), which alone raises errors.
     """
     if isinstance(data, bytes):
@@ -212,11 +214,15 @@ def _bulk_pass(text: str) -> LineTable | None:
     """The table of ``text`` as :func:`_row_pass` reads it, a piece of lines
     at a time, where every line but blank and ``#`` comment lines is the
     header or a plain data row that passes every check; else None. A plain
-    row is one that ``csv.reader`` splits at each comma (no ``"`` or NUL, no
-    line above ``csv.field_size_limit()``), with 5 fields in every row or 3
-    in every row. It raises nothing, so it holds no row numbers."""
+    row is one that ``csv.reader`` splits at each comma (no line above
+    ``csv.field_size_limit()``), with 5 fields in every row or 3 in every
+    row. A text that holds a ``"`` or NUL anywhere, a comment line included,
+    is refused before any line is read. It raises nothing, so it holds no
+    row numbers."""
     from .spectral import LineTable
 
+    if '"' in text or "\0" in text:
+        return None
     limit = csv.field_size_limit()
     header, commas = None, set()  # commas: the counts of the data rows
     ids: list[str] = []
@@ -232,10 +238,9 @@ def _bulk_pass(text: str) -> LineTable | None:
         if not lines:
             continue
         commas.update(map(str.count, lines, itertools.repeat(",")))
-        joined = ",".join(lines)
-        if commas not in ({4}, {2}) or '"' in joined or "\0" in joined:
+        if commas not in ({4}, {2}):
             return None
-        k, n, cells = min(commas) + 1, len(lines), joined.split(",")
+        k, n, cells = min(commas) + 1, len(lines), ",".join(lines).split(",")
         ids += map(str.strip, cells[0::k])
         try:
             x1, x2 = (np.fromiter(map(float, cells[j::k]), float, n) for j in (1, 2))
@@ -454,11 +459,13 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
     A value whose magnitude lies in [1e-4, 1e15), where ``repr`` writes
     fixed notation without an exponent, is decided in numpy by
-    :func:`_shortest`, unless its ``log10`` is within 1e-9 of an integer
-    (so that its count of integer digits is in doubt) or it is a power of
-    two (whose gap below is half that above). ``repr`` writes any value not
-    decided there: ±0, ±inf and every value outside that range too, and
-    every value of a column shorter than :data:`_NUMPY_CELLS`."""
+    :func:`_shortest`, unless it is an integer (whose shortest text
+    ``_shortest`` would reach one digit at a time), its ``log10`` is within
+    1e-9 of an integer (so that its count of integer digits is in doubt) or
+    it is a power of two (whose gap below is half that above). ``repr``
+    writes any value not decided there: ±0, ±inf and every value outside
+    that range too, and every value of a column shorter than
+    :data:`_NUMPY_CELLS`."""
     x = np.asarray(values, dtype=float)
     cells = np.zeros((len(x), _CELL), np.uint8)
     rest = ~np.isnan(x)
@@ -468,7 +475,8 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             lg = np.log10(a)
             clear = np.abs(lg - np.rint(lg)) > 1e-9
-        rows = np.flatnonzero((a >= 1e-4) & (a < 1e15) & clear & (mantissa != 0.5))
+        fraction = a != np.floor(a)  # an integer goes to repr
+        rows = np.flatnonzero((a >= 1e-4) & (a < 1e15) & fraction & clear & (mantissa != 0.5))
         point = np.floor(lg[rows]).astype(np.intp)  # decimal exponent of each value
         k = 15 - point
         d, decided = _shortest(a[rows], k, e[rows])

@@ -11,9 +11,10 @@ Carlo streams) are statistically independent.
 
 :meth:`SeedSpec.pcg64_states` derives the streams of many trials at once.
 numpy's stream-compatibility policy (NEP 19) fixes both SeedSequence's hash
-and PCG64's seeding, so the same algorithms run here over uint32 arrays, one
-element a trial, and give, bit for bit, the state of
-``SeedSpec.rng(*subkeys, trial)``.
+and PCG64's seeding. numpy's own SeedSequence mixes the entropy that every
+trial shares; the trial's words, ``generate_state`` and PCG64's seeding run
+here over uint32 arrays, one element a trial, and give, bit for bit, the
+state of ``SeedSpec.rng(*subkeys, trial)``.
 """
 from __future__ import annotations
 
@@ -89,13 +90,14 @@ class SeedSpec:
             raise DomainError(f"trials must be consecutive indices below 2^64, got {trials}")
         if any(key < 0 for key in subkeys):
             raise DomainError(f"subkeys must be non-negative, got {subkeys}")
-        # SeedSequence's entropy: the seed's words padded to the pool size, as
-        # for every spawned sequence, then the spawn key's words. All but the
-        # trial's words are the same for every trial, so they are mixed once.
-        words = [*_words(self.seed), 0, 0, 0][:_POOL_SIZE]
-        for key in (self.stream_index, *subkeys):
-            words += _words(key)
-        pool, hash_const = _mix_entropy(words)
+        # SeedSequence's entropy is the seed's words padded to the pool size,
+        # then the spawn key's words. All but the trial's words are the same
+        # for every trial, so numpy mixes them once, into the pool of the
+        # sequence without the trial. Each of mix_entropy's hashmix steps,
+        # 16 + 4 a spawn key word, multiplies the hash constant by _MULT_A.
+        pool = self.sequence(*subkeys).pool.tolist()
+        key_words = sum(_word_count(key) for key in (self.stream_index, *subkeys))
+        hash_const = _INIT_A * pow(_MULT_A, 4 * (_POOL_SIZE + key_words), 2 ** 32) & _MASK32
         states = []
         # a trial index of 2^32 or more is two words: split the range there
         for part in (range(trials.start, min(trials.stop, 2 ** 32)),
@@ -106,9 +108,14 @@ class SeedSpec:
             trial_words = [(ts & np.uint64(_MASK32)).astype(np.uint32)]
             if part.start >= 2 ** 32:
                 trial_words.append((ts >> np.uint64(32)).astype(np.uint32))
-            # from here on each word is a uint32 array, one element a trial
+            # from here on each word is a uint32 array, one element a trial;
+            # mix_entropy absorbs each word beyond the pool into every pool word
             mixed = [np.full(len(ts), value, dtype=np.uint32) for value in pool]
-            _absorb(mixed, trial_words, hash_const)
+            hash_a = hash_const
+            for word in trial_words:
+                for dst in range(_POOL_SIZE):
+                    value, hash_a = _hash(word, hash_a)
+                    mixed[dst] = _mix(mixed[dst], value)
             # generate_state(4, np.uint64): 8 uint32 words, little-endian pairs
             out, hash_const_b = [], _INIT_B
             for i in range(8):
@@ -131,17 +138,13 @@ class SeedSpec:
         return states
 
 
-def _words(n: int) -> list[int]:
-    """``n`` as little-endian uint32 words; 0 is one word, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _word_count(n: int) -> int:
+    """The number of uint32 words SeedSequence splits ``n`` into; 0 is one word."""
+    return max(1, (n.bit_length() + 31) // 32)
 
 
-# SeedSequence's two uint32 hash steps (numpy/random/bit_generator.pyx). Each
-# takes Python ints below 2^32 or uint32 arrays, whose arithmetic wraps
-# mod 2^32 as the C code's does.
+# SeedSequence's two uint32 hash steps (numpy/random/bit_generator.pyx), over
+# uint32 arrays, whose arithmetic wraps mod 2^32 as the C code's does.
 
 
 def _hash(value, hash_const: int, mult: int = _MULT_A):
@@ -156,31 +159,6 @@ def _hash(value, hash_const: int, mult: int = _MULT_A):
 def _mix(x, y):
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> 16
-
-
-def _mix_entropy(words: list[int]) -> tuple[list[int], int]:
-    """``SeedSequence.mix_entropy`` of at least :data:`_POOL_SIZE` entropy
-    words: the pool and the next hash constant."""
-    hash_const, pool = _INIT_A, []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hash(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hash(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    return pool, _absorb(pool, words[_POOL_SIZE:], hash_const)
-
-
-def _absorb(pool: list, words: list, hash_const: int) -> int:
-    """Mix entropy words beyond the pool size into every pool word, in
-    place; returns the next hash constant."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hash(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    return hash_const
 
 
 def as_seed(seed: SeedSpec | int) -> SeedSpec:

@@ -184,8 +184,17 @@ class NormalCenters:
     sigma_ghz: float
 
     def __post_init__(self) -> None:
-        if self.sigma_ghz < 0:
+        if not self.sigma_ghz >= 0:
             raise DomainError("normal center sigma must be non-negative")
+        # numpy's standard normals stay below 13.8 in magnitude: the ziggurat
+        # tail of its random_standard_normal returns r + -log1p(-u) / r, with
+        # r = 3.654 and u <= 1 - 2**-53 (a scripted bit generator drove it
+        # to no draw above 12.2), so sample scales each by sigma to a double
+        if not self.sigma_ghz * 14 <= sys.float_info.max:
+            raise DomainError(
+                f"normal center sigma {self.sigma_ghz} GHz gives centers of up to 14 "
+                "sigma beyond the range of a double"
+            )
 
 
 CenterDistribution = UniformCenters | NormalCenters

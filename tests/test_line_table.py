@@ -627,6 +627,19 @@ def test_a_repeated_last_id_is_the_row_pass_error(monkeypatch):
     assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
 
 
+def test_a_quote_anywhere_refuses_the_bulk_pass_before_any_line(monkeypatch):
+    # a quoted last id, or a '"' in a comment line, sends the file to the
+    # row pass at once, which reads the table of the plain file
+    rows = [f"e{i},{i}.0,{i}.5,300,300" for i in range(3000)]
+    plain = "\n".join([HEADER, *rows]) + "\n"
+    quoted_last = plain.replace("\ne2999,", '\n"e2999",')
+    for text in (quoted_last, '# a "note"\n' + plain, plain + "# \0\n"):
+        with monkeypatch.context() as m:
+            m.setattr(emitternet.lineio, "_pieces", None)  # no line is split
+            assert emitternet.lineio._bulk_pass(text) is None
+        assert parse_line_list(text) == parse_line_list(plain)
+
+
 # --- the bulk pass alone: nothing or the row pass's table ---------------------
 
 

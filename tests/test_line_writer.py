@@ -253,6 +253,17 @@ class TestFloatCells:
                 _float_cells(np.append(x, 1.5))
         assert got == [repr(v) for v in x.tolist()]
 
+    def test_integers_are_left_to_repr(self):
+        # _shortest would reach an integer's text one digit at a time
+        x = np.random.default_rng(13).poisson(50.0, 2 * _NUMPY_CELLS) * 1.0
+        x[::3] += 0.5
+        shortest = emitternet.lineio._shortest
+        with patch.object(emitternet.lineio, "_shortest", wraps=shortest) as spy:
+            got = _cell_texts(_float_cells(x))
+        assert got == [repr(v) for v in x.tolist()]
+        (call,) = spy.call_args_list
+        assert len(call.args[0]) and (call.args[0] % 1 == 0.5).all()
+
 
 # --- the writer ---------------------------------------------------------
 

@@ -186,6 +186,17 @@ class TestModelValidation:
         for lines in spectral.sample_line_positions(model, 3, np.random.default_rng(0)):
             assert np.all(np.abs(lines) <= half_width)
 
+    @pytest.mark.parametrize("sigma", [1e308, sys.float_info.max / 13, math.inf])
+    def test_normal_centers_beyond_double_refused(self, sigma):
+        with pytest.raises(DomainError, match="beyond the range of a double"):
+            NormalCenters(sigma_ghz=sigma)
+
+    def test_normal_sigma_below_the_limit_is_sampled(self):
+        # no standard normal draw reaches 14, so no center overflows
+        model = EnsembleModel(centers=NormalCenters(sys.float_info.max / 15))
+        for lines in spectral.sample_line_positions(model, 1000, np.random.default_rng(0)):
+            assert np.isfinite(lines).all()
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             EnsembleModel(zfs_sigma_ghz=-0.1)
