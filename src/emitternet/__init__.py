@@ -40,7 +40,6 @@ _EXPORTS = {
         "NormalCenters",
         "UniformCenters",
         "lifetime_limited_linewidth",
-        "min_pair_separation",
         "sample_ensemble",
         "summarize_ensemble",
     ),
@@ -49,7 +48,6 @@ _EXPORTS = {
         "MonteCarloThreshold",
         "OverlapCurve",
         "ThresholdResult",
-        "analytic_homogeneous_slope",
         "birthday_threshold",
         "bootstrap_std_error",
         "collision_probability",

@@ -282,25 +282,6 @@ def fit_slope_through_origin(curve: OverlapCurve, gamma_mhz: float) -> float:
     return sxy / sxx
 
 
-def analytic_homogeneous_slope(half_width_ghz: float, gamma_mhz: float, n_combos: int = 4) -> float:
-    """Small-window union-bound slope for uniformly distributed lines.
-
-    For line centers uniform over +-half_width, each of the ``n_combos``
-    line pairings contributes probability ~ 2*gamma/(2*half_width) per
-    window of one gamma, so the slope per gamma is n_combos*gamma/half_width.
-    """
-    if not half_width_ghz > 0:
-        raise DomainError("half width must be positive")
-    if gamma_mhz < 0:
-        raise DomainError("gamma must be non-negative")
-    if n_combos < 1:
-        raise DomainError("need at least one combination")
-    gamma_ghz = gamma_mhz * 1e-3
-    if gamma_ghz >= half_width_ghz:
-        raise DomainError("slope approximation requires gamma well below the half width")
-    return n_combos * gamma_ghz / half_width_ghz
-
-
 def collision_probability(q: float, n: int) -> float:
     """P(at least one overlapping pair among n emitters), independent pairs.
 

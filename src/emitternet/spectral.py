@@ -157,6 +157,25 @@ class LineTable:
         return self.a2_ghz - self.a1_ghz
 
 
+def _check_normal(what: str, mean: float, sigma: float) -> None:
+    """Refuse a normal law of a NaN or negative sigma, or one whose draws,
+    up to 14 sigma from the mean, leave the range of a double.
+
+    sigma 0 is the degenerate point mass and is allowed. numpy's standard
+    normals stay below 13.8 in magnitude: the ziggurat tail of its
+    random_standard_normal returns r + -log1p(-u) / r, with r = 3.654 and
+    u <= 1 - 2**-53 (a scripted bit generator drove it to no draw above
+    12.2), so sampling scales and shifts each to a double.
+    """
+    if not sigma >= 0:
+        raise DomainError(f"{what} sigma must be non-negative, got {sigma}")
+    if not math.isfinite(mean + 14 * sigma):
+        raise DomainError(
+            f"{what} mean {mean} and sigma {sigma} give draws of up to 14 sigma "
+            "beyond the range of a double"
+        )
+
+
 @dataclass(frozen=True)
 class UniformCenters:
     """Line centers uniform on [-half_width, +half_width] GHz."""
@@ -184,17 +203,7 @@ class NormalCenters:
     sigma_ghz: float
 
     def __post_init__(self) -> None:
-        if not self.sigma_ghz >= 0:
-            raise DomainError("normal center sigma must be non-negative")
-        # numpy's standard normals stay below 13.8 in magnitude: the ziggurat
-        # tail of its random_standard_normal returns r + -log1p(-u) / r, with
-        # r = 3.654 and u <= 1 - 2**-53 (a scripted bit generator drove it
-        # to no draw above 12.2), so sample scales each by sigma to a double
-        if not self.sigma_ghz * 14 <= sys.float_info.max:
-            raise DomainError(
-                f"normal center sigma {self.sigma_ghz} GHz gives centers of up to 14 "
-                "sigma beyond the range of a double"
-            )
+        _check_normal("normal center", 0.0, self.sigma_ghz)
 
 
 CenterDistribution = UniformCenters | NormalCenters
@@ -219,9 +228,8 @@ class EnsembleModel:
     def __post_init__(self) -> None:
         if not (self.zfs_mean_ghz > 0 and self.fwhm_mean_mhz > 0):
             raise DomainError("ZFS and FWHM means must be positive")
-        # sigma 0 is the degenerate (point-mass) distribution and is allowed
-        if self.zfs_sigma_ghz < 0 or self.fwhm_sigma_mhz < 0:
-            raise DomainError("distribution sigmas must be non-negative")
+        _check_normal("ZFS", self.zfs_mean_ghz, self.zfs_sigma_ghz)
+        _check_normal("FWHM", self.fwhm_mean_mhz, self.fwhm_sigma_mhz)
         if not self.lifetime_ns > 0:
             raise DomainError("lifetime must be positive")
         lifetime_limited_linewidth(self.lifetime_ns)  # refuses one whose linewidth overflows
@@ -387,23 +395,6 @@ def separation_mhz(
             np.abs(d, out=d)
             sep = d if sep is None else np.minimum(sep, d, out=sep)
         return np.multiply(sep, 1e3, out=sep)
-
-
-def min_pair_separation(
-    e1: EmitterLines, e2: EmitterLines, combos: Iterable[LineCombo] = ALL_COMBOS
-) -> float:
-    """Smallest |line - line| frequency gap between two emitters, in MHz.
-
-    :func:`separation_mhz` for one pair. ``combos`` selects which of the
-    four line pairings are compared; default is all four (cross pairings
-    included, since an A2 of one emitter can coincide with the A1 of another).
-    """
-    combos = frozenset(combos)
-    if not combos:
-        raise DomainError("combos must be a non-empty subset of the four line pairings")
-    x = np.array([[e1.a1_ghz], [e1.a2_ghz]])
-    y = np.array([[e2.a1_ghz], [e2.a2_ghz]])
-    return float(separation_mhz(tuple(x), tuple(y), combos)[0])
 
 
 @dataclass(frozen=True)

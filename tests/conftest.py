@@ -40,6 +40,22 @@ def make_table(centers_ghz, zfs_ghz=ZFS_GHZ) -> LineTable:
     )
 
 
+def dense_separation_matrix_mhz(a1, a2, combos):
+    """The n x n matrix of separations, in MHz, of the emitters with lines
+    ``a1`` and ``a2``: the dense all-pairs form of the separation rule."""
+    lines = (a1, a2)
+    sep = None
+    for i, j in (c.value for c in combos):
+        d = np.abs(lines[i][:, None] - lines[j][None, :])
+        sep = d if sep is None else np.minimum(sep, d)
+    return sep * 1e3
+
+
+def lines_of(table: LineTable, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (a1, a2) arrays of the selected rows, as ``separation_mhz`` takes them."""
+    return table.a1_ghz[rows], table.a2_ghz[rows]
+
+
 @pytest.fixture(scope="session")
 def fixture_50_12() -> LineTable:
     """50 emitters with exactly 12 pairs separated by less than 29 MHz.

@@ -754,6 +754,12 @@ class TestRefusedRunWritesNothing:
             ["spatial", "--lateral-fwhm-um", "0.5", "--chain-k", "3", "--trials", "10000"],
             {"ensemble": {"center": {"kind": "normal", "sigma_ghz": 1e308}}}, None, "DomainError",
         ),
+        # a ZFS sigma of 1e308: its scaling overflowed the same way
+        "overlap-zfs-sigma-beyond-double": (
+            [["overlap", "--n", "50"]],
+            ["overlap", "--n", "50"],
+            {"ensemble": {"zfs_sigma_ghz": 1e308}}, None, "DomainError",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -1118,13 +1124,13 @@ PACKAGE_ALL = [
     "OccupancyStats", "OverlapCurve", "PairAssignment", "PeakDetectionError", "PleSpectrum",
     "ProtocolError", "REFERENCE_FREQUENCY_THZ", "RunConfig", "SeedSpec", "SpatialScene",
     "SpinRegisterState", "SummaryError", "ThresholdResult", "UniformCenters", "UsageError",
-    "WeightedState", "analytic_homogeneous_slope", "as_seed", "basis_state",
+    "WeightedState", "as_seed", "basis_state",
     "birthday_threshold", "bootstrap_std_error", "classify_pair_spectrum",
     "collision_probability", "config", "default_config", "ensemble_to_mapping", "errors",
     "fidelity_vs_eta_sweep", "fit_multi_lorentzian", "fit_slope_through_origin",
     "ghz_fidelity", "ghz_target", "hadamard_all", "herald_pair", "histogram", "init_pumped",
     "initial_guess", "lifetime_limited_linewidth", "lineio", "lorentzian_value",
-    "min_pair_separation", "monte_carlo_threshold", "occupancy_stats", "overlap",
+    "monte_carlo_threshold", "occupancy_stats", "overlap",
     "overlap_curve", "parse_line_list", "ple", "poisson_multi_occupancy",
     "published_branch_weight", "published_model_fidelity", "read_line_list", "read_spectrum",
     "register", "run_ghz_chain", "run_ghz_chain_with_loss", "sample_ensemble", "sample_scene",

@@ -9,28 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emitternet import (
+    ALL_COMBOS,
     DomainError,
     EnsembleModel,
     LineCombo,
     LineTable,
     NormalCenters,
     OverlapCurve,
-    analytic_homogeneous_slope,
     birthday_threshold,
     bootstrap_std_error,
     collision_probability,
     fit_slope_through_origin,
     histogram,
-    min_pair_separation,
     monte_carlo_threshold,
     overlap_curve,
     sample_ensemble,
 )
 from emitternet import overlap
 from emitternet.overlap import MAX_BIRTHDAY_EMITTERS, MAX_HISTOGRAM_BINS
-from emitternet.spectral import sample_line_positions
-from emitternet.seeding import as_seed
-from conftest import make_table
+from emitternet.spectral import separation_mhz
+from conftest import dense_separation_matrix_mhz, lines_of, make_table
 
 
 class TestOverlapCurve:
@@ -47,23 +45,20 @@ class TestOverlapCurve:
     def test_three_emitter_enumeration(self):
         # same-ZFS emitters 10, 50 and 60 MHz apart: one pair under 29 MHz
         emitters = make_table([0.0, 0.010, 0.060])
-        seps = sorted(
-            min_pair_separation(a, b) for a, b in itertools.combinations(emitters, 2)
-        )
-        assert seps == pytest.approx([10.0, 50.0, 60.0])
+        seps = dense_separation_matrix_mhz(emitters.a1_ghz, emitters.a2_ghz, ALL_COMBOS)
+        assert sorted(seps[np.triu_indices(3, k=1)]) == pytest.approx([10.0, 50.0, 60.0])
         curve = overlap_curve(emitters, [29.0])
         assert curve.probabilities[0] == pytest.approx(1 / 3)
 
     def test_matches_exhaustive_enumeration(self):
-        # four-emitter toy sets against a scalar brute-force oracle
+        # four-emitter toy sets against the dense all-pairs separations
         rng = np.random.default_rng(7)
         for _ in range(25):
             emitters = make_table(rng.uniform(-2, 2, 4), rng.uniform(0.9, 1.15, 4))
+            seps = dense_separation_matrix_mhz(emitters.a1_ghz, emitters.a2_ghz, ALL_COMBOS)
+            seps = seps[np.triu_indices(4, k=1)]
             for window in (10.0, 100.0, 600.0, 1100.0):
-                expected = sum(
-                    min_pair_separation(a, b) < window
-                    for a, b in itertools.combinations(emitters, 2)
-                ) / 6
+                expected = np.count_nonzero(seps < window) / 6
                 curve = overlap_curve(emitters, [window])
                 assert curve.probabilities[0] == pytest.approx(expected, abs=1e-12)
 
@@ -246,64 +241,6 @@ class TestSlopeFit:
         curve = OverlapCurve((window,), (probability,), (0.0,), 2, 1)
         with pytest.raises(DomainError, match="not finite"):
             fit_slope_through_origin(curve, gamma)
-
-
-class TestAnalyticSlope:
-    def test_four_combo_value(self):
-        # oracle: 4 * 2 * 0.029 GHz / (2 * 10 GHz)
-        assert analytic_homogeneous_slope(10.0, 29.0, 4) == pytest.approx(0.0116, rel=1e-12)
-
-    def test_single_combo_value(self):
-        assert analytic_homogeneous_slope(10.0, 29.0, 1) == pytest.approx(0.0029, rel=1e-12)
-
-    def test_vanishing_width_limit(self):
-        assert analytic_homogeneous_slope(10.0, 1e-9, 4) == pytest.approx(0.0, abs=1e-12)
-
-    def test_gamma_must_stay_below_half_width(self):
-        with pytest.raises(DomainError):
-            analytic_homogeneous_slope(0.029, 29.0, 4)
-
-    def test_monte_carlo_confirms_union_bound(self):
-        # brute-force oracle under the formula's own assumption: all four
-        # lines placed independently and uniformly over +-10 GHz
-        gamma = 29.0
-        n_pairs = 2_000_000
-        rng = as_seed(17).rng()
-        lines = rng.uniform(-10.0, 10.0, size=(n_pairs, 4))
-        xa1, xa2, ya1, ya2 = lines.T
-        sep = np.minimum.reduce(
-            [
-                np.abs(xa1 - ya1),
-                np.abs(xa2 - ya2),
-                np.abs(xa1 - ya2),
-                np.abs(xa2 - ya1),
-            ]
-        )
-        mc = np.count_nonzero(sep < gamma * 1e-3) / n_pairs
-        analytic = analytic_homogeneous_slope(10.0, gamma, 4)
-        assert mc == pytest.approx(analytic, rel=0.05)
-
-    def test_emitter_model_sits_below_union_bound(self):
-        # with the correlated center/ZFS model the same-label combos share
-        # the center draw, so the true rate at one linewidth falls a few
-        # percent short of the independent-line union bound
-        model = EnsembleModel()
-        gamma = 29.0
-        n_pairs = 500_000
-        rng = as_seed(18).rng()
-        a1, a2 = sample_line_positions(model, 2 * n_pairs, rng)
-        sep = np.minimum.reduce(
-            [
-                np.abs(a1[:n_pairs] - a1[n_pairs:]),
-                np.abs(a2[:n_pairs] - a2[n_pairs:]),
-                np.abs(a1[:n_pairs] - a2[n_pairs:]),
-                np.abs(a2[:n_pairs] - a1[n_pairs:]),
-            ]
-        )
-        mc = np.count_nonzero(sep < gamma * 1e-3) / n_pairs
-        analytic = analytic_homogeneous_slope(10.0, gamma, 4)
-        assert mc < analytic
-        assert mc == pytest.approx(analytic, rel=0.15)
 
 
 class TestCollisionProbability:
@@ -495,7 +432,8 @@ class TestGapsBeyondDouble:
         table = self.TABLES[name]
         curve = overlap_curve(table, [29.0, 290.0], bootstrap_resamples=100, seed=1)
         assert curve.probabilities == (0.0, 0.0)
-        assert min_pair_separation(table[0], table[1]) == np.inf
+        gap = separation_mhz(lines_of(table, [0]), lines_of(table, [1]), ALL_COMBOS)
+        assert gap.tolist() == [np.inf]
 
     def test_monte_carlo_of_centers_beyond_double(self):
         model = EnsembleModel(centers=NormalCenters(sigma_ghz=1e307))

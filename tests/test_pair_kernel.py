@@ -24,7 +24,6 @@ from emitternet import (
     LineTable,
     NormalCenters,
     UniformCenters,
-    min_pair_separation,
     monte_carlo_threshold,
     overlap_curve,
     sample_ensemble,
@@ -33,18 +32,9 @@ from emitternet import (
 from emitternet.overlap import MAX_CANDIDATE_PAIRS, MonteCarloThreshold, _closed_combos
 from emitternet.overlap import _close_pairs, _first_closing
 from emitternet.seeding import SeedSpec, as_seed
-from emitternet.spectral import sample_line_positions
+from emitternet.spectral import sample_line_positions, separation_mhz
 
-from conftest import make_table
-
-
-def dense_separation_matrix_mhz(a1, a2, combos):
-    lines = (a1, a2)
-    sep = None
-    for i, j in (c.value for c in combos):
-        d = np.abs(lines[i][:, None] - lines[j][None, :])
-        sep = d if sep is None else np.minimum(sep, d)
-    return sep * 1e3
+from conftest import dense_separation_matrix_mhz, lines_of, make_table
 
 
 def dense_probabilities(emitters, windows, combos):
@@ -391,7 +381,7 @@ def test_window_equal_to_separation_is_no_overlap(zfs_ghz):
     # float above it counts every pair, in each pair statistic.
     model = EnsembleModel(centers=NormalCenters(0.0), zfs_mean_ghz=zfs_ghz, zfs_sigma_ghz=0.0)
     table = sample_ensemble(model, 3, 1)
-    tie = min_pair_separation(table[0], table[1], CROSS)
+    (tie,) = separation_mhz(lines_of(table, [0]), lines_of(table, [1]), CROSS).tolist()
     assert zfs_ghz != 0.938 or tie == 938.0
     for window, overlaps in ((tie, False), (float(np.nextafter(tie, math.inf)), True)):
         assert overlap_curve(table, [window], CROSS).probabilities == (float(overlaps),)

@@ -18,13 +18,12 @@ from emitternet import (
     SeedSpec,
     UniformCenters,
     lifetime_limited_linewidth,
-    min_pair_separation,
     sample_ensemble,
     summarize_ensemble,
 )
 from emitternet import spectral
-from emitternet.spectral import MAX_ENSEMBLE_EMITTERS
-from conftest import make_emitter
+from emitternet.spectral import MAX_ENSEMBLE_EMITTERS, separation_mhz
+from conftest import ZFS_GHZ, lines_of, make_emitter, make_table
 
 
 class TestLifetimeLimitedLinewidth:
@@ -197,9 +196,28 @@ class TestModelValidation:
         for lines in spectral.sample_line_positions(model, 1000, np.random.default_rng(0)):
             assert np.isfinite(lines).all()
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            EnsembleModel(zfs_sigma_ghz=-0.1)
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    @pytest.mark.parametrize("name", ["zfs_sigma_ghz", "fwhm_sigma_mhz"])
+    def test_negative_or_nan_sigma_rejected(self, name, sigma):
+        # a NaN FWHM sigma drew NaN widths, written as blank cells
+        with pytest.raises(DomainError, match=f"sigma must be non-negative, got {sigma}"):
+            EnsembleModel(**{name: sigma})
+
+    @pytest.mark.parametrize(
+        "mean, sigma",
+        [(1.027, 1e308), (1.027, sys.float_info.max / 13), (1.027, math.inf),
+         (1e308, 1e307), (math.inf, 0.0)],
+    )
+    def test_zfs_beyond_double_refused(self, mean, sigma):
+        # the ZFS scaling overflowed in a RuntimeWarning before this refusal
+        with pytest.raises(DomainError, match="ZFS mean .* beyond the range of a double"):
+            EnsembleModel(zfs_mean_ghz=mean, zfs_sigma_ghz=sigma)
+
+    def test_zfs_sigma_below_the_limit_is_sampled(self):
+        # no standard normal draw reaches 14, so no ZFS value overflows
+        model = EnsembleModel(zfs_mean_ghz=1.0, zfs_sigma_ghz=sys.float_info.max / 15)
+        for lines in spectral.sample_line_positions(model, 1000, np.random.default_rng(0)):
+            assert np.isfinite(lines).all()
 
     def test_nonpositive_lifetime_rejected(self):
         with pytest.raises(DomainError):
@@ -213,58 +231,54 @@ class TestModelValidation:
             lifetime_limited_linewidth(1e-320)
 
 
-class TestMinPairSeparation:
+def one_emitter(a1_ghz: float, a2_ghz: float) -> tuple[np.ndarray, np.ndarray]:
+    """One emitter's lines as the one-element arrays ``separation_mhz`` takes."""
+    return np.array([a1_ghz]), np.array([a2_ghz])
+
+
+class TestSeparationMhz:
     def test_identical_emitters(self):
-        e = make_emitter(0, 3.0)
-        assert min_pair_separation(e, e) == 0.0
+        e = lines_of(make_table([3.0]), [0])
+        assert separation_mhz(e, e, ALL_COMBOS).tolist() == [0.0]
 
     def test_constructed_coincidence(self):
         # A2 of the first emitter meets A1 of the second
-        e1 = EmitterLines(id="a", a1_ghz=0.0, a2_ghz=1.0, fwhm_a1_mhz=300, fwhm_a2_mhz=300)
-        e2 = EmitterLines(id="b", a1_ghz=1.0, a2_ghz=2.0, fwhm_a1_mhz=300, fwhm_a2_mhz=300)
-        assert min_pair_separation(e1, e2) == 0.0
+        gap = separation_mhz(one_emitter(0.0, 1.0), one_emitter(1.0, 2.0), ALL_COMBOS)
+        assert gap.tolist() == [0.0]
 
     def test_four_combo_enumeration(self):
-        e1 = EmitterLines(id="a", a1_ghz=0.0, a2_ghz=1.0, fwhm_a1_mhz=300, fwhm_a2_mhz=300)
-        e2 = EmitterLines(id="b", a1_ghz=0.2, a2_ghz=1.25, fwhm_a1_mhz=300, fwhm_a2_mhz=300)
+        lines1, lines2 = (0.0, 1.0), (0.2, 1.25)
         # independent oracle: enumerate the four line distances explicitly
-        lines1 = (e1.a1_ghz, e1.a2_ghz)
-        lines2 = (e2.a1_ghz, e2.a2_ghz)
         expected = min(abs(x - y) for x in lines1 for y in lines2) * 1e3
         assert expected == pytest.approx(200.0, abs=1e-9)
-        assert min_pair_separation(e1, e2) == pytest.approx(expected, rel=1e-12)
+        (gap,) = separation_mhz(one_emitter(*lines1), one_emitter(*lines2), ALL_COMBOS)
+        assert gap == pytest.approx(expected, rel=1e-12)
 
     def test_single_combo(self):
-        e1 = EmitterLines(id="a", a1_ghz=0.0, a2_ghz=1.0, fwhm_a1_mhz=300, fwhm_a2_mhz=300)
-        e2 = EmitterLines(id="b", a1_ghz=0.2, a2_ghz=1.25, fwhm_a1_mhz=300, fwhm_a2_mhz=300)
-        assert min_pair_separation(e1, e2, {LineCombo.A2_A1}) == pytest.approx(800.0)
-
-    def test_empty_combos(self):
-        e = make_emitter(0, 0.0)
-        with pytest.raises(DomainError):
-            min_pair_separation(e, e, combos=())
+        (gap,) = separation_mhz(one_emitter(0.0, 1.0), one_emitter(0.2, 1.25), {LineCombo.A2_A1})
+        assert gap == pytest.approx(800.0)
 
     def test_symmetry_under_swap_closed_combos(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             c1, c2 = rng.uniform(-10, 10, 2)
             z1, z2 = rng.uniform(0.8, 1.2, 2)
-            e1 = make_emitter(1, c1, z1)
-            e2 = make_emitter(2, c2, z2)
-            assert min_pair_separation(e1, e2) == pytest.approx(
-                min_pair_separation(e2, e1), rel=1e-12
-            )
+            table = make_table([c1, c2], [z1, z2])
+            e1, e2 = lines_of(table, [0]), lines_of(table, [1])
+            (forward,) = separation_mhz(e1, e2, ALL_COMBOS)
+            (backward,) = separation_mhz(e2, e1, ALL_COMBOS)
+            assert forward == pytest.approx(backward, rel=1e-12)
 
     def test_subset_never_below_full_set(self):
         rng = np.random.default_rng(13)
         subsets = [s for r in range(1, 5) for s in itertools.combinations(ALL_COMBOS, r)]
         for _ in range(20):
             c1, c2 = rng.uniform(-10, 10, 2)
-            e1 = make_emitter(1, c1)
-            e2 = make_emitter(2, c2, 1.1)
-            full = min_pair_separation(e1, e2)
+            table = make_table([c1, c2], [ZFS_GHZ, 1.1])
+            e1, e2 = lines_of(table, [0]), lines_of(table, [1])
+            (full,) = separation_mhz(e1, e2, ALL_COMBOS)
             for subset in subsets:
-                assert min_pair_separation(e1, e2, subset) >= full - 1e-12
+                assert separation_mhz(e1, e2, subset)[0] >= full - 1e-12
 
 
 class TestSummarizeEnsemble:
