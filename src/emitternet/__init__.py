@@ -107,7 +107,7 @@ _EXPORTS = {
         "write_line_list",
         "write_spectrum",
     ),
-    "config": ("RunConfig", "default_config", "ensemble_to_mapping", "schema_description"),
+    "config": ("RunConfig", "schema_description"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

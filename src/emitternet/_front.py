@@ -242,23 +242,18 @@ def _json_value(value: Any, indent: str, markers: set[int], out: list[str]) -> N
 
 
 def _json_pieces(doc: Any) -> list[str]:
-    """The text of :func:`_json_text` as a list of pieces, to be written
-    one after another."""
-    out: list[str] = []
-    _json_value(doc, "\n", set(), out)
-    out.append("\n")
-    return out
-
-
-def _json_text(doc: Any) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    as a list of pieces to be written one after another.
 
     On CPython any ``indent`` sends ``json.dumps`` to its pure-Python
     encoder, one generator step per value. Lists of flat numeric rows go
     instead to the C encoder (:func:`_json_rows`); every other value is
     written by ``json.dumps`` itself (:func:`_json_value`).
     """
-    return "".join(_json_pieces(doc))
+    out: list[str] = []
+    _json_value(doc, "\n", set(), out)
+    out.append("\n")
+    return out
 
 
 def _summary_pieces(

@@ -22,24 +22,6 @@ if TYPE_CHECKING:
     from .spectral import EnsembleModel, LineCombo
 
 
-def ensemble_to_mapping(model: EnsembleModel) -> dict[str, Any]:
-    """Ensemble parameters as the config document's ``ensemble`` section."""
-    from .spectral import UniformCenters
-
-    if isinstance(model.centers, UniformCenters):
-        center = {"kind": "uniform", "half_width_ghz": model.centers.half_width_ghz}
-    else:
-        center = {"kind": "normal", "sigma_ghz": model.centers.sigma_ghz}
-    return {
-        "center": center,
-        "zfs_mean_ghz": model.zfs_mean_ghz,
-        "zfs_sigma_ghz": model.zfs_sigma_ghz,
-        "fwhm_mean_mhz": model.fwhm_mean_mhz,
-        "fwhm_sigma_mhz": model.fwhm_sigma_mhz,
-        "lifetime_ns": model.lifetime_ns,
-    }
-
-
 @dataclass(frozen=True)
 class _Field:
     kind: str  # number | integer | boolean | string | number_array | string_array
@@ -130,8 +112,9 @@ def _check_leaf(field: _Field, value: Any, path: str) -> Any:
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")
         return bool(value)
     if field.kind == "string":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        # a NUL cannot be part of a path (output_dir) or a name
+        if not isinstance(value, str) or "\0" in value:
+            raise ConfigError(f"{path}: expected a string without NUL, got {value!r}")
         return value
     if field.kind == "number_array":
         if not isinstance(value, list):
@@ -163,11 +146,6 @@ def _resolve(data: Mapping[str, Any], schema: Mapping[str, Any], path: str = "")
         else:
             out[key] = spec.default_value()
     return out
-
-
-def default_config() -> dict[str, Any]:
-    """Fully resolved default configuration document."""
-    return _resolve({}, _SCHEMA)
 
 
 def schema_description() -> dict[str, Any]:

@@ -173,9 +173,8 @@ def _bootstrap_std_errors(
         n_valid = (n * n - (counts * counts).sum(axis=1)) // 2
         prefix = np.zeros((m, len(i) + 1), dtype=np.int64)
         np.cumsum(counts[:, i] * counts[:, j], axis=1, out=prefix[:, 1:])
-        n_hit = prefix[:, pair_counts]
-        with np.errstate(invalid="ignore"):
-            p = np.where(n_valid[:, None] > 0, n_hit / np.maximum(n_valid, 1)[:, None], 0.0)
+        # n_valid is 0 only when every position drew one emitter; then no pair hits
+        p = prefix[:, pair_counts] / np.maximum(n_valid, 1)[:, None]
         values[:, done : done + m] = p.T
         done += m
     return [float(row.std(ddof=1)) for row in values]

@@ -69,6 +69,20 @@ def lorentzian_value(peak: LorentzianPeak, frequency_ghz):
     return float(out) if np.isscalar(frequency_ghz) else out
 
 
+def _check_increasing(values: np.ndarray, name: str) -> None:
+    """Refuse ``values`` unless they strictly increase over a span a double holds."""
+    if len(values) < 2:
+        return
+    with np.errstate(over="ignore"):
+        steps, span = np.diff(values), values[-1] - values[0]
+    if not np.all(steps > 0):
+        raise DomainError(f"{name} must be strictly increasing")
+    if not np.isfinite(span):
+        raise DomainError(
+            f"{name} from {values[0]:g} to {values[-1]:g} GHz span beyond the range of a double"
+        )
+
+
 @dataclass(frozen=True)
 class PleSpectrum:
     """Counts versus excitation detuning, with the dwell time per point."""
@@ -88,8 +102,7 @@ class PleSpectrum:
             raise DomainError("frequencies must be finite")
         if not np.all(np.isfinite(cts)):
             raise DomainError("counts must be finite")
-        if len(freq) >= 2 and not np.all(np.diff(freq) > 0):
-            raise DomainError("frequencies must be strictly increasing")
+        _check_increasing(freq, "frequencies")
         if np.any(cts < 0):
             raise DomainError("counts must be non-negative")
         if not 0 < self.dwell_time_s < math.inf:
@@ -124,8 +137,7 @@ def synthesize(
     grid = np.asarray(grid_ghz, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise DomainError("grid must be a non-empty 1-d sequence")
-    if len(grid) >= 2 and not np.all(np.diff(grid) > 0):
-        raise DomainError("grid must be strictly increasing")
+    _check_increasing(grid, "grid")
     expected = np.full(len(grid), float(background))
     for peak in peaks:
         expected += lorentzian_value(peak, grid)
@@ -311,11 +323,13 @@ def fit_multi_lorentzian(
         theta0[3 + 3 * p] = peak.amplitude
 
     span = float(nu[-1] - nu[0]) if len(nu) > 1 else 1.0
+    with np.errstate(over="ignore"):  # a span near a double's range leaves bounds of inf
+        center_bounds = nu[0] - span, nu[-1] + span
     lower = np.empty_like(theta0)
     upper = np.empty_like(theta0)
     lower[0], upper[0] = 0.0, np.inf
     for p in range(k):
-        lower[1 + 3 * p], upper[1 + 3 * p] = nu[0] - span, nu[-1] + span
+        lower[1 + 3 * p], upper[1 + 3 * p] = center_bounds
         lower[2 + 3 * p], upper[2 + 3 * p] = 1e-9, 100.0 * span
         lower[3 + 3 * p], upper[3 + 3 * p] = np.finfo(float).tiny, np.inf
     empty = np.flatnonzero(lower >= upper)
@@ -395,6 +409,8 @@ def classify_pair_spectrum(
     """
     if len(fit.peaks) != 3:
         raise DomainError(f"pair classification requires exactly 3 peaks, got {len(fit.peaks)}")
+    if not n_sigma > 0:
+        raise DomainError(f"n_sigma must be positive, got {n_sigma}")
     order = np.argsort([p.center_ghz for p in fit.peaks])
     lo, mid, hi = (fit.peaks[i] for i in order)
     zfs1 = mid.center_ghz - lo.center_ghz

@@ -12,9 +12,11 @@ Carlo streams) are statistically independent.
 :meth:`SeedSpec.pcg64_states` derives the streams of many trials at once.
 numpy's stream-compatibility policy (NEP 19) fixes both SeedSequence's hash
 and PCG64's seeding. numpy's own SeedSequence mixes the entropy that every
-trial shares; the trial's words, ``generate_state`` and PCG64's seeding run
-here over uint32 arrays, one element a trial, and give, bit for bit, the
-state of ``SeedSpec.rng(*subkeys, trial)``.
+trial shares; the trial's index, one spawn-key word below 2^32,
+``generate_state`` and PCG64's seeding run here over uint32 arrays, one
+element a trial, and give, bit for bit, the state of
+``SeedSpec.rng(*subkeys, trial)``. The Monte Carlo's trial counts stay far
+below 2^32, and a range that reaches beyond it is refused.
 """
 from __future__ import annotations
 
@@ -82,59 +84,50 @@ class SeedSpec:
 
         Assigning one of them to a PCG64's ``state`` makes it draw what
         ``self.rng(*subkeys, t)`` draws. ``trials`` is a range of
-        consecutive indices below 2^64, and ``subkeys`` are non-negative.
+        consecutive indices below 2^32, each one spawn-key word, and
+        ``subkeys`` are non-negative.
         """
         import numpy as np
 
-        if not 0 <= trials.start <= trials.stop <= _MAX_SEED or trials.step != 1:
-            raise DomainError(f"trials must be consecutive indices below 2^64, got {trials}")
+        if not 0 <= trials.start <= trials.stop <= 2 ** 32 or trials.step != 1:
+            raise DomainError(f"trials must be consecutive indices below 2^32, got {trials}")
         if any(key < 0 for key in subkeys):
             raise DomainError(f"subkeys must be non-negative, got {subkeys}")
         # SeedSequence's entropy is the seed's words padded to the pool size,
-        # then the spawn key's words. All but the trial's words are the same
+        # then the spawn key's words. All but the trial's word are the same
         # for every trial, so numpy mixes them once, into the pool of the
         # sequence without the trial. Each of mix_entropy's hashmix steps,
         # 16 + 4 a spawn key word, multiplies the hash constant by _MULT_A.
         pool = self.sequence(*subkeys).pool.tolist()
         key_words = sum(_word_count(key) for key in (self.stream_index, *subkeys))
-        hash_const = _INIT_A * pow(_MULT_A, 4 * (_POOL_SIZE + key_words), 2 ** 32) & _MASK32
+        hash_a = _INIT_A * pow(_MULT_A, 4 * (_POOL_SIZE + key_words), 2 ** 32) & _MASK32
+        # from here on each word is a uint32 array, one element a trial;
+        # mix_entropy absorbs the trial's word into every pool word
+        word = np.arange(trials.start, trials.stop, dtype=np.uint32)
+        mixed = []
+        for value in pool:
+            hashed, hash_a = _hash(word, hash_a)
+            mixed.append(_mix(np.full(len(word), value, dtype=np.uint32), hashed))
+        # generate_state(4, np.uint64): 8 uint32 words, little-endian pairs
+        out, hash_b = [], _INIT_B
+        for i in range(8):
+            value, hash_b = _hash(mixed[i % _POOL_SIZE], hash_b, _MULT_B)
+            out.append(value.astype(np.uint64))
+        init_hi, init_lo, seq_hi, seq_lo = (
+            (out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)
+        )
+        # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps from 0
+        # with initstate added between them
         states = []
-        # a trial index of 2^32 or more is two words: split the range there
-        for part in (range(trials.start, min(trials.stop, 2 ** 32)),
-                     range(max(trials.start, 2 ** 32), trials.stop)):
-            if not part:
-                continue
-            ts = np.arange(len(part), dtype=np.uint64) + np.uint64(part.start)
-            trial_words = [(ts & np.uint64(_MASK32)).astype(np.uint32)]
-            if part.start >= 2 ** 32:
-                trial_words.append((ts >> np.uint64(32)).astype(np.uint32))
-            # from here on each word is a uint32 array, one element a trial;
-            # mix_entropy absorbs each word beyond the pool into every pool word
-            mixed = [np.full(len(ts), value, dtype=np.uint32) for value in pool]
-            hash_a = hash_const
-            for word in trial_words:
-                for dst in range(_POOL_SIZE):
-                    value, hash_a = _hash(word, hash_a)
-                    mixed[dst] = _mix(mixed[dst], value)
-            # generate_state(4, np.uint64): 8 uint32 words, little-endian pairs
-            out, hash_const_b = [], _INIT_B
-            for i in range(8):
-                value, hash_const_b = _hash(mixed[i % _POOL_SIZE], hash_const_b, _MULT_B)
-                out.append(value.astype(np.uint64))
-            init_hi, init_lo, seq_hi, seq_lo = (
-                (out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)
-            )
-            # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps from 0
-            # with initstate added between them
-            for a, b, c, d in zip(init_hi, init_lo, seq_hi, seq_lo):
-                inc = ((c << 64 | d) << 1 | 1) & _MASK128
-                state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
-                states.append({
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                })
+        for a, b, c, d in zip(init_hi, init_lo, seq_hi, seq_lo):
+            inc = ((c << 64 | d) << 1 | 1) & _MASK128
+            state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+            states.append({
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            })
         return states
 
 

@@ -27,8 +27,9 @@ def lifetime_limited_linewidth(lifetime_ns: float) -> float:
     """Fourier-limited emission linewidth 1/(2*pi*tau), returned in MHz."""
     if not (lifetime_ns > 0) or not math.isfinite(lifetime_ns):
         raise DomainError(f"lifetime must be positive and finite, got {lifetime_ns}")
+    # 2 pi tau overflows from about 2.86e307 ns, and the quotient reads 0
     linewidth = 1e3 / (2.0 * math.pi * lifetime_ns)
-    if not math.isfinite(linewidth):
+    if not 0 < linewidth < math.inf:
         raise DomainError(
             f"lifetime of {lifetime_ns} ns gives a linewidth beyond the range of a double"
         )
@@ -230,9 +231,7 @@ class EnsembleModel:
             raise DomainError("ZFS and FWHM means must be positive")
         _check_normal("ZFS", self.zfs_mean_ghz, self.zfs_sigma_ghz)
         _check_normal("FWHM", self.fwhm_mean_mhz, self.fwhm_sigma_mhz)
-        if not self.lifetime_ns > 0:
-            raise DomainError("lifetime must be positive")
-        lifetime_limited_linewidth(self.lifetime_ns)  # refuses one whose linewidth overflows
+        lifetime_limited_linewidth(self.lifetime_ns)  # refuses one with no finite linewidth above 0
 
     @property
     def gamma_mhz(self) -> float:

@@ -25,7 +25,7 @@ from emitternet import (
     serialize_line_list,
     synthesize,
 )
-from emitternet import cli
+from emitternet import _commands
 from emitternet.cli import main
 from emitternet.lineio import write_spectrum
 
@@ -142,7 +142,7 @@ class TestProtocolCommand:
 
     def test_amplitude_pairs_keep_the_per_scalar_text(self):
         amps = np.array([complex(-0.0, 0.0), complex(0.5, -0.0), 1 / 3 - 2j, complex(-1e-300, 7)])
-        text = json.dumps(cli._complex_pairs(amps))
+        text = json.dumps(_commands._complex_pairs(amps))
         assert text == json.dumps([[float(a.real), float(a.imag)] for a in amps])
         assert text.count("-0.0") == 2
 
@@ -414,8 +414,14 @@ class TestFitPleCommand:
                 PleSpectrum(np.arange(10) * 1e-12, np.array([1.0, 2, 3, 4, 9, 4, 3, 2, 1, 1])),
                 "FWHM bounds",
             ),
+            # a span within a double, but the center bounds, one span beyond
+            # each end, overflowed in a RuntimeWarning
+            (
+                PleSpectrum(np.linspace(-1e308, 5e307, 12), np.arange(12) % 3 + 1.0),
+                "not finite",
+            ),
         ],
-        ids=["overflow", "too-narrow"],
+        ids=["overflow", "too-narrow", "bounds-beyond-double"],
     )
     def test_unfittable_spectrum_exit_2(self, tmp_path, capsys, spectrum, message):
         write_spectrum(tmp_path / "spec.csv", spectrum)
@@ -424,6 +430,16 @@ class TestFitPleCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DomainError" and message in err["error"]
+        assert not out.exists()
+
+    def test_spectrum_spanning_beyond_a_double_exit_2(self, tmp_path, capsys):
+        # np.diff overflowed in a RuntimeWarning (exit 1)
+        (tmp_path / "spec.csv").write_text("frequency_ghz,counts\n-1e308,1\n1e308,2\n")
+        out = tmp_path / "out"
+        code = main(["fit-ple", "--input", str(tmp_path / "spec.csv"), "--k", "1", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError" and "span beyond the range" in err["error"]
         assert not out.exists()
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -760,6 +776,28 @@ class TestRefusedRunWritesNothing:
             ["overlap", "--n", "50"],
             {"ensemble": {"zfs_sigma_ghz": 1e308}}, None, "DomainError",
         ),
+        "sample-zfs-sigma-beyond-double": (
+            [["sample", "--n", "100"]],
+            ["sample", "--n", "100"],
+            {"ensemble": {"zfs_sigma_ghz": 1e308}}, None, "DomainError",
+        ),
+        "birthday-mc-zfs-sigma-beyond-double": (
+            [["birthday", "--q", "0.01", "--mc", "--trials", "1000"]],
+            ["birthday", "--q", "0.01", "--mc", "--trials", "1000"],
+            {"ensemble": {"zfs_sigma_ghz": 1e308}}, None, "DomainError",
+        ),
+        "sample-linewidth-underflow": (
+            [["sample", "--n", "10"]],
+            ["sample", "--n", "10"],
+            # 2 pi tau overflowed, and the summary read a linewidth of 0.0
+            {"ensemble": {"lifetime_ns": 1e308}}, None, "DomainError",
+        ),
+        "fit-ple-classify-n-sigma": (
+            [["fit-ple", "--synthetic", "--k", "3", "--classify"]],
+            ["fit-ple", "--synthetic", "--k", "3", "--classify"],
+            # a ClassificationError blamed the spectrum for a window of -0.075 GHz
+            {"fit_ple": {"n_sigma": -1}}, None, "DomainError",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -925,6 +963,16 @@ class TestUsageAndConfig:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "ConfigError"
         assert key in err["error"] and "emitter" not in err["error"]
+
+    def test_output_dir_with_nul_exit_2(self, tmp_path, capsys, monkeypatch):
+        # os.makedirs raised "embedded null byte", and so did the cleanup after it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": "a\u0000b"}))
+        assert main(["birthday", "--q", "0.01", "--config", "cfg.json"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["type"] == "ConfigError" and "output_dir" in err["error"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_flag_beats_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMITTERNET_SEED", "12345")
@@ -1126,7 +1174,7 @@ PACKAGE_ALL = [
     "SpinRegisterState", "SummaryError", "ThresholdResult", "UniformCenters", "UsageError",
     "WeightedState", "as_seed", "basis_state",
     "birthday_threshold", "bootstrap_std_error", "classify_pair_spectrum",
-    "collision_probability", "config", "default_config", "ensemble_to_mapping", "errors",
+    "collision_probability", "config", "errors",
     "fidelity_vs_eta_sweep", "fit_multi_lorentzian", "fit_slope_through_origin",
     "ghz_fidelity", "ghz_target", "hadamard_all", "herald_pair", "histogram", "init_pumped",
     "initial_guess", "lifetime_limited_linewidth", "lineio", "lorentzian_value",

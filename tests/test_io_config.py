@@ -16,7 +16,6 @@ from emitternet import (
     PleSpectrum,
     RunConfig,
     UniformCenters,
-    default_config,
     overlap_curve,
     parse_line_list,
     sample_ensemble,
@@ -192,14 +191,17 @@ class TestSpectrumIo:
 
 class TestRunConfig:
     def test_defaults_round_trip(self):
+        def defaults(desc):
+            return {k: v["default"] if "type" in v else defaults(v) for k, v in desc.items()}
+
         cfg = RunConfig.from_mapping({})
-        assert cfg.data == default_config()
+        assert cfg.data == defaults(schema_description())
 
     def test_defaults_are_not_shared(self):
-        # default_config() once handed out the schema's own default lists
+        # a resolved config once held the schema's own default lists
         before = RunConfig.from_mapping({})
         data, digest = before.data, before.config_hash()
-        changed = default_config()
+        changed = RunConfig.from_mapping({}).data
         changed["combos"].append("a1a1")
         changed["protocol"]["eta_sweep"].clear()
         schema_description()["spatial"]["box_um"]["default"].append(1.0)
@@ -316,7 +318,7 @@ class TestRunConfig:
 
     def test_schema_description_covers_all_keys(self):
         desc = schema_description()
-        assert set(desc) == set(default_config())
+        assert set(desc) == set(RunConfig.from_mapping({}).data)
         assert desc["ensemble"]["zfs_mean_ghz"]["default"] == 1.027
 
     def test_seed_spec(self):
@@ -325,16 +327,27 @@ class TestRunConfig:
         assert spec.seed == 42 and spec.stream_index == 3
         assert RunConfig.from_mapping({}).seed_spec(fallback=7).seed == 7
 
-    def test_ensemble_model_round_trip(self):
-        from emitternet import ensemble_to_mapping
-
-        for model in (
-            EnsembleModel(),
-            EnsembleModel(centers=NormalCenters(sigma_ghz=3.0), zfs_sigma_ghz=0.01,
-                          fwhm_mean_mhz=200.0, lifetime_ns=6.1),
-        ):
-            cfg = RunConfig.from_mapping({"ensemble": ensemble_to_mapping(model)})
-            assert cfg.ensemble_model() == model
+    @pytest.mark.parametrize(
+        "section, model",
+        [
+            ({}, EnsembleModel()),
+            (
+                {"center": {"kind": "normal", "sigma_ghz": 3.0}, "zfs_sigma_ghz": 0.01,
+                 "fwhm_mean_mhz": 200.0, "lifetime_ns": 6.1},
+                EnsembleModel(centers=NormalCenters(sigma_ghz=3.0), zfs_sigma_ghz=0.01,
+                              fwhm_mean_mhz=200.0, lifetime_ns=6.1),
+            ),
+            (
+                {"center": {"half_width_ghz": 4.0, "sigma_ghz": 9.0}, "zfs_mean_ghz": 1.1,
+                 "fwhm_sigma_mhz": 50.0},
+                EnsembleModel(centers=UniformCenters(half_width_ghz=4.0), zfs_mean_ghz=1.1,
+                              fwhm_sigma_mhz=50.0),
+            ),
+        ],
+        ids=["defaults", "normal", "uniform"],
+    )
+    def test_ensemble_model_reads_each_field(self, section, model):
+        assert RunConfig.from_mapping({"ensemble": section}).ensemble_model() == model
 
     def test_canonical_json_round_trip(self):
         cfg = RunConfig.from_mapping({"seed": 5, "birthday": {"q": 0.01}})

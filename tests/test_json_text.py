@@ -1,4 +1,4 @@
-"""The summary writer ``cli._json_text`` against ``json.dumps`` as oracle."""
+"""The summary writer ``_front._json_pieces`` against ``json.dumps`` as oracle."""
 import contextlib
 import io
 import json
@@ -9,8 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emitternet import _front, cli
+from emitternet import _front
 from emitternet.cli import main
+
+
+def _json_text(doc):
+    return "".join(_front._json_pieces(doc))
 
 
 def _stdlib(doc):
@@ -26,7 +30,7 @@ def _outcome(encode, doc):
 
 
 def _assert_same(doc):
-    assert _outcome(cli._json_text, doc) == _outcome(_stdlib, doc)
+    assert _outcome(_json_text, doc) == _outcome(_stdlib, doc)
 
 
 special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324])
@@ -111,7 +115,7 @@ def _cycles():
     ],
 )
 def test_refuses_what_the_stdlib_refuses(doc):
-    outcome = _outcome(cli._json_text, doc)
+    outcome = _outcome(_json_text, doc)
     assert isinstance(outcome, tuple)
     assert outcome == _outcome(_stdlib, doc)
 
@@ -144,7 +148,7 @@ def test_amplitude_rows_take_the_fast_path(protocol_run, monkeypatch):
         return generic(*args)
 
     monkeypatch.setattr(_front, "_json_value", counted)
-    assert cli._json_text(doc) == _stdlib(doc)
+    assert _json_text(doc) == _stdlib(doc)
     assert calls <= 300
 
 

@@ -142,6 +142,10 @@ class TestSynthesize:
         with pytest.raises(DomainError, match="beyond the range of a double"):
             synthesize(peaks, 5.0, np.linspace(-1, 1, 50), shot_noise=shot_noise, seed=1)
 
+    def test_grid_spanning_beyond_a_double(self):
+        with pytest.raises(DomainError, match="grid from .* span beyond the range of a double"):
+            synthesize([], 5.0, [-1e308, 1e308])
+
     def test_expectation_beyond_a_poisson_draw(self):
         # finite counts, but above numpy's largest Poisson mean (about 9.2e18)
         peaks = [LorentzianPeak(0.0, 300.0, 1e19)]
@@ -500,6 +504,12 @@ class TestClassifyPairSpectrum:
         assert shifted.zfs1_ghz == pytest.approx(base.zfs1_ghz, abs=1e-12)
         assert shifted.zfs2_ghz == pytest.approx(base.zfs2_ghz, abs=1e-12)
 
+    @pytest.mark.parametrize("n_sigma", [0.0, -1.0, math.nan])
+    def test_n_sigma_must_be_positive(self, n_sigma):
+        # a negative window was blamed on the spectrum, with a ClassificationError
+        with pytest.raises(DomainError, match="n_sigma must be positive"):
+            classify_pair_spectrum(_fit_from_centers([0.0, 1.03, 2.06]), n_sigma=n_sigma)
+
     def test_requires_three_peaks(self):
         with pytest.raises(DomainError):
             classify_pair_spectrum(_fit_from_centers([0.0, 1.0]))
@@ -569,6 +579,11 @@ class TestPleSpectrumValidation:
     def test_rejects_non_finite_dwell_time(self, bad):
         with pytest.raises(DomainError, match="dwell time"):
             PleSpectrum(np.array([0.0, 1.0]), np.array([1.0, 2.0]), dwell_time_s=bad)
+
+    def test_rejects_a_span_beyond_a_double(self):
+        # np.diff overflowed in a RuntimeWarning
+        with pytest.raises(DomainError, match="span beyond the range of a double"):
+            PleSpectrum(np.array([-1e308, 0.0, 1e308]), np.array([1.0, 2.0, 3.0]))
 
     def test_nan_count_is_refused_before_the_fit(self):
         # it reached scipy's least_squares as a bare ValueError

@@ -41,10 +41,15 @@ class TestLifetimeLimitedLinewidth:
             2.0 * lifetime_limited_linewidth(5.5), rel=1e-12
         )
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    # from max / (2 pi), about 2.8611e307 ns, 2 pi tau overflows and the quotient read 0
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 1e308, 2.87e307])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             lifetime_limited_linewidth(bad)
+
+    def test_longest_lifetimes_keep_their_linewidth(self):
+        assert lifetime_limited_linewidth(2.8e307) == pytest.approx(5.68e-306, rel=1e-3)
+        assert lifetime_limited_linewidth(2.86e307) == pytest.approx(5.565e-306, rel=1e-3)
 
     def test_strictly_decreasing(self):
         taus = np.linspace(0.1, 50.0, 200)
@@ -229,6 +234,8 @@ class TestModelValidation:
             EnsembleModel(lifetime_ns=1e-320)
         with pytest.raises(DomainError, match="linewidth beyond the range"):
             lifetime_limited_linewidth(1e-320)
+        with pytest.raises(DomainError, match="linewidth beyond the range"):
+            EnsembleModel(lifetime_ns=1e308)
 
 
 def one_emitter(a1_ghz: float, a2_ghz: float) -> tuple[np.ndarray, np.ndarray]:
