@@ -142,6 +142,7 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
     from .lineio import read_spectrum, write_spectrum
     from .ple import (
         LorentzianPeak,
+        _check_classify_inputs,
         _check_fit_size,
         classify_pair_spectrum,
         fit_multi_lorentzian,
@@ -150,6 +151,9 @@ def _cmd_fit_ple(cfg: RunConfig, seed: SeedSpec, args) -> _Outcome:
 
     section = cfg.data["fit_ple"]
     k = section["n_peaks"]
+    if section["classify"]:
+        # refused before the spectrum is read or synthesized and fitted
+        _check_classify_inputs(k, section["n_sigma"])
     files: dict[str, Any] = {}
     if args.input is not None:
         spectrum = read_spectrum(args.input)

@@ -17,12 +17,12 @@ writes its summary (and, for ``fit-ple --synthetic``, the spectrum) before
 the error.
 """
 # This module imports no numpy: ``--version``, argument errors and ``report``
-# run from it alone. The computing subcommands live in
+# run from it alone. ``--version`` loads no argparse either: :func:`main` writes
+# its line before it builds the parser. The computing subcommands live in
 # :mod:`emitternet._commands`, which :func:`main` imports only for them, and
 # each of them loads only the analysis modules it uses.
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import os
@@ -35,13 +35,19 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 from . import __version__
 from .errors import ConfigError, EmitterNetError, SummaryError, UsageError
 
-# ``--version`` needs neither the config, the seeds nor json, and a usage
-# error needs only json: each is imported where the code that uses it runs
+# ``--version`` needs neither argparse, the config, the seeds nor json, and a
+# usage error needs only argparse and json: each is imported where the code
+# that uses it runs
 if TYPE_CHECKING:
+    import argparse
+
     from .config import RunConfig
     from .seeding import SeedSpec
 
 SEED_ENV_VAR = "EMITTERNET_SEED"
+
+# the line ``--version`` prints, by main itself or by the parser's action
+VERSION = f"emitternet {__version__}"
 
 PROVENANCE_NOTE = (
     "Overlap statistics are computed from constructed fixtures or parametric "
@@ -50,18 +56,19 @@ PROVENANCE_NOTE = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: A003 - argparse API
-        raise UsageError(message)
-
-
 def _utc_now() -> str:
     from datetime import datetime, timezone
 
     return datetime.now(timezone.utc).isoformat()
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # noqa: A003 - argparse API
+            raise UsageError(message)
+
     # A flag that sets a config value stores it under that value's dotted
     # config path (its ``dest``); see _load_config.
     common = argparse.ArgumentParser(add_help=False)
@@ -71,7 +78,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--stream-index", type=int, help="seed stream index")
 
     parser = _Parser(prog="emitternet", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"emitternet {__version__}")
+    parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", parents=[common], help="sample an emitter ensemble to CSV")
@@ -415,9 +422,17 @@ def _write_staged(out_dir: Path, files: dict[str, Any], comments: list[str]) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv == ["--version"]:
+        # the parser's version action without the parser: the same line, on
+        # stderr when there is no stdout, and exit 0 even if the write fails
+        try:
+            (sys.stdout or sys.stderr).write(VERSION + "\n")
+        except (AttributeError, OSError):
+            pass
+        return 0
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
         _print_error(exc, 1)
         return 1

@@ -395,6 +395,15 @@ class PairAssignment:
     zfs2_ghz: float
 
 
+def _check_classify_inputs(n_peaks: int, n_sigma: float) -> None:
+    """Refuse what :func:`classify_pair_spectrum` cannot judge: a fit of other
+    than 3 peaks, or an ``n_sigma`` not above 0."""
+    if n_peaks != 3:
+        raise DomainError(f"pair classification requires exactly 3 peaks, got {n_peaks}")
+    if not n_sigma > 0:
+        raise DomainError(f"n_sigma must be positive, got {n_sigma}")
+
+
 def classify_pair_spectrum(
     fit: FitResult,
     prior_mean_ghz: float = 1.027,
@@ -407,10 +416,7 @@ def classify_pair_spectrum(
     highest = A2 of emitter 2. Accepted only if both implied splittings
     lie within ``prior_mean +- n_sigma * prior_sigma``.
     """
-    if len(fit.peaks) != 3:
-        raise DomainError(f"pair classification requires exactly 3 peaks, got {len(fit.peaks)}")
-    if not n_sigma > 0:
-        raise DomainError(f"n_sigma must be positive, got {n_sigma}")
+    _check_classify_inputs(len(fit.peaks), n_sigma)
     order = np.argsort([p.center_ghz for p in fit.peaks])
     lo, mid, hi = (fit.peaks[i] for i in order)
     zfs1 = mid.center_ghz - lo.center_ghz

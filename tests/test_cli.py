@@ -25,7 +25,8 @@ from emitternet import (
     serialize_line_list,
     synthesize,
 )
-from emitternet import _commands
+from emitternet import __version__, _commands
+from emitternet._front import _build_parser
 from emitternet.cli import main
 from emitternet.lineio import write_spectrum
 
@@ -365,6 +366,32 @@ class TestFitPleCommand:
         summary = _read_summary(tmp_path / "out", "fit_ple")
         assert summary["results"]["pair_assignment"]["zfs1_ghz"] == pytest.approx(1.5, abs=0.03)
         assert set(summary["config"]["fit_ple"]) == {"n_peaks", "classify", "n_sigma"}
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["--k", "3"], {"fit_ple": {"n_sigma": -1}}, "n_sigma must be positive, got -1.0"),
+            (["--k", "2"], None, "pair classification requires exactly 3 peaks, got 2"),
+        ],
+        ids=["n-sigma", "two-peaks"],
+    )
+    def test_classify_refused_before_the_spectrum(
+        self, tmp_path, capsys, monkeypatch, argv, config, message
+    ):
+        def called(*args, **kwargs):
+            raise AssertionError("a refused --classify run built a spectrum or a fit")
+
+        monkeypatch.setattr("emitternet.ple.synthesize", called)
+        monkeypatch.setattr("emitternet.ple.fit_multi_lorentzian", called)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        code = main(["fit-ple", "--synthetic", "--classify", *argv, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["type"], err["error"]) == ("DomainError", message)
+        assert not out.exists()
 
     def test_fit_beyond_jacobian_limit_exit_2(self, tmp_path, capsys):
         # 18000 points x 901 parameters; k = 2000 would need a 5.4 GiB Jacobian
@@ -1155,12 +1182,41 @@ def test_version_and_usage_errors_load_no_config_or_json(tmp_path, argv, code):
     assert "emitternet._front" in loaded
     unwanted = {"emitternet.config", "emitternet.seeding", "dataclasses", "numpy"}
     if not code:
-        unwanted.add("json")  # a usage error writes its line with json
+        # a usage error writes its line with json, and argparse finds it
+        unwanted |= {"json", "argparse"}
     assert not loaded & unwanted, argv
     if code:
         (line,) = [line for line in run.stderr.splitlines() if line.startswith('{"error"')]
         error = json.loads(line)
         assert error["type"] == "UsageError" and error["exit_code"] == 1
+
+
+def test_version_writes_the_bytes_of_the_parsers_action(tmp_path, capsys):
+    # main answers --version alone before it builds the parser; every other
+    # spelling still goes through argparse's version action
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(["--version"])
+    assert exc.value.code == 0
+    expected = capsys.readouterr().out
+    assert expected == f"emitternet {__version__}\n"
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (expected, "")
+    for argv in (["--version"], ["--vers"], ["--version", "sample"]):
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "emitternet", *argv],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stdout) == (0, expected), argv
+        assert ("argparse" in _imported(run.stderr)) == (argv != ["--version"]), argv
+    # with stdout closed, the line goes to stderr, where argparse sends it;
+    # with both closed, the run still exits 0
+    for closed, err in ((">&-", expected), (">&- 2>&-", "")):
+        run = subprocess.run(
+            ["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-m", "emitternet",
+             "--version"],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stderr) == (0, err), closed
 
 
 PACKAGE_ALL = [
