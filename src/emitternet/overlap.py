@@ -266,8 +266,8 @@ def fit_slope_through_origin(curve: OverlapCurve, gamma_mhz: float) -> float:
     """
     if len(curve.windows_mhz) == 0:
         raise DomainError("curve is empty")
-    if not gamma_mhz > 0:
-        raise DomainError("gamma must be positive")
+    if not 0 < gamma_mhz < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma_mhz}")
     # huge windows overflow to inf (or inf * 0 = nan): both are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(curve.windows_mhz) / float(gamma_mhz)
@@ -275,6 +275,8 @@ def fit_slope_through_origin(curve: OverlapCurve, gamma_mhz: float) -> float:
         sxx = float(np.dot(x, x))
         sxy = float(np.dot(x, y))
     if sxx == 0.0:
+        if any(curve.windows_mhz):
+            raise DomainError("window sums in units of gamma underflow to 0; slope is undefined")
         raise DomainError("all windows are zero; slope is undefined")
     if not (math.isfinite(sxx) and math.isfinite(sxy)):
         raise DomainError("window sums are not finite; slope is undefined")
@@ -361,17 +363,16 @@ class MonteCarloThreshold:
     target_probability: float
     pairwise_q: float
     curve: tuple[tuple[int, float], ...]
-    median_stop: float
-    quantiles: dict[str, float]
+    median_stop: float | None
+    quantiles: dict[str, float | None]
     ci95_at_n_star: tuple[float, float] | None
     trials: int
     n_censored: int
 
 
-# Most trials :func:`monte_carlo_threshold` runs. The stopping times and the
-# pairwise-rate sample take about 80 bytes a trial at peak (traced), so the
-# limit stands for about 0.8 GB; more trials are refused before any generator
-# is made.
+# Most trials :func:`monte_carlo_threshold` runs. Its pairwise-rate sample
+# takes about 56 bytes a trial at peak (traced), so the limit stands for about
+# 0.56 GB; more trials are refused before any generator is made.
 MAX_MC_TRIALS = 10_000_000
 
 # Most emitters one chunk of side-by-side trials in monte_carlo_threshold may
@@ -443,24 +444,23 @@ def monte_carlo_threshold(
     combos = _closed_combos(combos)
     spec = as_seed(seed)
 
-    # stopping count = 1 + first emitter index that closes a pair (i < j);
-    # max_emitters + 1 marks a censored trial
-    stops = np.full(trials, max_emitters + 1, dtype=np.int64)
+    # stopped[s]: the trials whose first close pair came with their s-th emitter
+    stopped = np.zeros(max_emitters + 1, dtype=np.int64)
     chunk = max(1, _MC_CHUNK_EMITTERS // max_emitters)
     # One generator serves every trial: it is set to a trial's state at the
-    # start of each of the trial's blocks, and states[r] holds that state.
+    # start of each of the trial's blocks, and states[k] holds that state for
+    # the k-th trial still open.
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     for first in range(0, trials, chunk):
         states = spec.pcg64_states(range(first, min(first + chunk, trials)), 0)
-        live = np.arange(len(states))
         a1 = a2 = np.empty((len(states), 0))
         block = 32
-        while live.size and a1.shape[1] < max_emitters:
+        while states and a1.shape[1] < max_emitters:
             grow = min(block, max_emitters - a1.shape[1])
-            u, z = np.empty((live.size, grow)), np.empty((live.size, grow))
-            for k, r in enumerate(live):
-                bit_generator.state = states[r]
+            u, z = np.empty((len(states), grow)), np.empty((len(states), grow))
+            for k, state in enumerate(states):
+                bit_generator.state = state
                 _draw_raw(model, rng, u[k], z[k])
             _map_raw(model, u, z)
             # a ZFS of 0 or below takes the truncated normal's further draws:
@@ -468,21 +468,22 @@ def monte_carlo_threshold(
             redraw = np.flatnonzero((z <= 0.0).any(axis=1))
             new1, new2 = _lines(u, z)
             for k in redraw:
-                bit_generator.state = states[live[k]]
+                bit_generator.state = states[k]
                 new1[k], new2[k] = sample_line_positions(model, grow, rng)
             a1 = np.concatenate([a1, new1], axis=1)
             a2 = np.concatenate([a2, new2], axis=1)
             j = _first_closing(a1, a2, combos, window_mhz)
             hit = j < a1.shape[1]
-            stops[first + live[hit]] = j[hit] + 1
-            live, a1, a2 = live[~hit], a1[~hit], a2[~hit]
+            stopped += np.bincount(j[hit] + 1, minlength=max_emitters + 1)
+            states = [states[k] for k in np.flatnonzero(~hit)]
+            a1, a2 = a1[~hit], a2[~hit]
             block *= 2
             if a1.shape[1] < max_emitters:
                 # an open trial replays its block to reach its next block's start
-                for r in live:
-                    bit_generator.state = states[r]
+                for k, state in enumerate(states):
+                    bit_generator.state = state
                     sample_line_positions(model, grow, rng)
-                    states[r] = bit_generator.state
+                    states[k] = bit_generator.state
 
     # Independent pairwise-rate estimate over >= trials sampled pairs.
     rng_q = spec.rng(1)
@@ -491,19 +492,18 @@ def monte_carlo_threshold(
     sep_q = separation_mhz((qa1[:n_q], qa2[:n_q]), (qa1[n_q:], qa2[n_q:]), combos)
     pairwise_q = float(np.count_nonzero(sep_q < window_mhz)) / n_q
 
-    uncensored = stops[stops <= max_emitters]
-    ns = np.arange(2, uncensored.max(initial=2) + 1)
-    cum = np.cumsum(np.bincount(uncensored, minlength=len(ns) + 2))[2:] / trials
-    curve = tuple((int(k), float(p)) for k, p in zip(ns, cum))
+    # below[s]: the trials that stopped by emitter s; the rest are censored
+    below = np.cumsum(stopped)
+    top = max(2, int(np.searchsorted(below, below[-1] - 1, "right")))  # the largest stop
+    cum = below[2 : top + 1] / trials
+    curve = tuple(enumerate(cum.tolist(), start=2))
     reached = np.nonzero(cum >= target)[0]
     n_star, ci = None, None
     if len(reached) > 0:
-        n_star, p_at = int(ns[reached[0]]), float(cum[reached[0]])
+        n_star, p_at = 2 + int(reached[0]), float(cum[reached[0]])
         half = 1.96 * math.sqrt(max(p_at * (1 - p_at), 0.0) / trials)
         ci = (max(0.0, p_at - half), min(1.0, p_at + half))
-    percents = (25, 50, 75)
-    values = _quantiles(uncensored, [p / 100 for p in percents])
-    qs = {f"q{p}": value for p, value in zip(percents, values)}
+    qs = _stop_quartiles(below)
     return MonteCarloThreshold(
         n_star=n_star,
         target_probability=target,
@@ -513,32 +513,27 @@ def monte_carlo_threshold(
         quantiles=qs,
         ci95_at_n_star=ci,
         trials=trials,
-        n_censored=trials - len(uncensored),
+        n_censored=trials - int(below[-1]),
     )
 
 
-def _quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
-    """``float(np.quantile(values, q))`` for each q of a 1-d int array, bit
-    for bit (numpy's default 'linear' method); NaN for an empty array.
+def _stop_quartiles(below: np.ndarray) -> dict[str, float | None]:
+    """``float(np.quantile(stops, q))`` for q = 0.25, 0.5 and 0.75, bit for
+    bit, where ``below[s]`` counts the stops of at most s; None when there
+    is no stop.
 
-    np.quantile imports ``numpy.ma``, 18 ms at start-up. This partitions
-    once at the two neighbours of each virtual index ``(n - 1) * q``, as
-    numpy takes them (the last entry twice where the index reaches it), and
-    interpolates between them as numpy's ``_lerp`` does.
+    The stop of rank r is the least s with ``below[s] > r``. For these q and
+    integer stops far below 2^50, numpy's linear interpolation at (n - 1) * q
+    is exact, so ``low + (high - low) * t`` is its value.
     """
-    n = len(values)
-    if not n:
-        return [math.nan] * len(qs)
-    index = [(n - 1) * q for q in qs]
-    below = [math.floor(i) if i < n - 1 else -1 for i in index]
-    above = [b + 1 if b >= 0 else -1 for b in below]
-    part = np.partition(values, sorted({*below, *above}))
-    out = []
-    for i, b, a in zip(index, below, above):
-        low, high, t = part[b].item(), part[a].item(), i - b
-        diff = high - low
-        out.append(float(high - diff * (1 - t) if t >= 0.5 else low + diff * t))
-    return out
+    n = int(below[-1])
+    qs: dict[str, float | None] = {}
+    for p in (25, 50, 75):
+        index = (n - 1) * (p / 100)
+        rank = math.floor(index)
+        low, high = np.searchsorted(below, [rank, min(rank + 1, n - 1)], "right").tolist()
+        qs[f"q{p}"] = low + (high - low) * (index - rank) if n else None
+    return qs
 
 
 @dataclass(frozen=True)
@@ -559,8 +554,8 @@ def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) ->
     A span of more than about :data:`MAX_HISTOGRAM_BINS` bins is refused
     before any bin is allocated.
     """
-    if not bin_width > 0:
-        raise DomainError(f"bin width must be positive, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise DomainError(f"bin width must be positive and finite, got {bin_width}")
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         return HistogramResult(bin_edges=(), counts=())

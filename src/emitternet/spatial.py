@@ -46,7 +46,7 @@ class SpatialScene:
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
         object.__setattr__(self, "box_um", box)
         object.__setattr__(self, "positions", pos)
-        if any(b <= 0 for b in box):
+        if any(not b > 0 for b in box):
             raise DomainError(f"box extents must be positive, got {box}")
         if pos.size and (np.any(pos < 0) or np.any(pos > np.asarray(box))):
             raise DomainError("all positions must lie inside the box")
@@ -60,10 +60,10 @@ def sample_scene(
     density_per_um3: float, box_um: Sequence[float], seed: SeedSpec | int
 ) -> SpatialScene:
     """Poisson(density * volume) emitters placed uniformly in the box."""
-    if density_per_um3 < 0:
+    if not density_per_um3 >= 0:
         raise DomainError(f"density must be non-negative, got {density_per_um3}")
     box = tuple(float(b) for b in box_um)
-    if len(box) != 3 or any(b <= 0 for b in box):
+    if len(box) != 3 or any(not b > 0 for b in box):
         raise DomainError(f"box must be three positive extents, got {box_um}")
     volume = box[0] * box[1] * box[2]
     _check_point_count("expected emitter count", density_per_um3 * volume)
@@ -103,8 +103,8 @@ def spot_volume(psf: ConfocalPsf) -> float:
 
 def poisson_multi_occupancy(occupancy_mean: float) -> float:
     """Closed-form P(k >= 2) = 1 - exp(-lambda) * (1 + lambda)."""
-    if occupancy_mean < 0:
-        raise DomainError("mean occupancy must be non-negative")
+    if not 0 <= occupancy_mean < math.inf:
+        raise DomainError(f"mean occupancy must be non-negative and finite, got {occupancy_mean}")
     return float(-np.expm1(-occupancy_mean) - occupancy_mean * math.exp(-occupancy_mean))
 
 
@@ -141,7 +141,7 @@ def occupancy_stats(
     """
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
-    if density_per_um3 < 0:
+    if not density_per_um3 >= 0:
         raise DomainError(f"density must be non-negative, got {density_per_um3}")
     _check_point_count("trial count", trials)
     lam_spot = density_per_um3 * spot_volume(psf)

@@ -74,6 +74,21 @@ class TestBirthdayCommand:
         assert 0.0 < mc["pairwise_q"] < 0.1
         assert (tmp_path / "birthday_mc_curve.csv").exists()
 
+    def test_all_censored_monte_carlo_writes_null_quartiles(self, tmp_path):
+        # no two lines fall within 5e-324 MHz, so every trial is censored
+        argv = ["birthday", "--q", "0.01", "--mc", "--trials", "1000",
+                "--window-mhz", "5e-324", "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "birthday_summary.json").read_text()
+        mc = json.loads(text, parse_constant=refuse)["results"]["monte_carlo"]
+        assert mc["n_censored"] == 1000
+        assert mc["median_stop"] is None and mc["n_star"] is None
+        assert mc["quantiles"] == {"q25": None, "q50": None, "q75": None}
+
     def test_monte_carlo_refuses_open_combos(self, tmp_path, capsys):
         # The MC upper triangle compared only the earlier emitter's A1 with
         # the later one's A2 for this set, and exited 0; overlap exits 2.
@@ -99,7 +114,7 @@ class TestBirthdayCommand:
         assert err["type"] == "DomainError"
 
     def test_monte_carlo_trials_beyond_limit_exit_2(self, tmp_path, capsys):
-        # the stopping times alone would take 14.9 GiB
+        # the pairwise-rate sample alone would take 59.6 GiB
         code = main(["birthday", "--mc", "--trials", "2000000000", "--out", str(tmp_path)])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -259,6 +274,13 @@ class TestOverlapCommand:
         if argv[0] == "overlap" and config is None:
             results = _read_summary(tmp_path / "out", "overlap")["results"]
             assert set(results["probabilities"]) == {0}
+
+    def test_window_whose_squared_sum_underflows_exit_2(self, tmp_path, capsys):
+        code = main(["overlap", "--n", "20", "--window-mhz", "1e-300", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DomainError"
+        assert err["error"] == "window sums in units of gamma underflow to 0; slope is undefined"
 
     def test_bootstrap_beyond_limit_exit_2(self, tmp_path, capsys):
         # 10 default windows x 1e9 resamples: a 74.5 GiB value array

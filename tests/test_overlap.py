@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -232,6 +233,18 @@ class TestSlopeFit:
         with pytest.raises(DomainError):
             fit_slope_through_origin(zeros, 29.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0])
+    def test_gamma_not_positive_and_finite_refused(self, gamma):
+        curve = OverlapCurve((10.0, 20.0), (0.1, 0.2), (0.0, 0.0), 10, 45)
+        with pytest.raises(DomainError, match="gamma must be positive and finite"):
+            fit_slope_through_origin(curve, gamma)
+
+    def test_squared_sum_underflow_is_named(self):
+        # the windows are positive, but (1e-300 / 29)^2 underflows to 0
+        curve = OverlapCurve((1e-300,), (0.5,), (0.0,), 10, 45)
+        with pytest.raises(DomainError, match="underflow to 0"):
+            fit_slope_through_origin(curve, 29.0)
+
     @pytest.mark.parametrize(
         "window, probability, gamma",
         [(1e308, 0.5, 29.0), (1e200, 0.5, 29.0), (1e308, 0.0, 1e-10)],
@@ -382,7 +395,7 @@ class TestMonteCarloThreshold:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the stopping times alone would take 14.9 GiB
+        # the pairwise-rate sample alone would take 59.6 GiB
         assert peak < 1e6
 
     def test_trials_at_the_limit_run(self, monkeypatch):
@@ -397,26 +410,26 @@ class TestMonteCarloThreshold:
             monte_carlo_threshold(EnsembleModel(), 29.0, 0.5, 1000, 1, max_emitters=max_emitters)
 
 
-class TestQuantiles:
-    """``overlap._quantiles`` is ``np.quantile`` bit for bit on stopping
-    times, without loading numpy.ma."""
+class TestStopQuartiles:
+    """The quartiles read off the stop counts are ``np.quantile`` of the
+    stops, bit for bit, without loading numpy.ma."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.integers(2, 400), max_size=60),
-        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-    )
-    def test_equals_np_quantile(self, stops, qs):
-        x = np.array(stops, dtype=np.int64)
-        qs = [0.25, 0.5, 0.75, *qs]
-        got = overlap._quantiles(x, qs)
-        want = [float(np.quantile(x, q)) if len(x) else float("nan") for q in qs]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+    @given(st.lists(st.integers(0, 40), min_size=3, max_size=520))
+    def test_equal_np_quantile_of_the_stops(self, counts):
+        stops = np.repeat(np.arange(len(counts)), counts)
+        got = overlap._stop_quartiles(np.cumsum(counts))
+        if not len(stops):
+            assert got == {"q25": None, "q50": None, "q75": None}
+            return
+        want = {f"q{p}": float(np.quantile(stops, p / 100)) for p in (25, 50, 75)}
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
-    def test_leaves_its_input_as_it_was(self):
-        x = np.array([5, 2, 9, 3])
-        overlap._quantiles(x, [0.25, 0.5, 0.75])
-        np.testing.assert_array_equal(x, [5, 2, 9, 3])
+    @pytest.mark.parametrize("length", [3, 513])
+    def test_no_stop_gives_none(self, length):
+        got = overlap._stop_quartiles(np.zeros(length, dtype=np.int64))
+        assert got == {"q25": None, "q50": None, "q75": None}
 
 
 class TestGapsBeyondDouble:
@@ -494,6 +507,11 @@ class TestHistogram:
     def test_domain(self):
         with pytest.raises(DomainError):
             histogram([1.0], 0.0)
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan, -math.inf])
+    def test_non_finite_width_refused(self, width):
+        with pytest.raises(DomainError, match="bin width must be positive and finite"):
+            histogram([1.0, 2.0], width)
 
     def test_span_beyond_double_is_named(self):
         # (1e307 - 0) / 0.025 is inf for both ends, and their span inf - inf

@@ -13,6 +13,7 @@ from emitternet import (
     EnsembleModel,
     LineCombo,
     NormalCenters,
+    SpatialScene,
     occupancy_stats,
     poisson_multi_occupancy,
     sample_scene,
@@ -92,6 +93,16 @@ class TestSampleScene:
         with pytest.raises(DomainError, match="expected emitter count"):
             sample_scene(1e4, (20.0, 20.0, 10.0), 1)
 
+    def test_nan_density_refused(self):
+        with pytest.raises(DomainError, match="density must be non-negative, got nan"):
+            sample_scene(math.nan, (1.0, 1.0, 1.0), 1)
+
+    def test_nan_box_refused(self):
+        with pytest.raises(DomainError, match="box must be three positive extents"):
+            sample_scene(1.0, (math.nan, 1.0, 1.0), 1)
+        with pytest.raises(DomainError, match="box extents must be positive"):
+            SpatialScene((1.0, math.nan, 1.0), np.empty((0, 3)))
+
 
 class TestSpotVolume:
     def test_unit_sphere_convention(self):
@@ -167,6 +178,10 @@ class TestOccupancyStats:
     def test_needs_enough_trials(self):
         with pytest.raises(DomainError):
             occupancy_stats(0.43, ConfocalPsf(0.5), 999, 1)
+
+    def test_nan_density_refused(self):
+        with pytest.raises(DomainError, match="density must be non-negative, got nan"):
+            occupancy_stats(math.nan, ConfocalPsf(0.5), 1000, 1)
 
 
 class TestOccupancyLimit:
@@ -386,3 +401,8 @@ class TestPoissonTailHelper:
     def test_domain(self):
         with pytest.raises(DomainError):
             poisson_multi_occupancy(-0.1)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_refused(self, mean):
+        with pytest.raises(DomainError, match="non-negative and finite"):
+            poisson_multi_occupancy(mean)
