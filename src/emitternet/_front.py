@@ -140,7 +140,7 @@ def _load_config(args) -> RunConfig:
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         cfg = RunConfig.from_json(text)
     else:
@@ -451,9 +451,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             summary = f"{args.command.replace('-', '_')}_summary.json"
             files[summary] = _summary_pieces(args.command, cfg, seed, results)
         _write_files(_out_dir(cfg), files, _csv_comments(cfg, seed))
-    except UsageError as exc:
-        _print_error(exc, 1)
-        return 1
     except (EmitterNetError, OSError) as exc:
         _print_error(exc, 2)
         return 2

@@ -91,24 +91,30 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
         raise LineListError(f"row {taken[0]}: {error}", row=taken[0]) from None
 
 
-def _drain(rows: Iterator) -> None:
-    """Read ``rows`` to the end. The checks of :func:`_csv_rows` cover the
-    whole file, so they are reported before any error of a single row: a
-    caller that is about to raise calls this first."""
-    for _ in rows:
-        pass
+def _text(data: bytes) -> str:
+    """``data`` decoded as UTF-8, or a :class:`LineListError` naming the file
+    row, as :func:`_pieces` counts rows, of the first byte that cannot be
+    decoded."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        # the lines before the byte, and the one that it starts or goes on
+        row = len((data[: error.start].decode("utf-8") + "x").splitlines())
+        raise LineListError(
+            f"row {row}: cannot decode byte {data[error.start]:#04x} as UTF-8 ({error.reason})",
+            row=row,
+        ) from None
 
 
 def _data_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Check that the first row of ``text`` is ``header`` and return the
-    rows below it. A caller that raises while reading them calls
-    :func:`_drain` first."""
+    rows below it. Every reader of these rows raises the first fault it
+    meets, in file order."""
     rows = _csv_rows(text)
     row, fields = next(rows, (None, None))
     if fields is None:
         raise LineListError("file contains no header row")
     if [h.strip() for h in fields] != header:
-        _drain(rows)
         raise LineListError(f"row {row}: header must be exactly {','.join(header)!r}", row=row)
     return rows
 
@@ -140,12 +146,13 @@ def parse_line_list(data: bytes | str) -> LineTable:
 
     The header row must be exactly ``emitter_id,f_a1_ghz,f_a2_ghz,
     fwhm_a1_mhz,fwhm_a2_mhz``; a data row has 3 or 5 fields, and a blank
-    width is NaN. The rows are read in order and the first failing check is
-    raised (with its 1-based file row, comment and header lines counted). A
-    row's checks go: field count, id (non-empty, unique), each position (a
-    finite number), f_a2_ghz > f_a1_ghz, each width (a finite number or
-    blank). Only a file passing all of these is checked for widths that are
-    not positive.
+    width is NaN. Bytes that are not UTF-8 are refused at the row of the
+    first one. The rows are then read in order and the first fault is raised
+    (with its 1-based file row, comment and header lines counted), whatever
+    its kind: a row that ``csv.reader`` refuses, or a row's first failing
+    check, in this order: field count, id (non-empty, unique), each position
+    (a finite number), f_a2_ghz > f_a1_ghz, each width in column order
+    (blank, or a finite number above 0).
 
     The bulk pass (:func:`_bulk_pass`) reads a file whose data rows are all
     plain and valid and whose text holds no ``"`` or NUL, not even in a
@@ -153,7 +160,7 @@ def parse_line_list(data: bytes | str) -> LineTable:
     (:func:`_row_pass`), which alone raises errors.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = _text(data)
     table = _bulk_pass(data)
     return _row_pass(data) if table is None else table
 
@@ -165,48 +172,38 @@ def _row_pass(text: str) -> LineTable:
 
     first_seen: dict[str, int] = {}  # emitter id -> file row, in file order
     a1, a2, w1, w2 = columns = [array("d") for _ in range(4)]
-    nonpositive = None  # (row, column, cell) of the first width not above 0
-    rows = _data_rows(text, LINE_LIST_HEADER)
-    try:
-        for row, fields in rows:
-            if len(fields) not in (3, 5):
-                message = f"row {row}: expected 3 or 5 fields, got {len(fields)}"
-                raise LineListError(message, row=row)
-            emitter_id = fields[0].strip()
-            if not emitter_id:
-                raise LineListError(f"row {row}: emitter_id must be non-empty", row=row)
-            seen = first_seen.setdefault(emitter_id, row)
-            if seen != row:
+    for row, fields in _data_rows(text, LINE_LIST_HEADER):
+        if len(fields) not in (3, 5):
+            raise LineListError(f"row {row}: expected 3 or 5 fields, got {len(fields)}", row=row)
+        emitter_id = fields[0].strip()
+        if not emitter_id:
+            raise LineListError(f"row {row}: emitter_id must be non-empty", row=row)
+        seen = first_seen.setdefault(emitter_id, row)
+        if seen != row:
+            raise LineListError(
+                f"row {row}: duplicate emitter_id {emitter_id!r} (first seen at row {seen})",
+                row=row,
+                column="emitter_id",
+            )
+        x1 = _number(fields[1], row, "f_a1_ghz")
+        x2 = _number(fields[2], row, "f_a2_ghz")
+        if x2 <= x1:
+            raise LineListError(
+                f"row {row}: emitter {emitter_id!r} has f_a2_ghz ({x2}) <= f_a1_ghz ({x1})",
+                row=row,
+                column="f_a2_ghz",
+            )
+        a1.append(x1)
+        a2.append(x2)
+        for values, column, cell in zip((w1, w2), _WIDTH_COLUMNS, fields[3:] or ("", "")):
+            width = _number(cell, row, column, blank=True)
+            if width <= 0:
                 raise LineListError(
-                    f"row {row}: duplicate emitter_id {emitter_id!r} (first seen at row {seen})",
+                    f"row {row}, column {column!r}: linewidth must be positive, got {cell!r}",
                     row=row,
-                    column="emitter_id",
+                    column=column,
                 )
-            x1 = _number(fields[1], row, "f_a1_ghz")
-            x2 = _number(fields[2], row, "f_a2_ghz")
-            if x2 <= x1:
-                raise LineListError(
-                    f"row {row}: emitter {emitter_id!r} has f_a2_ghz ({x2}) <= f_a1_ghz ({x1})",
-                    row=row,
-                    column="f_a2_ghz",
-                )
-            a1.append(x1)
-            a2.append(x2)
-            for values, column, cell in zip((w1, w2), _WIDTH_COLUMNS, fields[3:] or ("", "")):
-                width = _number(cell, row, column, blank=True)
-                if width <= 0 and nonpositive is None:
-                    nonpositive = row, column, cell
-                values.append(width)
-    except LineListError:
-        _drain(rows)
-        raise
-    if nonpositive is not None:
-        row, column, cell = nonpositive
-        raise LineListError(
-            f"row {row}, column {column!r}: linewidth must be positive, got {cell!r}",
-            row=row,
-            column=column,
-        )
+            values.append(width)
     return LineTable(np.fromiter(first_seen, dtype=object, count=len(first_seen)), *columns)
 
 
@@ -579,22 +576,20 @@ def read_spectrum(path: Path | str) -> PleSpectrum:
 
     path = Path(path)
     freqs, counts = array("d"), array("d")
-    rows = _data_rows(path.read_text(encoding="utf-8"), SPECTRUM_HEADER)
-    try:
-        for row, fields in rows:
-            if len(fields) != 2:
-                raise LineListError(f"{path}: row {row}: expected 2 fields", row=row)
-            freqs.append(_number(fields[0], row, "frequency_ghz"))
-            counts.append(_number(fields[1], row, "counts"))
-    except LineListError:
-        _drain(rows)
-        raise
+    for row, fields in _data_rows(_text(path.read_bytes()), SPECTRUM_HEADER):
+        if len(fields) != 2:
+            raise LineListError(f"{path}: row {row}: expected 2 fields", row=row)
+        freqs.append(_number(fields[0], row, "frequency_ghz"))
+        counts.append(_number(fields[1], row, "counts"))
     dwell = 1.0
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
         try:
-            dwell = float(json.loads(sidecar.read_text(encoding="utf-8"))["dwell_time_s"])
-        except (ValueError, KeyError, TypeError):
+            dwell = json.loads(sidecar.read_text(encoding="utf-8"))["dwell_time_s"]
+            if type(dwell) not in (int, float):  # JSON numbers only: no string, no bool
+                raise TypeError
+            dwell = float(dwell)
+        except (ValueError, KeyError, TypeError, OverflowError):
             raise LineListError(
                 f"{sidecar}: needs a JSON object with a numeric 'dwell_time_s'"
             ) from None

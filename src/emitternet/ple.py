@@ -158,7 +158,9 @@ def synthesize(
 
 
 def _median(values: np.ndarray) -> float:
-    """``float(np.median(values))`` of a non-empty 1-d float array, bit for bit.
+    """``float(np.median(values))`` of a non-empty 1-d float array, bit for
+    bit, where that is finite; a median that is not, such as the mean of two
+    middle values near the largest double, is refused with :class:`DomainError`.
 
     np.median imports ``numpy.ma`` for its NaN check, 18 ms at start-up.
     This partitions at np.median's own kth list, the middle index or
@@ -167,9 +169,11 @@ def _median(values: np.ndarray) -> float:
     n = len(values)
     middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
     part = np.partition(values, middle + [-1])
-    if np.isnan(part[-1]):
-        return float(part[-1])
-    return float(np.mean(part[middle[0] : n // 2 + 1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean of inf or NaN is refused below
+        median = float(part[-1] if np.isnan(part[-1]) else np.mean(part[middle[0] : n // 2 + 1]))
+    if not math.isfinite(median):
+        raise DomainError(f"the median of {n} values is {median}, not a finite number")
+    return median
 
 
 def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:

@@ -255,9 +255,7 @@ class LossyChainResult:
     step_click_probabilities: tuple[float, ...]
 
 
-def _walk(
-    n: int, etas: list[float], refused: Exception | None = None
-) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+def _walk(n: int, etas: list[float]) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """The lossy chain walked once for every efficiency of ``etas`` (none zero).
 
     The branches are the rows of one amplitude array, each eta's weights a
@@ -266,11 +264,9 @@ def _walk(
     exact zero there, which changes no sum and no later weight, so each eta
     gets its own walk's weights, branches and step totals bit for bit.
 
-    Returns the amplitude rows, the weights and each eta's step totals.
-    Errors are a loop's over the etas in order: an eta whose click weight
-    underflows is dropped with every eta after it, and at the end the first
-    eta's error in list order is raised, ``refused`` (the error of an eta
-    after the last of ``etas``) included.
+    Returns the amplitude rows, the weights and each eta's step totals. At
+    the first pair where the click weight of some eta underflows, a
+    :class:`ProtocolError` names the first such eta in list order.
     """
     amps = hadamard_all(init_pumped(n)).amplitudes[None, :]
     weights = np.ones((len(etas), 1))
@@ -283,13 +279,9 @@ def _walk(
         # a subnormal weight has lost its precision, and zero means no click at all
         under = np.flatnonzero(np.any(live & (grown < sys.float_info.min), axis=(1, 2)))
         if under.size:
-            m = int(under[0])
-            refused = ProtocolError(
-                f"click weight on pair ({q}, {q + 1}) underflows at eta = {etas[m]!r}"
+            raise ProtocolError(
+                f"click weight on pair ({q}, {q + 1}) underflows at eta = {etas[under[0]]!r}"
             )
-            if m == 0:
-                raise refused
-            etas, grown, click_effs, steps = etas[:m], grown[:m], click_effs[:m], steps[:m]
         # C order keeps branch by branch, the one-photon part before the two-photon part
         keep = (probs > NORM_TOLERANCE) & np.any(grown != 0.0, axis=0)
         amps = kept[keep] / np.sqrt(probs[keep])[:, None]
@@ -298,8 +290,6 @@ def _walk(
         weights = grown / np.array(totals)[:, None]
         for step, total in zip(steps, totals):
             step.append(total)
-    if refused is not None:
-        raise refused
     return amps, weights, steps
 
 
@@ -344,23 +334,14 @@ def fidelity_vs_eta_sweep(n: int, etas: Sequence[float]) -> tuple[FidelitySweepR
     they diverge by the reported (not reconciled) discrepancy. One chain
     walk serves every eta, and each fidelity is that of
     :func:`run_ghz_chain_with_loss`, bit for bit, summed over the branches
-    in the same order. An error is the one a loop over the etas in order
-    would raise first.
+    in the same order. Every eta is checked in list order before the
+    walk, so the first invalid one is refused; then the walk refuses the
+    first pair where some eta's click weight underflows.
     """
-    columns: list[tuple[float, float]] = []  # (eta, fidelity_published) of each eta
-    refused = None
-    for eta in etas:
-        try:
-            columns.append((float(eta), published_model_fidelity(n, eta)))
-        except Exception as exc:  # re-raised below, after the walk of the etas before it
-            refused = exc
-            break
-    walked = list(etas)[: len(columns)]
-    if not walked:
-        if refused is not None:
-            raise refused
+    columns = [(float(eta), published_model_fidelity(n, eta)) for eta in etas]
+    if not columns:
         return ()
-    amps, weights, _ = _walk(n, walked, refused)
+    amps, weights, _ = _walk(n, list(etas))
     target = ghz_target(n).amplitudes
     overlaps = [abs(np.vdot(target, row)) ** 2 for row in amps]
     rows = []

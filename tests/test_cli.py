@@ -685,8 +685,9 @@ def _snapshot(directory):
 
 
 class TestRefusedRunWritesNothing:
-    # name: (successful runs of the same command, the refused run, its config,
-    #        a summary planted before it, the error it ends in)
+    # name: (successful runs of the same command, the refused run, its config
+    #        or a (flag, bytes) file it reads, a summary planted before it,
+    #        the error it ends in)
     CASES = {
         "birthday-mc-trials": (
             [["birthday", "--q", "0.01", "--mc", "--trials", "1000"]],
@@ -847,6 +848,31 @@ class TestRefusedRunWritesNothing:
             # a ClassificationError blamed the spectrum for a window of -0.075 GHz
             {"fit_ple": {"n_sigma": -1}}, None, "DomainError",
         ),
+        # files that are not UTF-8 ended in a UnicodeDecodeError traceback
+        "overlap-input-not-utf8": (
+            [["overlap", "--n", "2", "--window-mhz", "29"]],
+            ["overlap", "--window-mhz", "29"],
+            ("--input", b"emitter_id,f_a1_ghz,f_a2_ghz\na,0,1\xff\n"), None, "LineListError",
+        ),
+        "fit-ple-input-not-utf8": (
+            [["fit-ple", "--synthetic", "--k", "1"]],
+            ["fit-ple", "--k", "1"],
+            ("--input", b"frequency_ghz,counts\n0,1\xff\n"), None, "LineListError",
+        ),
+        "sample-config-not-utf8": (
+            [["sample", "--n", "5"]],
+            ["sample", "--n", "5"],
+            ("--config", b'{"seed": 1, "output_dir": "\xff"}'), None, "ConfigError",
+        ),
+        "fit-ple-median-overflow": (
+            [["fit-ple", "--synthetic", "--k", "1"]],
+            ["fit-ple", "--k", "1"],
+            # the mean of the two middle counts overflowed in a RuntimeWarning
+            # traceback, and without the warning filter the background of inf
+            # was blamed on the peaks
+            ("--input", b"frequency_ghz,counts\n" + b"".join(b"%d,1e308\n" % i for i in range(20))),
+            None, "DomainError",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -863,8 +889,11 @@ class TestRefusedRunWritesNothing:
             for argv in priors:
                 assert main([*argv, "--seed", "4", "--out", str(out)]) == 0
         if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
-            refused = [*refused, "--config", str(tmp_path / "cfg.json")]
+            if not isinstance(config, tuple):
+                config = "--config", json.dumps(config).encode()
+            flag, data = config
+            (tmp_path / "input").write_bytes(data)
+            refused = [*refused, flag, str(tmp_path / "input")]
         if planted is not None and prior_run is not None:
             (out / "x_summary.json").write_text(planted)
         before = _snapshot(out) if prior_run is not None else None

@@ -1,9 +1,14 @@
+import csv
 import json
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitternet import (
     ConfigError,
@@ -25,6 +30,15 @@ from emitternet import (
 from emitternet.lineio import read_spectrum, write_spectrum
 
 HEADER = "emitter_id,f_a1_ghz,f_a2_ghz,fwhm_a1_mhz,fwhm_a2_mhz"
+
+# a spectrum row with one fault of each kind, by the row's index
+SPECTRUM_FAULTS = {
+    "field count": lambda i: f"{i},1,2",
+    "bad number": lambda i: f"{i},x",
+    "non-finite": lambda i: f"nan,{i}",
+    "open quote": lambda i: f'{i},"1',
+    "field over the csv limit": lambda i: f"{i},{'1' * (csv.field_size_limit() + 1)}",
+}
 
 
 class TestParseLineList:
@@ -149,18 +163,18 @@ class TestSpectrumIo:
             ),
             # a 3-field row, then a bad number
             ("frequency_ghz,counts\n0.0,1,2\n0.1,x\n", "{path}: row 2: expected 2 fields", 2, None),
-            # an open quote is reported before a bad number on an earlier row
+            # a bad number is reported before an open quote on a later row
             (
                 'frequency_ghz,counts\n0.0,x\n0.1,"2\n0.2,1\n',
-                "row 3: quoted field is not closed on its line",
-                3,
-                None,
+                "row 2, column 'counts': cannot parse 'x' as a number",
+                2,
+                "counts",
             ),
-            # ... and before a wrong header
+            # ... and so is a wrong header
             (
                 'freq,counts\n0.0,"1\n0.1,2\n',
-                "row 2: quoted field is not closed on its line",
-                2,
+                "row 1: header must be exactly 'frequency_ghz,counts'",
+                1,
                 None,
             ),
             # a blank cell is not a number
@@ -180,13 +194,58 @@ class TestSpectrumIo:
         assert str(err.value) == message.format(path=path)
         assert (err.value.row, err.value.column) == (row, column)
 
-    @pytest.mark.parametrize("sidecar", ['{"dwell": 0.05}', "[0.05]", '{"dwell_time_s": "x"}', "{"])
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_of_two_faults_the_earlier_row_is_named(self, data):
+        n_rows = data.draw(st.integers(2, 10))
+        faulty = data.draw(st.sets(st.integers(0, n_rows - 1), min_size=2, max_size=2))
+        lines, file_rows = ["# c", "frequency_ghz,counts"], []
+        for index in range(n_rows):
+            lines += data.draw(st.lists(st.sampled_from(["", "# c"]), max_size=2))
+            fault = data.draw(st.sampled_from(sorted(SPECTRUM_FAULTS)))
+            lines.append(SPECTRUM_FAULTS[fault](index) if index in faulty else f"{index},1")
+            file_rows.append(len(lines))
+        row = file_rows[min(faulty)]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "spec.csv"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(LineListError) as err:
+                read_spectrum(path)
+        assert err.value.row == row
+        assert re.match(rf"({re.escape(str(path))}: )?row {row}[:,]", str(err.value))
+
+    def test_byte_that_is_not_utf8_names_its_row(self, tmp_path):
+        # a UnicodeDecodeError escaped as a traceback
+        path = tmp_path / "spec.csv"
+        path.write_bytes(b"frequency_ghz,counts\n0,1\n\n0.1,\xe2\x82\n")
+        with pytest.raises(LineListError) as err:
+            read_spectrum(path)
+        message = "row 4: cannot decode byte 0xe2 as UTF-8 (invalid continuation byte)"
+        assert str(err.value) == message
+        assert err.value.row == 4
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        ['{"dwell": 0.05}', "[0.05]", '{"dwell_time_s": "x"}', "{"]
+        # a string or a bool was read as its float, and an integer beyond a
+        # double ended in an OverflowError; null and bytes that are not
+        # UTF-8 were refused before too
+        + ['{"dwell_time_s": "2.5"}', '{"dwell_time_s": true}', '{"dwell_time_s": null}']
+        + ['{"dwell_time_s": 1' + "0" * 400 + "}", '{"dwell_time_s": "\xff"}'],
+    )
     def test_sidecar_without_dwell_time(self, tmp_path, sidecar):
         path = tmp_path / "spec.csv"
         path.write_text("frequency_ghz,counts\n0.0,1.0\n0.1,2.0\n")
-        (tmp_path / "spec.csv.meta.json").write_text(sidecar)
+        (tmp_path / "spec.csv.meta.json").write_bytes(sidecar.encode("latin-1"))
         with pytest.raises(LineListError, match="dwell_time_s"):
             read_spectrum(path)
+
+    @pytest.mark.parametrize("dwell", ["2", "0.25", "2.5e-3"])
+    def test_sidecar_dwell_time_is_a_json_number(self, tmp_path, dwell):
+        path = tmp_path / "spec.csv"
+        path.write_text("frequency_ghz,counts\n0.0,1.0\n0.1,2.0\n")
+        (tmp_path / "spec.csv.meta.json").write_text(f'{{"dwell_time_s": {dwell}}}')
+        assert read_spectrum(path).dwell_time_s == float(dwell)
 
 
 class TestRunConfig:

@@ -2,9 +2,10 @@
 
 The parser oracle below is the former per-row ``parse_line_list``, kept
 verbatim apart from returning plain tuples and from the rule added since:
-only a file that passes every other check is checked for widths not above
-0. On generated files, with and without faults, the parser must return the
-same values or raise the same error (message, row, column).
+the first fault in file order is raised, so a width not above 0 is refused
+at its own row and a row that ``csv.reader`` refuses is named. On generated
+files, with and without faults, the parser must return the same values or
+raise the same error (message, row, column).
 """
 import csv
 import io
@@ -125,13 +126,27 @@ class TestParseErrors:
         assert err.value.row == 2
 
     def test_field_over_csv_limit_is_refused(self):
-        # csv.Error escaped as a traceback; like an open quote, it is reported
-        # before the bad number on the row above
+        # csv.Error escaped as a traceback; like any fault, it is reported
+        # after the bad number on the row above
         long_cell = "1" * (csv.field_size_limit() + 1)
         with pytest.raises(LineListError) as err:
-            parse_line_list(f"{HEADER}\na,0,x\n\nb,0,{long_cell}\n")
+            parse_line_list(f"{HEADER}\na,0,1\n\nb,0,{long_cell}\n")
         assert str(err.value) == f"row 4: field larger than field limit ({csv.field_size_limit()})"
         assert (err.value.row, err.value.column) == (4, None)
+        with pytest.raises(LineListError) as err:
+            parse_line_list(f"{HEADER}\na,0,x\n\nb,0,{long_cell}\n")
+        assert str(err.value) == "row 2, column 'f_a2_ghz': cannot parse 'x' as a number"
+
+    @pytest.mark.parametrize(
+        "data, row",
+        [(b"\xff" + HEADER.encode(), 1), (f"# c\r\n{HEADER}\na,0,1\xff\n".encode("latin-1"), 3)],
+    )
+    def test_byte_that_is_not_utf8_names_its_row(self, data, row):
+        # a UnicodeDecodeError escaped as a traceback
+        with pytest.raises(LineListError) as err:
+            parse_line_list(data)
+        assert str(err.value) == f"row {row}: cannot decode byte 0xff as UTF-8 (invalid start byte)"
+        assert (err.value.row, err.value.column) == (row, None)
 
 
 # Ids are stripped by the parser, so only stripped ids can round-trip. Some
@@ -363,9 +378,11 @@ def per_row_parse_line_list(data: bytes | str) -> list[tuple]:
 
     records: list[tuple] = []
     seen: dict[str, int] = {}
-    nonpositive = None  # the first width not above 0: (row, column, text)
     for lineno, line in numbered[1:]:
-        fields = next(csv.reader(io.StringIO(line)))
+        try:
+            fields = next(csv.reader(io.StringIO(line)))
+        except csv.Error as error:
+            raise LineListError(f"row {lineno}: {error}", row=lineno) from None
         if len(fields) not in (3, 5):
             raise LineListError(
                 f"row {lineno}: expected 3 or 5 fields, got {len(fields)}", row=lineno
@@ -389,19 +406,17 @@ def per_row_parse_line_list(data: bytes | str) -> list[tuple]:
                 row=lineno,
                 column="f_a2_ghz",
             )
-        fwhm1 = _parse_optional_float(fields[3], lineno, "fwhm_a1_mhz") if len(fields) == 5 else None
-        fwhm2 = _parse_optional_float(fields[4], lineno, "fwhm_a2_mhz") if len(fields) == 5 else None
-        for k, (width, column) in enumerate([(fwhm1, "fwhm_a1_mhz"), (fwhm2, "fwhm_a2_mhz")]):
-            if nonpositive is None and width is not None and width <= 0:
-                nonpositive = (lineno, column, fields[3 + k])
-        records.append((emitter_id, a1, a2, fwhm1, fwhm2))
-    if nonpositive is not None:
-        lineno, column, text = nonpositive
-        raise LineListError(
-            f"row {lineno}, column {column!r}: linewidth must be positive, got {text!r}",
-            row=lineno,
-            column=column,
-        )
+        fwhm = []
+        for column, text in zip(("fwhm_a1_mhz", "fwhm_a2_mhz"), fields[3:] or [None, None]):
+            width = _parse_optional_float(text, lineno, column)
+            if width is not None and width <= 0:
+                raise LineListError(
+                    f"row {lineno}, column {column!r}: linewidth must be positive, got {text!r}",
+                    row=lineno,
+                    column=column,
+                )
+            fwhm.append(width)
+        records.append((emitter_id, a1, a2, *fwhm))
     return records
 
 
@@ -531,15 +546,51 @@ def block_files(draw) -> str:
 @given(block_files())
 def test_parser_matches_per_row_oracle_across_blocks(text):
     with patch.object(emitternet.lineio, "_SPLIT_CHARS", 16):
-        got = outcome(parse_line_list, text)
-    long_rows = [row for row, line in enumerate(text.splitlines(), 1) if LONG_TAIL in line]
-    if long_rows:
-        # the reader's own errors come first, wherever they are in the file
-        row = long_rows[0]
-        message = f"row {row}: field larger than field limit ({csv.field_size_limit()})"
-        assert got == ("error", message, row, None)
-    else:
-        assert got == outcome(per_row_parse_line_list, text)
+        assert outcome(parse_line_list, text) == outcome(per_row_parse_line_list, text)
+
+
+# --- of two faults, the one on the earlier row is named ------------------------
+
+# a data row with one fault of each kind, by the row's index; every file's
+# first data row is e0, so that an id can repeat
+LINE_FAULTS = {
+    "field count": lambda i: f"e{i},0,1,300",
+    "empty id": lambda i: " ,0,1,300,300",
+    "duplicate id": lambda i: "e0,0,1,300,300",
+    "bad position": lambda i: f"e{i},x,1,300,300",
+    "non-finite position": lambda i: f"e{i},0,inf,300,300",
+    "f_a2_ghz <= f_a1_ghz": lambda i: f"e{i},1,0,300,300",
+    "bad width": lambda i: f"e{i},0,1,x,300",
+    "width not above 0": lambda i: f"e{i},0,1,300,-1",
+    "open quote": lambda i: f'e{i},"0,1,300,300',
+    "field over the csv limit": lambda i: f"e{i},0,1,300,{LONG_TAIL}",
+}
+
+
+@st.composite
+def two_fault_files(draw) -> tuple[str, int]:
+    """A line list whose data rows are valid but two, each with a fault of
+    any kind, and the file row of the earlier of the two."""
+    n_rows = draw(st.integers(3, 12))
+    faulty = draw(st.lists(st.integers(1, n_rows - 1), min_size=2, max_size=2, unique=True))
+    lines = draw(st.lists(NOISE, max_size=2)) + [HEADER]
+    file_rows = []
+    for index in range(n_rows):
+        lines += draw(st.lists(NOISE, max_size=2))
+        fault = draw(st.sampled_from(sorted(LINE_FAULTS)))
+        lines.append(LINE_FAULTS[fault](index) if index in faulty else f"e{index},0,1,300,300")
+        file_rows.append(len(lines))
+    return "\n".join(lines) + "\n", file_rows[min(faulty)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_fault_files())
+def test_of_two_faults_the_earlier_row_is_named(case):
+    text, row = case
+    with pytest.raises(LineListError) as err:
+        parse_line_list(text)
+    assert err.value.row == row
+    assert str(err.value).startswith((f"row {row}:", f"row {row},"))
 
 
 FIXED_FILES = [
@@ -554,7 +605,7 @@ FIXED_FILES = [
     f"{HEADER}\ne1,5,x\n",
     f"{HEADER}\ne1,5,1\ne2,x,1\n",
     f"{HEADER}\ne1,0,1,,\ne2,0,1,300,\n",
-    # a width not above 0 is reported only once every row has passed
+    # a width not above 0 is reported at its own row, before any later fault
     f"{HEADER}\ne1,0,1,300,0\ne2,0,1,-5,300\n",
     f"{HEADER}\ne1,0,1,-0.0,300\ne2,0,1\ne3,0,x\n",
     f"{HEADER}\ne1,0,1,300, -1e-3 \ne2,0,1,300\n",

@@ -171,31 +171,45 @@ def _float_bits(value):
 
 
 class TestMedian:
-    """``ple._median`` is ``np.median`` bit for bit, without loading numpy.ma."""
+    """``ple._median`` is ``np.median`` bit for bit, without loading numpy.ma,
+    where that is finite; a median that is not is refused."""
+
+    @staticmethod
+    def _check(x):
+        with np.errstate(all="ignore"):  # the mean of inf and -inf, or of two near-max values
+            expected = np.median(x)
+        if np.isfinite(expected):
+            assert _float_bits(ple._median(x)) == _float_bits(expected)
+        else:
+            with pytest.raises(DomainError, match="not a finite number"):
+                ple._median(x)
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
             st.one_of(
                 st.floats(allow_nan=True, allow_infinity=True),
-                st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0]),
+                st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0, 1e308, -1e308]),
             ),
             min_size=1,
             max_size=40,
         )
     )
     def test_equals_np_median(self, values):
-        x = np.array(values)
-        with np.errstate(all="ignore"):  # the mean of inf and -inf
-            assert _float_bits(ple._median(x)) == _float_bits(np.median(x))
+        self._check(np.array(values))
 
     @pytest.mark.parametrize(
         "values",
         [[0.0, -0.0], [-0.0, 0.0], [-0.0], [1.0, math.nan, 2.0], [math.nan], [3.0, 1.0, 2.0, 4.0]],
     )
     def test_signed_zeros_and_nan(self, values):
-        x = np.array(values)
-        assert _float_bits(ple._median(x)) == _float_bits(np.median(x))
+        self._check(np.array(values))
+
+    def test_mean_of_middle_values_that_overflows_is_refused(self):
+        # the mean of 1e308 and 1e308 overflowed to inf, with a RuntimeWarning
+        with pytest.raises(DomainError, match="the median of 20 values is inf"):
+            ple._median(np.full(20, 1e308))
+        assert ple._median(np.full(21, 1e308)) == 1e308
 
     def test_leaves_its_input_as_it_was(self):
         x = np.array([3.0, 1.0, 2.0])

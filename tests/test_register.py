@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emitternet.register
 from emitternet import (
     ChainResult,
     DomainError,
@@ -215,6 +217,27 @@ def _outcome(function, *args):
         return type(exc), str(exc)
 
 
+def _ruled_sweep(n, etas):
+    """The parent loop's sweep, with the sweep's error rule: every eta is
+    checked in list order first; then, of the etas whose own chain is
+    refused, the one refused at the earliest pair, the first of them in list
+    order, is named."""
+    for eta in etas:
+        float(eta)
+        published_model_fidelity(n, eta)
+    refused = [
+        got
+        for got in (_outcome(_parent_run_ghz_chain_with_loss, n, LossModel(eta)) for eta in etas)
+        if isinstance(got, tuple)
+    ]
+    if refused:
+        error_type, message = min(
+            refused, key=lambda got: [int(q) for q in re.findall(r"on pair \((\d+),", got[1])]
+        )
+        raise error_type(message)
+    return _parent_fidelity_vs_eta_sweep(n, etas)
+
+
 # the CLI's default sweep grid, and three more
 SWEEP_ETAS = [0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0, 0.3, 0.999, 1e-3]
 
@@ -264,23 +287,35 @@ class TestOneWalkForEveryEta:
         ],
     )
     @pytest.mark.parametrize("n", [1, 4, 13])
-    def test_sweep_errors_are_the_parent_loops(self, n, etas):
+    def test_sweep_is_the_parent_loop_or_its_error_rule(self, n, etas):
         got = _outcome(fidelity_vs_eta_sweep, n, etas)
-        ref = _outcome(_parent_fidelity_vs_eta_sweep, n, etas)
-        assert got == ref
-        if n == 4 and etas[:3] == [0.9, 1e-308, 1.5]:
-            assert got == (ProtocolError, "click weight on pair (0, 1) underflows at eta = 1e-308")
-        if n == 4 and etas[:3] == [0.9, 1.5, 1e-308]:
+        assert got == _outcome(_ruled_sweep, n, etas)
+        if n == 4 and etas[:3] in ([0.9, 1e-308, 1.5], [0.9, 1.5, 1e-308]):
+            # the invalid eta is named before any walk
             assert got[0] is DomainError and "1.5" in got[1]
+        if n == 4 and etas == [1e-308, 0.9]:
+            assert got == (ProtocolError, "click weight on pair (0, 1) underflows at eta = 1e-308")
 
-    def test_first_eta_refused_late_wins_over_a_later_eta_refused_early(self):
+    def test_invalid_eta_is_refused_before_the_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(emitternet.register, "_walk", walk)
+        with pytest.raises(DomainError, match="got 1.5"):
+            fidelity_vs_eta_sweep(4, [1e-308, 0.5, 1.5, 2.0])
+
+    def test_earlier_pair_wins_over_an_earlier_eta(self):
         # at n = 12 the first eta's click weight underflows on pair (10, 11),
-        # the second's on pair (0, 1); a loop over the etas meets the first
+        # the second's on pair (0, 1); the one walk meets pair (0, 1) first
         etas = [4.8329302385716535e-307, 1e-308]
         got = _outcome(fidelity_vs_eta_sweep, 12, etas)
-        assert got == _outcome(_parent_fidelity_vs_eta_sweep, 12, etas)
+        assert got == _outcome(_ruled_sweep, 12, etas)
         assert got == (
-            ProtocolError, f"click weight on pair (10, 11) underflows at eta = {etas[0]!r}"
+            ProtocolError, f"click weight on pair (0, 1) underflows at eta = {etas[1]!r}"
+        )
+        # of two etas refused on the same pair, the first in list order is named
+        assert _outcome(fidelity_vs_eta_sweep, 12, [0.5, 5e-324, 1e-310]) == (
+            ProtocolError, "click weight on pair (0, 1) underflows at eta = 5e-324"
         )
 
     @pytest.mark.parametrize("eta", [1e-310, 5e-324, 0.0, 1e-300])
