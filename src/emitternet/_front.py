@@ -160,17 +160,13 @@ def _load_config(args) -> RunConfig:
 
 
 def _resolve_seed(cfg: RunConfig) -> SeedSpec:
-    from .seeding import SeedSpec
-
-    if cfg.data["seed"] is not None:
-        return cfg.seed_spec()
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if cfg.data["seed"] is None and env is not None:
         try:
-            return SeedSpec(seed=int(env), stream_index=int(cfg.data["stream_index"]))
-        except ValueError:
+            return cfg.seed_spec(fallback=int(env))
+        except ValueError:  # not an integer, or a DomainError for a seed out of range
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return cfg.seed_spec(fallback=0)
+    return cfg.seed_spec()
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -309,7 +305,7 @@ def _load_summary(path: Path) -> dict[str, Any]:
 
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+    except (ValueError, RecursionError) as exc:  # invalid UTF-8 or JSON, or too deep
         raise SummaryError(f"{path} is not valid JSON: {exc}") from None
     if not (
         isinstance(doc, dict)

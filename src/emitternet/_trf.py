@@ -4,10 +4,20 @@ This is the one path of ``scipy.optimize.least_squares`` that the PLE fit
 runs, ``method="trf"`` with finite or one-sided box bounds, a callable
 Jacobian, ``tr_solver="exact"``, ``x_scale=1`` and the linear loss, copied
 from scipy 1.17.1 (``scipy/optimize/_lsq/trf.py`` and ``common.py``) and
-trimmed to that case. Every floating-point expression keeps scipy's order,
-so ``x``, the residuals, ``nfev`` and ``status`` are scipy's bit for bit;
-the tests check this against scipy. The method is that of Branch, Coleman
-and Li (1999), "A Subspace, Interior, and Conjugate Gradient Method for
+trimmed to that case. Where scipy takes the residuals and the Jacobian as
+two callables, :func:`least_squares` takes one, ``fun(x) -> (residuals,
+jacobian)``, so each point is evaluated once and the Jacobian of an
+accepted step is the one evaluated with it. ``least_squares(fun, x0, lb,
+ub, ftol, xtol, gtol, max_nfev)`` equals::
+
+    scipy.optimize.least_squares(
+        lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1], bounds=(lb, ub),
+        method="trf", ftol=ftol, xtol=xtol, gtol=gtol, max_nfev=max_nfev)
+
+Every floating-point expression keeps scipy's order, so ``x``, the
+residuals, ``nfev`` and ``status`` are scipy's bit for bit; the tests
+check this against scipy. The method is that of Branch, Coleman and Li
+(1999), "A Subspace, Interior, and Conjugate Gradient Method for
 Large-Scale Bound-Constrained Minimization Problems", with each
 trust-region subproblem solved exactly from one SVD as in Moré (1977),
 "The Levenberg-Marquardt Algorithm: Implementation and Theory".
@@ -74,9 +84,9 @@ class TrfResult(NamedTuple):
     status: int
 
 
+@np.errstate(all="ignore")
 def least_squares(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
@@ -85,32 +95,24 @@ def least_squares(
     gtol: float,
     max_nfev: int,
 ) -> TrfResult:
-    """Minimize ``0.5 * sum(fun(x)**2)`` subject to ``lb <= x <= ub``.
+    """Minimize ``0.5 * sum(f**2)`` subject to ``lb <= x <= ub``, where
+    ``f, J = fun(x)`` are the residuals and their dense (m, n) Jacobian.
 
-    The caller guarantees ``lb < ub`` and ``lb <= x0 <= ub``; ``jac`` returns
-    the dense (m, n) Jacobian. Equal to ``scipy.optimize.least_squares(fun,
-    x0, jac=jac, bounds=(lb, ub), method="trf", ftol=ftol, xtol=xtol,
-    gtol=gtol, max_nfev=max_nfev)``, bit for bit.
+    The caller guarantees ``lb < ub`` and ``lb <= x0 <= ub``. ``fun`` runs
+    ``nfev`` times; the result is scipy's bit for bit (see the module
+    docstring for the call it equals).
     """
-    with np.errstate(all="ignore"):
-        x0 = make_strictly_feasible(x0, lb, ub)
-        f0 = fun(x0)
-        if not np.all(np.isfinite(f0)):
-            raise DomainError("fit residuals are not finite at the start point")
-        return _trf_bounds(fun, jac, x0, f0, jac(x0), lb, ub, ftol, xtol, gtol, max_nfev)
-
-
-def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
-    x = x0.copy()
-    f = f0
+    x = make_strictly_feasible(x0, lb, ub)
+    f, J = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise DomainError("fit residuals are not finite at the start point")
     nfev = 1
-    J = J0
     m, n = J.shape
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
 
     v, dv = CL_scaling_vector(x, g, lb, ub)
-    Delta = norm(x0 / v**0.5)
+    Delta = norm(x / v**0.5)
     if Delta == 0:
         Delta = 1.0
 
@@ -159,7 +161,7 @@ def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
                 x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta)
 
             x_new = make_strictly_feasible(x + step, lb, ub, rstep=0)
-            f_new = fun(x_new)
+            f_new, J_new = fun(x_new)
             nfev += 1
 
             step_h_norm = norm(step_h)
@@ -185,10 +187,7 @@ def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
             Delta = Delta_new
 
         if actual_reduction > 0:
-            x = x_new
-            f = f_new
-            cost = cost_new
-            J = jac(x)
+            x, f, J, cost = x_new, f_new, J_new, cost_new
             g = J.T.dot(f)
 
     if termination_status is None:
@@ -198,7 +197,7 @@ def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
 
 def select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     """Select the best step according to Trust Region Reflective algorithm."""
-    if in_bounds(x + p, lb, ub):
+    if np.all((x + p >= lb) & (x + p <= ub)):
         p_value = evaluate_quadratic(J_h, g_h, p_h, diag_h)
         return p, p_h, -p_value
 
@@ -216,7 +215,7 @@ def select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
 
     # Reflected direction will cross first either feasible region or trust
     # region boundary.
-    _, to_tr = intersect_trust_region(p_h, r_h, Delta)
+    to_tr = intersect_trust_region(p_h, r_h, Delta)
     to_bound, _ = step_size_to_bound(x_on_bound, r, lb, ub)
 
     # Find lower and upper bounds on a step size along the reflected
@@ -272,7 +271,7 @@ def select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
 
 
 def intersect_trust_region(x, s, Delta):
-    """The negative and positive roots t of ||x + s*t||**2 = Delta**2."""
+    """The positive root t of ||x + s*t||**2 = Delta**2."""
     a = np.dot(s, s)
     if a == 0:
         raise ValueError("`s` is zero.")
@@ -287,17 +286,10 @@ def intersect_trust_region(x, s, Delta):
 
     # Computations below avoid loss of significance, see "Numerical Recipes".
     q = -(b + copysign(d, b))
-    t1 = q / a
-    t2 = c / q
-
-    if t1 < t2:
-        return t1, t2
-    else:
-        return t2, t1
+    return max(q / a, c / q)
 
 
-def solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha,
-                           rtol=0.01, max_iter=10):
+def solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):
     """Moré's trust-region step p and Levenberg-Marquardt parameter alpha,
     with ``(J.T*J + alpha*I)*p = -J.T*f``, from ``U, s, V.T = svd(J)`` and
     ``uf = U.T.dot(f)``."""
@@ -335,7 +327,7 @@ def solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha,
     else:
         alpha = initial_alpha
 
-    for _ in range(max_iter):
+    for _ in range(10):
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
 
@@ -348,7 +340,7 @@ def solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha,
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
 
-        if np.abs(phi) < rtol * Delta:
+        if np.abs(phi) < 0.01 * Delta:
             break
 
     p = -V.dot(suf / (s**2 + alpha))
@@ -423,11 +415,6 @@ def evaluate_quadratic(J, g, s, diag):
     return 0.5 * q + l
 
 
-def in_bounds(x, lb, ub):
-    """Check if a point lies within bounds."""
-    return np.all((x >= lb) & (x <= ub))
-
-
 def step_size_to_bound(x, s, lb, ub):
     """The least t >= 0 that puts x + s * t on a bound, and which bound each
     variable then hits (0: none, -1: lower, 1: upper)."""
@@ -441,50 +428,30 @@ def step_size_to_bound(x, s, lb, ub):
     return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
 
 
-def find_active_constraints(x, lb, ub, rtol):
-    """Which bound each variable is within ``rtol`` (relative to the bound's
-    magnitude, at least 1) of: 0 none, -1 lower, 1 upper."""
-    active = np.zeros_like(x, dtype=int)
-
-    if rtol == 0:
-        active[x <= lb] = -1
-        active[x >= ub] = 1
-        return active
-
-    lower_dist = x - lb
-    upper_dist = ub - x
-
-    lower_threshold = rtol * np.maximum(1, np.abs(lb))
-    upper_threshold = rtol * np.maximum(1, np.abs(ub))
-
-    lower_active = (np.isfinite(lb) &
-                    (lower_dist <= np.minimum(upper_dist, lower_threshold)))
-    active[lower_active] = -1
-
-    upper_active = (np.isfinite(ub) &
-                    (upper_dist <= np.minimum(lower_dist, upper_threshold)))
-    active[upper_active] = 1
-
-    return active
-
-
 def make_strictly_feasible(x, lb, ub, rstep=1e-10):
     """Shift a point to at least a relative distance ``rstep`` inside the
-    bounds; with ``rstep=0``, one ``np.nextafter`` inside."""
+    bounds; with ``rstep=0``, one ``np.nextafter`` inside. A variable within
+    ``rstep`` (relative to the bound's magnitude, at least 1) of both bounds
+    moves off the upper one."""
     x_new = x.copy()
 
-    active = find_active_constraints(x, lb, ub, rstep)
-    lower_mask = np.equal(active, -1)
-    upper_mask = np.equal(active, 1)
-
     if rstep == 0:
+        lower_mask = x <= lb
+        upper_mask = x >= ub
         x_new[lower_mask] = np.nextafter(lb[lower_mask], ub[lower_mask])
         x_new[upper_mask] = np.nextafter(ub[upper_mask], lb[upper_mask])
     else:
-        x_new[lower_mask] = (lb[lower_mask] +
-                             rstep * np.maximum(1, np.abs(lb[lower_mask])))
-        x_new[upper_mask] = (ub[upper_mask] -
-                             rstep * np.maximum(1, np.abs(ub[upper_mask])))
+        lower_dist = x - lb
+        upper_dist = ub - x
+        lower_threshold = rstep * np.maximum(1, np.abs(lb))
+        upper_threshold = rstep * np.maximum(1, np.abs(ub))
+        lower_mask = (np.isfinite(lb) &
+                      (lower_dist <= np.minimum(upper_dist, lower_threshold)))
+        upper_mask = (np.isfinite(ub) &
+                      (upper_dist <= np.minimum(lower_dist, upper_threshold)))
+        # the upper shift is written last, so it wins where both apply
+        x_new[lower_mask] = lb[lower_mask] + lower_threshold[lower_mask]
+        x_new[upper_mask] = ub[upper_mask] - upper_threshold[upper_mask]
 
     tight_bounds = (x_new < lb) | (x_new > ub)
     x_new[tight_bounds] = 0.5 * (lb[tight_bounds] + ub[tight_bounds])

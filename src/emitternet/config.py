@@ -181,7 +181,8 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
+        # a JSONDecodeError, an integer beyond int's digit limit, or nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         return cls.from_mapping(raw)
 

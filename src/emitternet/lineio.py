@@ -589,7 +589,7 @@ def read_spectrum(path: Path | str) -> PleSpectrum:
             if type(dwell) not in (int, float):  # JSON numbers only: no string, no bool
                 raise TypeError
             dwell = float(dwell)
-        except (ValueError, KeyError, TypeError, OverflowError):
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
             raise LineListError(
                 f"{sidecar}: needs a JSON object with a numeric 'dwell_time_s'"
             ) from None

@@ -348,17 +348,12 @@ def fit_multi_lorentzian(
         )
     theta0 = np.clip(theta0, lower, upper)
 
-    def residuals(theta):
-        model, _ = _model_and_jacobian(theta, nu, k)
-        return model - counts
-
-    def jacobian(theta):
-        _, jac = _model_and_jacobian(theta, nu, k)
-        return jac
+    def residuals_and_jacobian(theta):
+        model, jac = _model_and_jacobian(theta, nu, k)
+        return model - counts, jac
 
     result = _trf.least_squares(
-        residuals,
-        jacobian,
+        residuals_and_jacobian,
         theta0,
         lower,
         upper,

@@ -864,6 +864,17 @@ class TestRefusedRunWritesNothing:
             ["sample", "--n", "5"],
             ("--config", b'{"seed": 1, "output_dir": "\xff"}'), None, "ConfigError",
         ),
+        # JSON nested deeper than the recursion limit ended in a RecursionError traceback
+        "sample-config-too-deep": (
+            [["sample", "--n", "5"]],
+            ["sample", "--n", "5"],
+            ("--config", b"[" * 100000 + b"]" * 100000), None, "ConfigError",
+        ),
+        "report-summary-too-deep": (
+            [["birthday", "--q", "0.0098"], ["report"]],
+            ["report"],
+            None, "[" * 100000 + "]" * 100000, "SummaryError",
+        ),
         "fit-ple-median-overflow": (
             [["fit-ple", "--synthetic", "--k", "1"]],
             ["fit-ple", "--k", "1"],
@@ -1056,6 +1067,25 @@ class TestUsageAndConfig:
         monkeypatch.setenv("EMITTERNET_SEED", "12345")
         assert main(["sample", "--n", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
         assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 1
+
+    @pytest.mark.parametrize("env", ["abc", "-1"])
+    def test_invalid_env_seed_refused(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("EMITTERNET_SEED", env)
+        assert main(["sample", "--n", "5", "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["type"], err["error"]) == (
+            "ConfigError", f"EMITTERNET_SEED must be an integer, got {env!r}"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_env_seed_ignored_when_the_seed_is_set(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EMITTERNET_SEED", "abc")
+        assert main(["sample", "--n", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 1
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 2}))
+        argv = ["sample", "--n", "5", "--config", str(tmp_path / "cfg.json")]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 2
 
 
 def test_readme_python_examples_run():

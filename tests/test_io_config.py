@@ -231,7 +231,9 @@ class TestSpectrumIo:
         # double ended in an OverflowError; null and bytes that are not
         # UTF-8 were refused before too
         + ['{"dwell_time_s": "2.5"}', '{"dwell_time_s": true}', '{"dwell_time_s": null}']
-        + ['{"dwell_time_s": 1' + "0" * 400 + "}", '{"dwell_time_s": "\xff"}'],
+        + ['{"dwell_time_s": 1' + "0" * 400 + "}", '{"dwell_time_s": "\xff"}']
+        # nesting deeper than the recursion limit ended in a RecursionError
+        + [pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep")],
     )
     def test_sidecar_without_dwell_time(self, tmp_path, sidecar):
         path = tmp_path / "spec.csv"

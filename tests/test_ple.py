@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from emitternet import (
@@ -406,12 +406,16 @@ class TestFitMultiLorentzian:
             fit_multi_lorentzian(spec, 1)
 
 
-def _scipy_least_squares(fun, jac, x0, lb, ub, **tolerances):
+def _scipy_least_squares(fun, x0, lb, ub, **tolerances):
     """``_trf.least_squares`` through scipy, with the arguments the fit
-    passed to scipy before the port."""
+    passed to scipy before the port: the residuals and the Jacobian that
+    ``fun`` returns together, as scipy's separate ``fun`` and ``jac``."""
     from scipy.optimize import least_squares
 
-    r = least_squares(fun, x0, jac=jac, bounds=(lb, ub), method="trf", **tolerances)
+    r = least_squares(
+        lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1], bounds=(lb, ub), method="trf",
+        **tolerances,
+    )
     return _trf.TrfResult(r.x, r.fun, r.nfev, r.status)
 
 
@@ -460,8 +464,50 @@ def fit_cases(draw):
     return spectrum, k, guess, max_iterations
 
 
+@st.composite
+def feasibility_cases(draw):
+    """A point and box bounds, each variable on, near or beyond a bound,
+    with upper bounds of inf and intervals only a few 1e-10 wide."""
+    finite = st.floats(-1e3, 1e3)
+    x, lb, ub = [], [], []
+    for _ in range(draw(st.integers(1, 6), label="n")):
+        lower = draw(st.one_of(st.just(-math.inf), finite), label="lower")
+        if lower == -math.inf:
+            upper = draw(st.one_of(st.just(math.inf), finite), label="upper")
+        else:
+            width = draw(
+                st.one_of(st.just(math.inf), st.floats(0.0, 4e-10), st.floats(0.0, 1e3)),
+                label="width",
+            )
+            upper = max(lower + width, math.nextafter(lower, math.inf))
+        anchors = [b for b in (lower, upper) if math.isfinite(b)]
+        if len(anchors) == 2:
+            anchors.append(0.5 * (lower + upper))  # as far from one bound as the other
+        anchor = draw(st.sampled_from(anchors) if anchors else finite, label="anchor")
+        offset = draw(
+            st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-10.0, 10.0)),
+            label="offset",
+        )
+        x.append(anchor + offset)
+        lb.append(lower)
+        ub.append(upper)
+    return np.array(x), np.array(lb), np.array(ub)
+
+
 class TestTrfMatchesScipy:
     """The numpy port gives scipy's least_squares result bit for bit."""
+
+    @pytest.mark.parametrize("rstep", [1e-10, 0.0])
+    @settings(max_examples=300, deadline=None)
+    @given(feasibility_cases())
+    # 7.5e-11 is within 1e-10 of both bounds: the upper one wins, giving 5e-11
+    @example((np.array([7.5e-11]), np.array([0.0]), np.array([1.5e-10])))
+    def test_strictly_feasible_equals_scipy(self, rstep, case):
+        from scipy.optimize._lsq.common import make_strictly_feasible
+
+        got = _trf.make_strictly_feasible(*case, rstep=rstep)
+        want = make_strictly_feasible(*case, rstep=rstep)
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(fit_cases())
