@@ -1,9 +1,8 @@
 """The command line with every analysis module loaded.
 
-The computing subcommands live in :mod:`emitternet._commands` and the
-parser, ``main``, the summary writer, the output stage and ``report`` in
-:mod:`emitternet._front`; ``main`` loads only the analysis modules of the
-command it runs. Importing this module loads every one of them.
+Every subcommand, the parser and ``main`` live in :mod:`emitternet._front`,
+which loads numpy and the analysis modules only inside the command that
+uses them. Importing this module loads every one of them.
 """
 from . import config, lineio, overlap, ple, register, spatial, spectral  # noqa: F401
 from ._front import entrypoint, main

@@ -25,8 +25,8 @@ from emitternet import (
     serialize_line_list,
     synthesize,
 )
-from emitternet import __version__, _commands
-from emitternet._front import _build_parser
+from emitternet import __version__
+from emitternet._front import _COMMANDS, _build_parser, _complex_pairs
 from emitternet.cli import main
 from emitternet.lineio import write_spectrum
 
@@ -158,7 +158,7 @@ class TestProtocolCommand:
 
     def test_amplitude_pairs_keep_the_per_scalar_text(self):
         amps = np.array([complex(-0.0, 0.0), complex(0.5, -0.0), 1 / 3 - 2j, complex(-1e-300, 7)])
-        text = json.dumps(_commands._complex_pairs(amps))
+        text = json.dumps(_complex_pairs(amps))
         assert text == json.dumps([[float(a.real), float(a.imag)] for a in amps])
         assert text.count("-0.0") == 2
 
@@ -715,6 +715,16 @@ class TestRefusedRunWritesNothing:
             ["report"],
             None, "{", "SummaryError",
         ),
+        "report-summary-nan": (
+            [["birthday", "--q", "0.0098"], ["report"]],
+            ["report"],
+            # a summary of its own command, valid but for the NaN that
+            # report.json would copy
+            None,
+            '{"command": "overlap", "config_hash": "0", "version": "0", '
+            '"seed": {"seed": 1}, "results": {"slope_per_gamma": NaN}}',
+            "SummaryError",
+        ),
         "report-foreign-summary": (
             [["birthday", "--q", "0.0098"], ["report"]],
             ["report"],
@@ -1068,13 +1078,31 @@ class TestUsageAndConfig:
         assert main(["sample", "--n", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
         assert _read_summary(tmp_path, "sample")["seed"]["seed"] == 1
 
-    @pytest.mark.parametrize("env", ["abc", "-1"])
-    def test_invalid_env_seed_refused(self, tmp_path, capsys, monkeypatch, env):
+    @pytest.mark.parametrize(
+        ("env", "rule"),
+        [
+            ("abc", "an integer"),
+            ("-1", "a 64-bit unsigned integer"),
+            ("18446744073709551616", "a 64-bit unsigned integer"),
+        ],
+        ids=["abc", "-1", "2**64"],
+    )
+    def test_invalid_env_seed_refused(self, tmp_path, capsys, monkeypatch, env, rule):
         monkeypatch.setenv("EMITTERNET_SEED", env)
         assert main(["sample", "--n", "5", "--out", str(tmp_path / "out")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert (err["type"], err["error"]) == (
-            "ConfigError", f"EMITTERNET_SEED must be an integer, got {env!r}"
+            "ConfigError", f"EMITTERNET_SEED must be {rule}, got {env!r}"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_stream_index_fault_not_blamed_on_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EMITTERNET_SEED", "5")
+        argv = ["sample", "--n", "5", "--stream-index", "-1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["type"], err["error"]) == (
+            "DomainError", "stream_index must be non-negative, got -1"
         )
         assert not (tmp_path / "out").exists()
 
@@ -1270,6 +1298,11 @@ def test_version_and_usage_errors_load_no_config_or_json(tmp_path, argv, code):
         (line,) = [line for line in run.stderr.splitlines() if line.startswith('{"error"')]
         error = json.loads(line)
         assert error["type"] == "UsageError" and error["exit_code"] == 1
+
+
+def test_every_command_the_parser_accepts_runs_from_the_one_table():
+    (commands,) = [a.choices for a in _build_parser()._actions if a.dest == "command"]
+    assert set(commands) == set(_COMMANDS)
 
 
 def test_version_writes_the_bytes_of_the_parsers_action(tmp_path, capsys):
