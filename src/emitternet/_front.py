@@ -78,7 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="base seed (overrides config and environment)")
     common.add_argument("--stream-index", type=int, help="seed stream index")
 
-    parser = _Parser(prog="emitternet", description=__doc__)
+    parser = _Parser(
+        prog="emitternet",
+        description="Reproducible statistics of spin-active emitter ensembles: line "
+        "lists, pair-overlap curves, collision thresholds, PLE fits, spatial and "
+        "spectral chain rates, and the heralded GHZ protocol. Each command writes "
+        "its results into the output directory. Exit codes: 0 success, 1 usage "
+        "error, 2 data or validation error, 3 fit non-convergence.",
+    )
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 

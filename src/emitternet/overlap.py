@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 from .seeding import SeedSpec, _index, as_seed
-from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, LineTable
-from .spectral import _draw_raw, _lines, _map_raw, sample_line_positions, separation_mhz
+from .spectral import ALL_COMBOS, EnsembleModel, LineCombo, LineTable, _line_rows
+from .spectral import sample_line_positions, separation_mhz
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,7 @@ def overlap_curve(
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise DomainError("windows must be strictly ascending")
     if bootstrap_resamples is not None:
+        bootstrap_resamples = _index(bootstrap_resamples, "resamples")
         if bootstrap_resamples < 100:
             raise DomainError(f"need at least 100 resamples, got {bootstrap_resamples}")
         if len(windows) * bootstrap_resamples > MAX_BOOTSTRAP_VALUES:
@@ -376,8 +377,9 @@ class MonteCarloThreshold:
 MAX_MC_TRIALS = 10_000_000
 
 # Most emitters one chunk of side-by-side trials in monte_carlo_threshold may
-# hold: 512 trials at the default max_emitters of 512. A chunk whose trials
-# all stay open peaks at about 75 bytes an emitter (20 MB).
+# hold. A chunk also holds at most 512 trials, one generator each, so it is
+# 512 trials for a max_emitters of 512 or less. A chunk whose trials all stay
+# open peaks at about 75 bytes an emitter (20 MB).
 _MC_CHUNK_EMITTERS = 1 << 18
 
 
@@ -415,20 +417,14 @@ def monte_carlo_threshold(
 
     A trial draws blocks of 32, 64, 128, ... emitters, clipped at
     ``max_emitters``, until one of them closes a pair. Trials run side by
-    side in chunks of ``_MC_CHUNK_EMITTERS // max_emitters``. One generator
-    is set to each trial's block-start state in turn and draws the block's
-    raw numbers in two C calls (:func:`~emitternet.spectral._draw_raw`);
-    the raw numbers of every trial are then mapped to lines at once
-    (:func:`~emitternet.spectral._map_raw`), with the IEEE operations of
-    numpy's ``uniform`` and ``normal``, so each trial's lines are, bit for
-    bit, those of :func:`~emitternet.spectral.sample_line_positions` on its
-    own stream. A block holding a ZFS of 0 or below needs the truncated
-    normal's further draws, so ``sample_line_positions`` draws it again from
-    the trial's block-start state. One sorted sweep per trial
-    (:func:`_first_closing`) then finds the first emitter that closes a
-    pair. Only the trials still open go on: each replays its block with
-    ``sample_line_positions`` from its saved state to reach the start state
-    of its next block.
+    side in chunks of at most 512, each trial with a generator of its own,
+    set to its stream's start at the start of the chunk. Each block is one
+    :func:`~emitternet.spectral._line_rows` call over the generators of the
+    trials still open, so each trial's lines are, bit for bit, those of
+    :func:`~emitternet.spectral.sample_line_positions` on its own stream,
+    and its generator runs on into its next block. One sorted sweep per
+    trial (:func:`_first_closing`) then finds the first emitter that closes
+    a pair; only the trials still open go on.
     """
     trials, max_emitters = _index(trials, "trials"), _index(max_emitters, "max_emitters")
     if trials < 1000:
@@ -446,44 +442,27 @@ def monte_carlo_threshold(
 
     # stopped[s]: the trials whose first close pair came with their s-th emitter
     stopped = np.zeros(max_emitters + 1, dtype=np.int64)
-    chunk = max(1, _MC_CHUNK_EMITTERS // max_emitters)
-    # One generator serves every trial: it is set to a trial's state at the
-    # start of each of the trial's blocks, and states[k] holds that state for
-    # the k-th trial still open.
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
+    chunk = max(1, _MC_CHUNK_EMITTERS // max(max_emitters, 512))
+    # each generator is set to a trial's stream before it draws; one shared
+    # SeedSequence keeps a generator at about 550 bytes (traced)
+    seq = np.random.SeedSequence(0)
+    pool = [np.random.Generator(np.random.PCG64(seq)) for _ in range(min(chunk, trials))]
     for first in range(0, trials, chunk):
-        states = spec.pcg64_states(range(first, min(first + chunk, trials)), 0)
-        a1 = a2 = np.empty((len(states), 0))
+        rngs = pool[: min(chunk, trials - first)]
+        for rng, state in zip(rngs, spec.pcg64_states(range(first, first + len(rngs)), 0)):
+            rng.bit_generator.state = state
+        a1 = a2 = np.empty((len(rngs), 0))
         block = 32
-        while states and a1.shape[1] < max_emitters:
-            grow = min(block, max_emitters - a1.shape[1])
-            u, z = np.empty((len(states), grow)), np.empty((len(states), grow))
-            for k, state in enumerate(states):
-                bit_generator.state = state
-                _draw_raw(model, rng, u[k], z[k])
-            _map_raw(model, u, z)
-            # a ZFS of 0 or below takes the truncated normal's further draws:
-            # such a trial's block is drawn again whole, from its start state
-            redraw = np.flatnonzero((z <= 0.0).any(axis=1))
-            new1, new2 = _lines(u, z)
-            for k in redraw:
-                bit_generator.state = states[k]
-                new1[k], new2[k] = sample_line_positions(model, grow, rng)
+        while rngs and a1.shape[1] < max_emitters:
+            new1, new2 = _line_rows(model, min(block, max_emitters - a1.shape[1]), rngs)
             a1 = np.concatenate([a1, new1], axis=1)
             a2 = np.concatenate([a2, new2], axis=1)
             j = _first_closing(a1, a2, combos, window_mhz)
             hit = j < a1.shape[1]
             stopped += np.bincount(j[hit] + 1, minlength=max_emitters + 1)
-            states = [states[k] for k in np.flatnonzero(~hit)]
+            rngs = [rngs[k] for k in np.flatnonzero(~hit)]
             a1, a2 = a1[~hit], a2[~hit]
             block *= 2
-            if a1.shape[1] < max_emitters:
-                # an open trial replays its block to reach its next block's start
-                for k, state in enumerate(states):
-                    bit_generator.state = state
-                    sample_line_positions(model, grow, rng)
-                    states[k] = bit_generator.state
 
     # Independent pairwise-rate estimate over >= trials sampled pairs.
     rng_q = spec.rng(1)

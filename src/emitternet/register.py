@@ -32,7 +32,7 @@ UP, DOWN = 0, 1  # basis bit values per qubit; qubit 0 is the most significant b
 
 def _check_qubit_count(n: int) -> None:
     """Refuse a register size before anything of size n or 2^n is built."""
-    if not (2 <= n <= MAX_QUBITS):
+    if not (2 <= _index(n, "qubit count") <= MAX_QUBITS):
         raise DomainError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .seeding import SeedSpec, as_seed
+from .seeding import SeedSpec, _index, as_seed
 from .spectral import EnsembleModel, LineCombo, sample_line_positions, separation_mhz
 
 DEFAULT_AXIAL_FWHM_UM = 1.22
@@ -139,6 +139,7 @@ def occupancy_stats(
     box and counts points inside the FWHM ellipsoid; the resulting counts
     are Poisson(density * spot_volume), reported beside the closed form.
     """
+    trials = _index(trials, "trials")
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials, got {trials}")
     if not density_per_um3 >= 0:
@@ -233,6 +234,7 @@ def spectral_arrangement_rate(
     default window, 100k trials peak at 6.6 MB traced, against 19.9 MB
     when a chunk's gaps were held in full; the rate is the same bit for bit.
     """
+    k, trials = _index(k, "chain length"), _index(trials, "trials")
     if k < 2:
         raise DomainError(f"chain length must be >= 2, got {k}")
     if not window_mhz > 0:

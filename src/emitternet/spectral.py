@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .seeding import SeedSpec, as_seed
+from .seeding import SeedSpec, _index, as_seed
 
 # Absolute frequency anchoring detuning 0. Stored once; everything else is
 # relative, which keeps full double precision on MHz-scale differences.
@@ -258,32 +258,31 @@ def _truncated_normal(
     return out
 
 
-def _draw_raw(model: EnsembleModel, rng: np.random.Generator, u: np.ndarray, z: np.ndarray) -> None:
-    """Fill ``u`` and ``z`` with the raw numbers of one block of ``len(u)`` emitters.
+def _line_rows(
+    model: EnsembleModel, n: int, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a1, a2) as ``(len(rngs), n)`` arrays, one row a generator.
 
-    Draw order is fixed: the centers' standard uniforms (standard normals
-    for :class:`NormalCenters`), then the ZFS standard normals, none when
-    ``zfs_sigma_ghz`` is 0. ZFS values of 0 or below take further draws;
-    :func:`sample_line_positions` makes them.
-    """
-    if isinstance(model.centers, NormalCenters):
-        rng.standard_normal(out=u)
-    else:
-        rng.random(out=u)
-    if model.zfs_sigma_ghz != 0.0:
-        rng.standard_normal(out=z)
-
-
-def _map_raw(model: EnsembleModel, u: np.ndarray, z: np.ndarray) -> None:
-    """Map raw numbers from :func:`_draw_raw`, in place, to centers in ``u``
-    and ZFS values, not yet truncated, in ``z``.
-
-    These are the IEEE operations of numpy's C ``random_uniform``
+    Row k is, bit for bit, ``sample_line_positions(model, n, rngs[k])``,
+    and ``rngs[k]`` ends where that call leaves it. Each generator draws
+    its row's raw numbers in two C calls: the centers' standard uniforms
+    (standard normals for :class:`NormalCenters`), then the ZFS standard
+    normals, none when ``zfs_sigma_ghz`` is 0. All rows are then mapped at
+    once with the IEEE operations of numpy's C ``random_uniform``
     (``low + range * u``) and ``random_normal`` (``loc + scale * z``), so
-    each value equals, bit for bit, what ``rng.uniform`` or ``rng.normal``
-    draws from the same stream. Arrays of any shape are mapped at once.
+    each value equals what ``rng.uniform`` or ``rng.normal`` draws from the
+    same stream. A row with a ZFS of 0 or below then takes the truncated
+    normal's further draws from its own generator.
     """
+    u, z = np.empty((len(rngs), n)), np.empty((len(rngs), n))
     centers = model.centers
+    for rng, u_row, z_row in zip(rngs, u, z):
+        if isinstance(centers, NormalCenters):
+            rng.standard_normal(out=u_row)
+        else:
+            rng.random(out=u_row)
+        if model.zfs_sigma_ghz != 0.0:
+            rng.standard_normal(out=z_row)
     if isinstance(centers, NormalCenters):
         u *= centers.sigma_ghz
         u += 0.0  # as loc 0.0 does: -0.0 becomes 0.0
@@ -296,15 +295,13 @@ def _map_raw(model: EnsembleModel, u: np.ndarray, z: np.ndarray) -> None:
     else:
         z *= model.zfs_sigma_ghz
         z += model.zfs_mean_ghz
-
-
-def _lines(center: np.ndarray, zfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a1, a2): the lines ZFS/2 below and above each center. Both arrays
-    are overwritten: ``zfs`` with the half-splittings, ``center`` with a2."""
-    zfs *= 0.5
-    a1 = center - zfs
-    center += zfs
-    return a1, center
+        for k in np.flatnonzero((z <= 0.0).any(axis=1)):
+            _truncated_normal(rngs[k], model.zfs_mean_ghz, model.zfs_sigma_ghz, n, z[k])
+    # the lines ZFS/2 below and above each center
+    z *= 0.5
+    a1 = u - z
+    u += z
+    return a1, u
 
 
 def sample_line_positions(
@@ -313,14 +310,10 @@ def sample_line_positions(
     """Draw n emitters' (a1, a2) detunings in GHz as arrays.
 
     Draw order is fixed (centers, then ZFS, then the ZFS resamples) so
-    streams are reproducible: :func:`_draw_raw`, :func:`_map_raw`, then
-    :func:`_truncated_normal` for ZFS values of 0 or below.
+    streams are reproducible; this is the one-row case of :func:`_line_rows`.
     """
-    u, z = np.empty(n), np.empty(n)
-    _draw_raw(model, rng, u, z)
-    _map_raw(model, u, z)
-    z = _truncated_normal(rng, model.zfs_mean_ghz, model.zfs_sigma_ghz, n, z)
-    return _lines(u, z)
+    a1, a2 = _line_rows(model, n, [rng])
+    return a1[0], a2[0]
 
 
 # Most emitters :func:`sample_ensemble` draws. It peaks at about 160 bytes an
@@ -338,6 +331,7 @@ def sample_ensemble(model: EnsembleModel, n: int, seed: SeedSpec | int) -> LineT
     ``e000``, ``e001``, ..., zero-padded to the widest index. An n above
     :data:`MAX_ENSEMBLE_EMITTERS` is refused.
     """
+    n = _index(n, "ensemble size")
     if n < 1:
         raise DomainError(f"ensemble size must be >= 1, got {n}")
     if n > MAX_ENSEMBLE_EMITTERS:

@@ -1305,6 +1305,18 @@ def test_every_command_the_parser_accepts_runs_from_the_one_table():
     assert set(commands) == set(_COMMANDS)
 
 
+@pytest.mark.parametrize("command", [None, *sorted(_COMMANDS)])
+def test_help_is_plain_text(command, capsys):
+    # the module docstring is for developers and holds reST markup; --help
+    # prints a description of its own
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: emitternet")
+    assert ":func:" not in out and "``" not in out
+
+
 def test_version_writes_the_bytes_of_the_parsers_action(tmp_path, capsys):
     # main answers --version alone before it builds the parser; every other
     # spelling still goes through argparse's version action

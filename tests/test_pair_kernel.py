@@ -348,6 +348,7 @@ A1A1, A2A2, A1A2, A2A1 = (LineCombo.A1_A1, LineCombo.A2_A2, LineCombo.A1_A2, Lin
         (BUNCHED, 29.0, set(LineCombo), 512, SeedSpec(12, stream_index=2**33 + 1)),
         (TRUNCATED_ZFS, 2.0, set(LineCombo), 100, 13),
         (ONE_CENTER, 0.2, set(LineCombo), 100, 14),
+        (UNIFORM, 0.5, {A1A1}, 1000, 15),
     ],
 )
 def test_monte_carlo_matches_dense_oracle(model, window_mhz, combos, max_emitters, seed):
@@ -355,12 +356,13 @@ def test_monte_carlo_matches_dense_oracle(model, window_mhz, combos, max_emitter
     # 45 clips it to 13, and 37% of the trials reach that part-filled block;
     # max_emitters=100 at 0.5 MHz censors about four trials in five; at
     # 1.5 MHz about half the trials reach the third block (128 emitters) and
-    # 17 the fourth, so a trial's saved generator state is resumed up to three
-    # times; a stream index above 2^32 is two words of the trials' spawn key.
-    # TRUNCATED_ZFS draws 1715 blocks again for a ZFS at or below 0, in first
-    # and later blocks, and 721 blocks are replayed to reach the next block,
-    # where the replay draws again too; ONE_CENTER's centers are 0.0 + 0.0 * z
-    # (229 replays)
+    # 17 the fourth, so a trial's generator runs on into up to three later
+    # blocks; a stream index above 2^32 is two words of the trials' spawn key.
+    # TRUNCATED_ZFS takes the truncated normal's further draws in 1715 trial
+    # blocks, first and later ones, and its trials run on into 721 later
+    # blocks, after such draws too; ONE_CENTER's centers are 0.0 + 0.0 * z
+    # (229 later blocks); max_emitters=1000 runs chunks of 262 trials, fewer
+    # than 512, and 5 trials reach the fifth block (512 emitters)
     got = monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     want = dense_monte_carlo_threshold(model, window_mhz, 0.5, 1000, seed, combos, max_emitters)
     assert got.curve == want.curve

@@ -10,15 +10,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emitternet import (
+    ConfocalPsf,
     DomainError,
     EnsembleModel,
     LorentzianPeak,
+    LossModel,
     SeedSpec,
     as_seed,
     collision_probability,
     fit_multi_lorentzian,
     monte_carlo_threshold,
+    occupancy_stats,
+    overlap_curve,
     published_model_fidelity,
+    run_ghz_chain,
+    run_ghz_chain_with_loss,
+    sample_ensemble,
+    spectral_arrangement_rate,
     synthesize,
 )
 
@@ -71,9 +79,24 @@ ONE_PEAK = synthesize([LorentzianPeak(0.0, 300.0, 100.0)], 5.0, np.linspace(-2, 
          "max_iterations must be an integer, got 2.5"),
         (fit_multi_lorentzian, (ONE_PEAK, 1), {"max_iterations": 0},
          "need max_iterations >= 1, got 0"),
+        (sample_ensemble, (EnsembleModel(), 10.5, 1), {},
+         "ensemble size must be an integer, got 10.5"),
+        (occupancy_stats, (0.1, ConfocalPsf(0.5), 1000.5, 1), {},
+         "trials must be an integer, got 1000.5"),
+        (spectral_arrangement_rate, (EnsembleModel(), 3.0, 30.0, 10000, 1), {},
+         "chain length must be an integer, got 3.0"),
+        (spectral_arrangement_rate, (EnsembleModel(), 3, 30.0, 10000.5, 1), {},
+         "trials must be an integer, got 10000.5"),
+        (run_ghz_chain, (4.0,), {}, "qubit count must be an integer, got 4.0"),
+        (run_ghz_chain_with_loss, (4.0, LossModel(0.9)), {},
+         "qubit count must be an integer, got 4.0"),
+        (overlap_curve, (sample_ensemble(EnsembleModel(), 50, 1), [29.0]),
+         {"bootstrap_resamples": 150.5, "seed": 1}, "resamples must be an integer, got 150.5"),
     ],
     ids=["mc-trials", "mc-max-emitters", "collision-n", "published-fidelity-n",
-         "fit-iterations", "fit-zero-iterations"],
+         "fit-iterations", "fit-zero-iterations", "ensemble-n", "occupancy-trials",
+         "chain-k", "chain-trials", "ghz-chain-n", "lossy-ghz-chain-n",
+         "bootstrap-resamples"],
 )
 def test_bad_count_is_refused(func, args, kwargs, message):
     with pytest.raises(DomainError) as info:

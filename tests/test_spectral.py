@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
 from emitternet import (
@@ -170,6 +172,41 @@ class TestSampleLinePositions:
             for g, w in zip(got, want):
                 assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+ROW_MODELS = [
+    EnsembleModel(),
+    EnsembleModel(centers=NormalCenters(0.5)),
+    EnsembleModel(centers=NormalCenters(0.0)),
+    EnsembleModel(centers=UniformCenters(2.0), zfs_sigma_ghz=0.0),
+    # about 40% of the ZFS draws fall at or below 0 and are drawn again
+    EnsembleModel(zfs_mean_ghz=0.02, zfs_sigma_ghz=0.075),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model=st.sampled_from(ROW_MODELS),
+    n=st.integers(0, 70),
+    starts=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 3)), max_size=6),
+)
+def test_line_rows_equal_one_call_a_row(model, n, starts):
+    # Each generator starts from its seed, moved on by a few 32-bit draws (an
+    # odd count leaves half a word buffered in its state).
+    def generators():
+        rngs = [np.random.default_rng(seed) for seed, _ in starts]
+        for rng, (_, skip) in zip(rngs, starts):
+            rng.integers(2**32, size=skip, dtype=np.uint32)
+        return rngs
+
+    got_rngs, want_rngs = generators(), generators()
+    got = spectral._line_rows(model, n, got_rngs)
+    assert got[0].shape == got[1].shape == (len(starts), n)
+    for k, (got_rng, want_rng) in enumerate(zip(got_rngs, want_rngs)):
+        want = spectral.sample_line_positions(model, n, want_rng)
+        for g, w in zip(got, want):
+            assert g[k].view(np.uint64).tolist() == w.view(np.uint64).tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestModelValidation:
